@@ -36,8 +36,8 @@ use crossover::world::Wid;
 use machine::fault::FaultPlan;
 use machine::rng::SplitMix64;
 use runtime::{
-    trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, DispatchMode, EventKind,
-    ObsConfig, RateLimitConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WorldCallService,
+    trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, EventKind, ObsConfig,
+    RateLimitConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WorldCallService,
 };
 use workloads::adversary::{AdversaryPlan, AttackKind};
 
@@ -90,10 +90,9 @@ struct Harness {
     forge_base: u64,
 }
 
-fn build(workers: usize, dispatch: DispatchMode, authz: AuthzConfig, obs: ObsConfig) -> Harness {
+fn build(workers: usize, authz: AuthzConfig, obs: ObsConfig) -> Harness {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers,
-        dispatch,
         queue_capacity: 8_192,
         batch_max: BATCH_MAX,
         switchless: SwitchlessConfig::fixed(8),
@@ -283,7 +282,6 @@ struct Row {
     seed: u64,
     faulted: bool,
     workers: usize,
-    dispatch: &'static str,
     legit_completed: u64,
     denied: u64,
     bypasses: u64,
@@ -292,18 +290,8 @@ struct Row {
     makespan_cycles: u64,
 }
 
-fn matrix_run(
-    seed: u64,
-    faulted: bool,
-    workers: usize,
-    dispatch: DispatchMode,
-) -> (Row, ServiceReport) {
-    let mut h = build(
-        workers,
-        dispatch,
-        AuthzConfig::enforcing(),
-        ObsConfig::off(),
-    );
+fn matrix_run(seed: u64, faulted: bool, workers: usize) -> (Row, ServiceReport) {
+    let mut h = build(workers, AuthzConfig::enforcing(), ObsConfig::off());
     if faulted {
         let salt = seed.rotate_left(17) ^ 0x00DD_F00D;
         h.svc
@@ -352,14 +340,9 @@ fn matrix_run(
         .filter(|o| o.request.tag < LEGIT_CALLS && o.verdict == CallVerdict::Completed)
         .count() as u64;
     eprintln!(
-        "adversary seed {seed:#010x} {}  w={workers} {:>5}  legit-ok {legit_completed:>3}  \
+        "adversary seed {seed:#010x} {}  w={workers}  legit-ok {legit_completed:>3}  \
          denied {:>3}  bypasses 0  quota-refused {}",
         if faulted { "chaos" } else { "clean" },
-        if dispatch == DispatchMode::LockFreeRings {
-            "rings"
-        } else {
-            "mutex"
-        },
         report.denied,
         lowered.quota_refusals,
     );
@@ -367,11 +350,6 @@ fn matrix_run(
         seed,
         faulted,
         workers,
-        dispatch: if dispatch == DispatchMode::LockFreeRings {
-            "rings"
-        } else {
-            "mutex"
-        },
         legit_completed,
         denied: report.denied,
         bypasses,
@@ -386,7 +364,7 @@ fn matrix_run(
 /// enforcing policy, zipped verdict for verdict and meter for meter.
 fn parity() -> (u64, u64) {
     let run = |authz: AuthzConfig| {
-        let mut h = build(1, DispatchMode::LockFreeRings, authz, ObsConfig::off());
+        let mut h = build(1, authz, ObsConfig::off());
         let mut rng = SplitMix64::new(STREAM_SEED);
         for tag in 0..PARITY_CALLS {
             h.svc
@@ -425,12 +403,7 @@ fn parity() -> (u64, u64) {
 /// `trace_out` the probe's recording is written as a combined
 /// Perfetto/recording document.
 fn revocation_probe(trace_out: Option<&str>) -> (u64, u64) {
-    let mut h = build(
-        1,
-        DispatchMode::LockFreeRings,
-        AuthzConfig::permissive(),
-        ObsConfig::ring(),
-    );
+    let mut h = build(1, AuthzConfig::permissive(), ObsConfig::ring());
     let policy = h.svc.authz().expect("policy").clone();
     let (caller, callee) = (h.legit[0], h.legit[1]);
     h.svc.start();
@@ -513,12 +486,7 @@ fn main() {
     for (i, seed) in SEEDS.into_iter().enumerate() {
         for faulted in [false, true] {
             let workers = [1, 2, 4, 8][i % 4];
-            let dispatch = if i % 2 == 0 {
-                DispatchMode::LockFreeRings
-            } else {
-                DispatchMode::MutexQueue
-            };
-            let (row, report) = matrix_run(seed, faulted, workers, dispatch);
+            let (row, report) = matrix_run(seed, faulted, workers);
             totals.checks += report.authz.checks;
             totals.denied += report.authz.denied;
             totals.revoked_denies += report.authz.revoked_denies;
@@ -605,7 +573,6 @@ fn main() {
              \x20     \"seed\": {},\n\
              \x20     \"faulted\": {},\n\
              \x20     \"workers\": {},\n\
-             \x20     \"dispatch\": \"{}\",\n\
              \x20     \"legit_completed\": {},\n\
              \x20     \"denied\": {},\n\
              \x20     \"bypasses\": {},\n\
@@ -616,7 +583,6 @@ fn main() {
             r.seed,
             r.faulted,
             r.workers,
-            r.dispatch,
             r.legit_completed,
             r.denied,
             r.bypasses,

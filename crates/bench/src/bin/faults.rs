@@ -8,7 +8,7 @@
 //!   runtime is bit-for-bit identical to a run with no plan at all:
 //!   same verdict stream, same total cycles. Asserted exactly.
 //! * **Chaos matrix** — seeded fault schedules (8 seeds × light/heavy
-//!   intensity, varied worker counts and dispatchers) injecting stalls,
+//!   intensity, varied worker counts) injecting stalls,
 //!   crashes, slot corruption, EPT denials, dropped invalidations and
 //!   lookup races. Every submitted call must resolve to exactly one
 //!   verdict: zero lost, zero duplicated, asserted per run.
@@ -35,8 +35,8 @@ use hypervisor::smp::{CoreId, SmpMachine, MAX_PENDING_IPIS};
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use runtime::{
-    trace_doc, CallRequest, DispatchMode, ObsConfig, RuntimeConfig, ServiceReport,
-    SwitchlessConfig, WorldCallService,
+    trace_doc, CallRequest, ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig,
+    WorldCallService,
 };
 
 const FREQUENCY_GHZ: f64 = 3.4;
@@ -117,7 +117,6 @@ fn draw_request(
 fn run(
     plan: Option<FaultPlan>,
     workers: usize,
-    dispatch: DispatchMode,
     switchless: SwitchlessConfig,
     calls: u64,
     abusive: bool,
@@ -125,7 +124,6 @@ fn run(
 ) -> ServiceReport {
     let (mut svc, worlds) = build_service(RuntimeConfig {
         workers,
-        dispatch,
         queue_capacity: calls as usize + 16,
         batch_max: 32,
         switchless,
@@ -160,7 +158,6 @@ struct ChaosRow {
     seed: u64,
     intensity: &'static str,
     workers: usize,
-    dispatch: &'static str,
     completed: u64,
     timed_out: u64,
     failed: u64,
@@ -183,11 +180,6 @@ fn chaos_matrix() -> (Vec<ChaosRow>, Vec<u64>) {
     for (i, seed) in CHAOS_SEEDS.into_iter().enumerate() {
         for (intensity, events_per_site) in [("light", 2u32), ("heavy", 6u32)] {
             let workers = [1, 2, 4, 8][i % 4];
-            let (dispatch, dispatch_name) = if i % 2 == 0 {
-                (DispatchMode::LockFreeRings, "rings")
-            } else {
-                (DispatchMode::MutexQueue, "mutex")
-            };
             let salt = if intensity == "heavy" {
                 seed.rotate_left(17) ^ 0x00DD_F00D
             } else {
@@ -197,7 +189,6 @@ fn chaos_matrix() -> (Vec<ChaosRow>, Vec<u64>) {
             let report = run(
                 Some(plan),
                 workers,
-                dispatch,
                 SwitchlessConfig::fixed(8),
                 CHAOS_CALLS,
                 true,
@@ -215,7 +206,7 @@ fn chaos_matrix() -> (Vec<ChaosRow>, Vec<u64>) {
             let t = &report.supervisor.totals;
             recovery.extend_from_slice(&t.recovery_samples);
             eprintln!(
-                "chaos seed {seed:#010x} {intensity:>5}  w={workers} {dispatch_name:>5}  \
+                "chaos seed {seed:#010x} {intensity:>5}  w={workers}  \
                  ok/to/fail/dead {:>4}/{:>2}/{:>2}/{:>2}  stalls {} respawns {} corrupt {} \
                  defers {} retries {}",
                 report.completed,
@@ -232,7 +223,6 @@ fn chaos_matrix() -> (Vec<ChaosRow>, Vec<u64>) {
                 seed,
                 intensity,
                 workers,
-                dispatch: dispatch_name,
                 completed: report.completed,
                 timed_out: report.timed_out,
                 failed: report.failed,
@@ -260,7 +250,6 @@ fn trace_run(trace_path: &str) {
     let report = run(
         Some(plan),
         2,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::fixed(8),
         CHAOS_CALLS,
         true,
@@ -288,7 +277,6 @@ fn main() {
     let bare = run(
         None,
         1,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::fixed(8),
         PARITY_CALLS,
         true,
@@ -297,7 +285,6 @@ fn main() {
     let armed = run(
         Some(FaultPlan::new()),
         1,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::fixed(8),
         PARITY_CALLS,
         true,
@@ -360,7 +347,6 @@ fn main() {
     let engaged = run(
         None,
         1,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::fixed(8),
         DEGRADED_CALLS,
         false,
@@ -369,7 +355,6 @@ fn main() {
     let classic_only = run(
         None,
         1,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::default(), // mode Off == classic-only rung
         DEGRADED_CALLS,
         false,
@@ -393,7 +378,6 @@ fn main() {
     let stormed = run(
         Some(storm),
         1,
-        DispatchMode::LockFreeRings,
         SwitchlessConfig::fixed(8),
         DEGRADED_CALLS,
         false,
@@ -502,7 +486,6 @@ fn main() {
              \x20     \"seed\": {},\n\
              \x20     \"intensity\": \"{}\",\n\
              \x20     \"workers\": {},\n\
-             \x20     \"dispatch\": \"{}\",\n\
              \x20     \"completed\": {},\n\
              \x20     \"timed_out\": {},\n\
              \x20     \"failed\": {},\n\
@@ -521,7 +504,6 @@ fn main() {
             r.seed,
             r.intensity,
             r.workers,
-            r.dispatch,
             r.completed,
             r.timed_out,
             r.failed,

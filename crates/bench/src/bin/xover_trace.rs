@@ -1,7 +1,7 @@
 //! `xover-trace`: replay a recorded run and hold it to its invariants.
 //!
 //! Reads a combined Perfetto/recording document (the `--trace-out`
-//! output of `serve_bench`, `switchless`, `faults`, `hotpath`, `scale`,
+//! output of `hotpath`, `switchless`, `faults`, `scale`, `gateway`,
 //! `authz` or `slo`), stitches the per-request span tree back out of
 //! the event stream, prints the top-N slowest spans with their phase
 //! breakdown (queue wait vs on-CPU service), prints the causal

@@ -21,8 +21,8 @@ pub const DEFAULT_WORLD_QUOTA: usize = 16;
 /// WT-/IWT-cache miss.
 ///
 /// [`WorldTable`] is the sequential implementation; the runtime crate's
-/// sharded table implements the same contract with lock striping, so the
-/// [`crate::call::WorldCallUnit`] can drive either.
+/// epoch-protected table implements the same contract for concurrent
+/// readers, so the [`crate::call::WorldCallUnit`] can drive either.
 pub trait WorldLookup {
     /// Resolves a WID to its entry (WT-cache miss walk).
     fn entry_of(&self, wid: Wid) -> Option<WorldEntry>;
@@ -129,46 +129,6 @@ impl WorldTable {
         }
         let wid = Wid::from_raw(self.next_wid);
         self.next_wid += 1;
-        self.insert_entry(descriptor, wid);
-        Ok(wid)
-    }
-
-    /// Registers a world under an externally minted WID — the shard-side
-    /// entry point used by the runtime's sharded table, whose global
-    /// allocator mints WIDs across all shards. The internal counter is
-    /// advanced past `wid` so local [`WorldTable::create`] calls can
-    /// never collide with externally minted ids.
-    ///
-    /// # Errors
-    ///
-    /// [`WorldError::QuotaExceeded`] exactly as [`WorldTable::create`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wid` already names a present entry (the allocator must
-    /// never hand out duplicates).
-    pub fn create_with_wid(
-        &mut self,
-        descriptor: WorldDescriptor,
-        wid: Wid,
-    ) -> Result<Wid, WorldError> {
-        assert!(
-            !self.entries.contains_key(&wid.raw()),
-            "duplicate WID {wid} from external allocator"
-        );
-        if let Some(old) = self.by_context.get(&descriptor.context).copied() {
-            self.entries.remove(&old.raw());
-            self.owners.remove(&old.raw());
-            if let Some(vm) = descriptor.owner {
-                *self.per_vm_count.entry(vm).or_insert(1) -= 1;
-            }
-        } else if let Some(vm) = descriptor.owner {
-            let count = self.per_vm_count.entry(vm).or_insert(0);
-            if *count >= self.quota {
-                return Err(WorldError::QuotaExceeded { quota: self.quota });
-            }
-        }
-        self.next_wid = self.next_wid.max(wid.raw() + 1);
         self.insert_entry(descriptor, wid);
         Ok(wid)
     }

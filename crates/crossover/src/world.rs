@@ -19,7 +19,7 @@ impl Wid {
     /// Creates a WID from its raw value.
     ///
     /// Only hypervisor-side allocators (the [`crate::table::WorldTable`]
-    /// and the sharded runtime table built on top of it) should mint
+    /// and the runtime's epoch table that mirrors it) should mint
     /// WIDs; unforgeability comes from the table honouring only WIDs it
     /// allocated, not from hiding the constructor.
     pub fn from_raw(raw: u64) -> Wid {

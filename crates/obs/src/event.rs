@@ -14,7 +14,7 @@ pub enum EventKind {
     RequestEnqueue = 0,
     /// Worker picked the request up. a=seq, b=queue-wait cycles, c=callee.
     RequestDispatch = 1,
-    /// The dispatching worker stole the request from another shard. a=seq.
+    /// The dispatching worker stole the request from a peer's ring. a=seq.
     RequestSteal = 2,
     /// Guest performed a world call. a=caller, b=callee.
     WorldCall = 3,

@@ -36,7 +36,7 @@ pub struct Span {
     pub verdict: u8,
     /// Whether a resident drain serviced the request.
     pub coalesced: bool,
-    /// Whether the request was stolen from another shard's ring.
+    /// Whether the request was stolen from a peer worker's ring.
     pub stolen: bool,
 }
 

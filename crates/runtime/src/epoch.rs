@@ -1,11 +1,13 @@
 //! Epoch-protected lock-free world table with cold-world eviction.
 //!
-//! The striped table in [`crate::shard`] still takes a mutex on every
-//! WT/IWT miss walk and `delete_world` broadcasts an invalidation to
-//! every worker — both cap the design at toy scale. This module rewrites
-//! the *read path* as an epoch/RCU-protected structure in the spirit of
-//! the in-tree Vyukov rings: dependency-free, unsafe-but-argued, and
-//! property-tested.
+//! The runtime's one world table. A table that took a lock on every
+//! WT/IWT miss walk, or broadcast every `delete_world` to every worker,
+//! would cap the service at toy scale. This module builds the *read
+//! path* as an epoch/RCU-protected structure in the spirit of the
+//! in-tree Vyukov rings: dependency-free, unsafe-but-argued, and
+//! property-tested. Driven sequentially it is indistinguishable from
+//! the sequential [`crossover::table::WorldTable`] (see
+//! `tests/equivalence.rs`).
 //!
 //! # Read path
 //!
@@ -32,14 +34,13 @@
 //!
 //! # Deletion without broadcast
 //!
-//! `delete` no longer broadcasts to every worker. It unpublishes the
+//! `delete` does not broadcast to every worker. It unpublishes the
 //! entry (so table misses are immediate) and appends the WID to a
 //! *retire log*; each worker pulls the log's tail at its next batch
-//! boundary and invalidates its private WT/IWT caches then. This keeps
-//! the one-batch staleness bound of the old invalidation bus — a
-//! worker's caches may serve a deleted world only within the batch that
-//! overlapped the delete — while making `delete` O(1) instead of
-//! O(workers).
+//! boundary and invalidates its private WT/IWT caches then. A worker's
+//! caches may therefore serve a deleted world only within the batch
+//! that overlapped the delete (the one-batch staleness bound), and
+//! `delete` stays O(1) instead of O(workers).
 //!
 //! # Cold-world eviction
 //!
@@ -64,8 +65,6 @@ use crossover::table::WorldLookup;
 use crossover::world::{Wid, WorldContext, WorldDescriptor, WorldEntry, PACKED_ENTRY_BYTES};
 use crossover::WorldError;
 use hypervisor::vm::VmId;
-
-use crate::shard::{auto_shards, ContentionSnapshot, ShardedWorldTable};
 
 /// A quiescent (unpinned) reader slot.
 const QUIESCENT: u64 = u64::MAX;
@@ -268,14 +267,20 @@ pub struct TableHealth {
     pub eviction_window: u64,
     /// Cold-store footprint in bytes.
     pub cold_bytes: u64,
-    /// Lookups served so far.
+    /// Lookups served so far, pinned and unpinned.
     pub lookups: u64,
+    /// Writer-lock acquisitions so far: registrations, deletions,
+    /// refaults, unpinned lookups and maintenance passes.
+    pub writer_acquisitions: u64,
+    /// Writer-lock acquisitions that found the lock held and blocked.
+    pub writer_contended: u64,
 }
 
-/// The epoch-protected world table. Same observable semantics as
-/// [`ShardedWorldTable`] — monotonic never-reused WIDs, per-VM quotas
-/// enforced at registration, context replacement — with wait-free reads,
-/// O(1) deletion and hot-set-bounded resident memory.
+/// The epoch-protected world table. Same observable semantics as the
+/// sequential [`crossover::table::WorldTable`] — monotonic never-reused
+/// WIDs, per-VM quotas enforced at registration, context replacement —
+/// with wait-free reads, O(1) deletion and hot-set-bounded resident
+/// memory.
 #[derive(Debug)]
 pub struct EpochWorldTable {
     root: AtomicPtr<TableArray>,
@@ -475,6 +480,18 @@ impl EpochWorldTable {
 
     /// Copy-on-write insert of `entry`, growing the root first if the
     /// mean bucket occupancy would exceed [`MAX_AVG_BUCKET`].
+    ///
+    /// Growth counts *resident* entries, not live worlds. Only resident
+    /// entries occupy buckets — cold worlds live in the cold store and
+    /// cost a lookup nothing until they refault, and a refault re-enters
+    /// through here — so the resident count is exactly what bounds the
+    /// binary search a reader performs. Sizing the root by live worlds
+    /// would grow it for worlds no reader touches, and the root never
+    /// shrinks, so resident memory would track registrations rather than
+    /// the hot set. The invariant is therefore `resident <=
+    /// bucket_count() * MAX_AVG_BUCKET` after every publication; a run
+    /// whose maintenance demotes never-read worlds may legitimately
+    /// never grow.
     fn publish_insert(&self, st: &mut WriterState, entry: WorldEntry) {
         let resident = self.resident.load(Ordering::Relaxed) as usize;
         if resident + 1 > self.bucket_count() * MAX_AVG_BUCKET {
@@ -540,7 +557,7 @@ impl EpochWorldTable {
         self.retire(st, Garbage::Array(prev));
     }
 
-    /// Registers a world and mints its WID, with the striped table's
+    /// Registers a world and mints its WID, with the sequential table's
     /// exact semantics: re-registering an identical context replaces the
     /// old entry (old WID invalidated, quota slot transferred); otherwise
     /// the owning VM's quota is checked before the WID is minted.
@@ -802,18 +819,6 @@ impl EpochWorldTable {
 
     // ---- reporting -------------------------------------------------
 
-    /// Contention mapped onto the striped table's snapshot shape:
-    /// shard counters become the wait-free lookup count (never
-    /// contended), index counters the writer-lock acquisitions.
-    pub fn contention(&self) -> ContentionSnapshot {
-        ContentionSnapshot {
-            shard_acquisitions: self.lookups.load(Ordering::Relaxed),
-            shard_contended: 0,
-            index_acquisitions: self.writer_acquisitions.load(Ordering::Relaxed),
-            index_contended: self.writer_contended.load(Ordering::Relaxed),
-        }
-    }
-
     /// Point-in-time health snapshot.
     pub fn health(&self) -> TableHealth {
         let window = self.window.load(Ordering::Relaxed);
@@ -827,6 +832,8 @@ impl EpochWorldTable {
             eviction_window: if window == u64::MAX { 0 } else { window },
             cold_bytes: self.cold_bytes() as u64,
             lookups: self.lookups.load(Ordering::Relaxed),
+            writer_acquisitions: self.writer_acquisitions.load(Ordering::Relaxed),
+            writer_contended: self.writer_contended.load(Ordering::Relaxed),
         }
     }
 
@@ -879,201 +886,6 @@ impl WorldLookup for EpochWorldTable {
 
     fn wid_of(&self, context: &WorldContext) -> Option<Wid> {
         self.lookup_context(context)
-    }
-}
-
-// ---- mode selection ------------------------------------------------
-
-/// Which world-table implementation the runtime uses. The striped table
-/// is kept as an ablation; the two modes are verdict-equivalent (see
-/// `tests/table_scale_props.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableMode {
-    /// Epoch-protected lock-free table with cold-world eviction.
-    #[default]
-    Epoch,
-    /// The PR-1 lock-striped table (ablation baseline).
-    Striped,
-}
-
-/// The service-facing table: one of the two implementations behind a
-/// unified API.
-// One instance exists per service, always behind an `Arc`; the variant
-// size gap never crosses a hot path by value.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum RuntimeTable {
-    /// Lock-striped (ablation).
-    Striped(ShardedWorldTable),
-    /// Epoch-protected (default).
-    Epoch(EpochWorldTable),
-}
-
-impl RuntimeTable {
-    /// Builds the table for `mode`. `shards` of 0 means auto-size from
-    /// the worker count (next power of two ≥ 4×workers).
-    pub fn build(mode: TableMode, shards: usize, workers: usize, quota: usize) -> RuntimeTable {
-        match mode {
-            TableMode::Striped => {
-                let shards = if shards == 0 {
-                    auto_shards(workers)
-                } else {
-                    shards
-                };
-                RuntimeTable::Striped(ShardedWorldTable::with_shards(shards, quota))
-            }
-            TableMode::Epoch => RuntimeTable::Epoch(EpochWorldTable::new(workers.max(1), quota)),
-        }
-    }
-
-    /// Registers a world. See [`ShardedWorldTable::create`].
-    ///
-    /// # Errors
-    ///
-    /// [`WorldError::QuotaExceeded`] if the owning VM is at its quota.
-    pub fn create(&self, descriptor: WorldDescriptor) -> Result<Wid, WorldError> {
-        match self {
-            RuntimeTable::Striped(t) => t.create(descriptor),
-            RuntimeTable::Epoch(t) => t.create(descriptor),
-        }
-    }
-
-    /// Deletes a world. In epoch mode the retirement is logged for
-    /// workers to pull; in striped mode the *caller* must broadcast the
-    /// invalidation (the service layer does).
-    ///
-    /// # Errors
-    ///
-    /// [`WorldError::InvalidWid`] if absent.
-    pub fn delete(&self, wid: Wid) -> Result<(), WorldError> {
-        match self {
-            RuntimeTable::Striped(t) => t.delete(wid),
-            RuntimeTable::Epoch(t) => t.delete(wid),
-        }
-    }
-
-    /// WID → entry lookup (unpinned; workers use [`TableView`]).
-    pub fn lookup(&self, wid: Wid) -> Option<WorldEntry> {
-        match self {
-            RuntimeTable::Striped(t) => t.lookup(wid),
-            RuntimeTable::Epoch(t) => t.lookup(wid),
-        }
-    }
-
-    /// Context → WID lookup.
-    pub fn lookup_context(&self, context: &WorldContext) -> Option<Wid> {
-        match self {
-            RuntimeTable::Striped(t) => t.lookup_context(context),
-            RuntimeTable::Epoch(t) => t.lookup_context(context),
-        }
-    }
-
-    /// Number of worlds owned by `vm`.
-    pub fn world_count(&self, vm: VmId) -> usize {
-        match self {
-            RuntimeTable::Striped(t) => t.world_count(vm),
-            RuntimeTable::Epoch(t) => t.world_count(vm),
-        }
-    }
-
-    /// Live worlds.
-    pub fn len(&self) -> usize {
-        match self {
-            RuntimeTable::Striped(t) => t.len(),
-            RuntimeTable::Epoch(t) => t.len(),
-        }
-    }
-
-    /// Whether no worlds are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The per-VM quota.
-    pub fn quota(&self) -> usize {
-        match self {
-            RuntimeTable::Striped(t) => t.quota(),
-            RuntimeTable::Epoch(t) => t.quota(),
-        }
-    }
-
-    /// Contention counters.
-    pub fn contention(&self) -> ContentionSnapshot {
-        match self {
-            RuntimeTable::Striped(t) => t.contention(),
-            RuntimeTable::Epoch(t) => t.contention(),
-        }
-    }
-
-    /// Health snapshot. The striped table has no eviction machinery, so
-    /// its snapshot is just the live count mirrored into `resident`.
-    pub fn health(&self) -> TableHealth {
-        match self {
-            RuntimeTable::Striped(t) => {
-                let live = t.len() as u64;
-                TableHealth {
-                    live,
-                    resident: live,
-                    ..TableHealth::default()
-                }
-            }
-            RuntimeTable::Epoch(t) => t.health(),
-        }
-    }
-
-    /// The epoch table, if that mode is active.
-    pub fn epoch(&self) -> Option<&EpochWorldTable> {
-        match self {
-            RuntimeTable::Epoch(t) => Some(t),
-            RuntimeTable::Striped(_) => None,
-        }
-    }
-}
-
-impl WorldLookup for RuntimeTable {
-    fn entry_of(&self, wid: Wid) -> Option<WorldEntry> {
-        self.lookup(wid)
-    }
-
-    fn wid_of(&self, context: &WorldContext) -> Option<Wid> {
-        self.lookup_context(context)
-    }
-}
-
-/// A worker's view of the runtime table: in epoch mode, WID lookups go
-/// through the worker's pin slot (wait-free); everywhere else they fall
-/// back to the mode's locked path.
-#[derive(Debug, Clone, Copy)]
-pub struct TableView<'a> {
-    table: &'a RuntimeTable,
-    slot: Option<usize>,
-}
-
-impl<'a> TableView<'a> {
-    /// A view bound to worker `slot`'s pin.
-    pub fn for_worker(table: &'a RuntimeTable, slot: usize) -> TableView<'a> {
-        TableView {
-            table,
-            slot: Some(slot),
-        }
-    }
-
-    /// An unpinned view (external callers, tests).
-    pub fn unpinned(table: &'a RuntimeTable) -> TableView<'a> {
-        TableView { table, slot: None }
-    }
-}
-
-impl WorldLookup for TableView<'_> {
-    fn entry_of(&self, wid: Wid) -> Option<WorldEntry> {
-        match (self.table, self.slot) {
-            (RuntimeTable::Epoch(t), Some(slot)) => t.lookup_pinned(slot, wid),
-            _ => self.table.lookup(wid),
-        }
-    }
-
-    fn wid_of(&self, context: &WorldContext) -> Option<Wid> {
-        self.table.lookup_context(context)
     }
 }
 
@@ -1259,6 +1071,14 @@ mod tests {
         assert!(t.health().grace_reclaims >= before);
     }
 
+    /// Mean resident occupancy per bucket, read under the writer lock so
+    /// the resident count and the published root are one consistent
+    /// snapshot (every update to either happens under that lock).
+    fn mean_occupancy_within_bound(t: &EpochWorldTable) -> bool {
+        let _writer = t.lock_writer();
+        t.resident_count() <= t.bucket_count() * MAX_AVG_BUCKET
+    }
+
     #[test]
     fn concurrent_readers_and_writers_agree() {
         let t = Arc::new(EpochWorldTable::new(4, 64));
@@ -1266,6 +1086,12 @@ mod tests {
             .map(|i| t.create(host(0x10_0000 + i * 8)).unwrap())
             .collect();
         let before = t.bucket_count();
+        // A registration burst past the current root's capacity with no
+        // maintenance in between: nothing can demote the new worlds, so
+        // residency must cross the grow threshold whatever the readers
+        // do to the reuse-distance histogram.
+        let burst = (before * MAX_AVG_BUCKET) as u64 + 1;
+        let churn = 1_000u64;
         let mut handles = Vec::new();
         for slot in 0..3usize {
             let t = Arc::clone(&t);
@@ -1280,15 +1106,20 @@ mod tests {
                 }
             }));
         }
-        // Writer thread: churn registrations (enough to force a root
-        // grow) plus maintenance, concurrently with the readers.
+        // Writer thread: the burst (forcing a root grow), then further
+        // registrations interleaved with maintenance (eviction, grace
+        // reclamation), all concurrently with the readers.
         {
             let t = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
-                for i in 0..4_000u64 {
+                for i in 0..burst {
+                    t.create(host(0x90_0000 + i * 8)).unwrap();
+                }
+                for i in burst..burst + churn {
                     t.create(host(0x90_0000 + i * 8)).unwrap();
                     if i % 16 == 0 {
                         t.maintain();
+                        assert!(mean_occupancy_within_bound(&t));
                     }
                 }
             }));
@@ -1297,29 +1128,15 @@ mod tests {
             h.join().unwrap();
         }
         t.maintain();
-        assert_eq!(t.len(), 64 + 4_000);
-        assert!(t.bucket_count() > before, "root should have grown");
-    }
-
-    #[test]
-    fn runtime_table_modes_share_semantics() {
-        for mode in [TableMode::Epoch, TableMode::Striped] {
-            let t = RuntimeTable::build(mode, 0, 4, 16);
-            let a = t.create(host(0x1000)).unwrap();
-            let b = t.create(host(0x2000)).unwrap();
-            assert_eq!(t.len(), 2);
-            assert_eq!(t.lookup(a).unwrap().wid, a);
-            assert_eq!(t.lookup_context(&host(0x2000).context), Some(b));
-            t.delete(a).unwrap();
-            assert!(t.lookup(a).is_none());
-            assert_eq!(t.len(), 1);
-            let view = TableView::for_worker(&t, 2);
-            assert_eq!(view.entry_of(b).unwrap().wid, b);
-            assert!(view.entry_of(a).is_none());
-            assert_eq!(view.wid_of(&host(0x2000).context), Some(b));
-            let h = t.health();
-            assert_eq!(h.live, 1);
-            assert_eq!(h.resident, 1);
+        let live = 64 + burst + churn;
+        assert_eq!(t.len() as u64, live);
+        assert!(t.bucket_count() > before, "the burst must grow the root");
+        assert!(mean_occupancy_within_bound(&t));
+        // Every live world resolves, whether it stayed resident or was
+        // demoted by the maintenance passes.
+        for raw in 1..=live {
+            let wid = Wid::from_raw(raw);
+            assert_eq!(t.lookup_pinned(0, wid).map(|e| e.wid), Some(wid));
         }
     }
 

@@ -8,7 +8,7 @@
 //! service look like when many cores drive calls for many guest VMs at
 //! once?
 //!
-//! Three pieces answer it:
+//! The main pieces answer it:
 //!
 //! * [`epoch::EpochWorldTable`] — the hypervisor-managed world table at
 //!   million-world scale: wait-free WID→entry lookups against an
@@ -16,31 +16,23 @@
 //!   epoch-based grace period instead of an invalidation broadcast, and
 //!   cold worlds demoted to a compact paged store (faulted back on
 //!   lookup) so resident memory tracks the hot set rather than the
-//!   registration count. [`shard::ShardedWorldTable`] — lock-striped by
-//!   WID, the PR-3 design — survives as the
-//!   [`epoch::TableMode::Striped`] ablation behind the same
-//!   [`epoch::RuntimeTable`] facade. Both keep the global atomic WID
-//!   allocator monotonic and never-reusing (the unforgeability
-//!   invariant) and export contention counters, and workers drive both
-//!   through the same [`crossover::table::WorldLookup`] contract as the
-//!   sequential table, so the hardware model
+//!   registration count. Its atomic WID allocator is monotonic and
+//!   never reuses a WID (the unforgeability invariant), and workers
+//!   drive it through the same [`crossover::table::WorldLookup`]
+//!   contract as the sequential table, so the hardware model
 //!   ([`crossover::call::WorldCallUnit`]) is unchanged.
 //! * [`service::WorldCallService`] — bounded admission (`try_submit`
 //!   returns `Busy` at capacity instead of buffering without bound) in
 //!   front of a pool of OS-thread workers. Dispatch is per-worker
 //!   lock-free rings ([`ring::RingSet`], a Vyukov bounded MPMC ring per
-//!   worker) routed by callee with round-robin work stealing; the old
-//!   `Mutex<VecDeque>` queue survives as the
-//!   [`service::DispatchMode::MutexQueue`] ablation baseline. Each
+//!   worker) routed by callee with round-robin work stealing. Each
 //!   worker simulates one vCPU: a cloned platform with a private
-//!   EPTP-tagged unified TLB, private set-associative WT-/IWT-caches,
+//!   EPTP-tagged unified TLB, private set-associative WT/IWT caches,
 //!   and a private meter, so the hot path takes no shared lock. Worlds
-//!   can be deleted while the pool runs; under the epoch table each
-//!   worker pulls the shared retire log's tail before its next batch
-//!   (the striped ablation keeps the PR-3 invalidation-bus broadcast)
-//!   and purges its caches — the concurrent `manage_wtc`, staleness
-//!   bounded at one batch either way. Per-call deadlines reuse the
-//!   §3.4 timeout machinery
+//!   can be deleted while the pool runs; each worker pulls the table's
+//!   retire log tail before its next batch and purges its caches — the
+//!   concurrent `manage_wtc`, staleness bounded at one batch. Per-call
+//!   deadlines reuse the §3.4 timeout machinery
 //!   ([`crossover::manager::CallToken::expired`]). Requests are stamped
 //!   with the minimum live worker clock at submission, so each outcome
 //!   carries its virtual-time queue wait. On drain the per-worker
@@ -65,14 +57,9 @@
 //!   dispatch before path selection; checks charge zero virtual
 //!   cycles, so [`AuthzConfig::off`] (the default) is bit-for-bit
 //!   cycle-exact with the unenforced runtime.
-//! * `serve_bench` (the crate's binary) — sweeps the worker count and
-//!   emits `BENCH_runtime.json`: simulated calls/sec (derived from the
-//!   makespan, so it is host-independent), p50/p99 service latency,
-//!   cache and TLB hit rates, queue-wait cycles and lock-contention
-//!   counters per point.
 //!
 //! The equivalence property test (`tests/equivalence.rs`) pins the
-//! crate's central claim: the sharded table driven sequentially is
+//! crate's central claim: the epoch table driven sequentially is
 //! *indistinguishable* from the sequential table — same WIDs, same
 //! errors, same cache statistics, same metered cycles.
 
@@ -80,21 +67,17 @@ pub mod authz;
 pub mod epoch;
 pub mod feedback;
 pub mod observe;
-pub mod queue;
 pub mod report;
 pub mod ring;
 pub mod router;
 pub mod service;
-pub mod shard;
 pub mod supervisor;
 pub mod switchless;
 pub mod watchdog;
 mod worker;
 
 pub use authz::{AuthzConfig, AuthzMode, AuthzPolicy, AuthzSummary, RateLimitConfig};
-pub use epoch::{
-    EpochWorldTable, MaintainOutcome, RuntimeTable, TableHealth, TableMode, TableView,
-};
+pub use epoch::{EpochWorldTable, MaintainOutcome, TableHealth};
 pub use feedback::{
     FeedbackConfig, FeedbackMode, FeedbackSummary, LaneGauge, PrefetchStats, PrefillStats,
 };
@@ -103,14 +86,12 @@ pub use obs::{
     LogHistogram, ObsConfig, ObsMode, ObsReport, Registry, Span, TraceDoc,
 };
 pub use observe::{annotate_trace, metrics_registry, trace_doc};
-pub use queue::{PushError, Queue};
-pub use ring::{Ring, RingSet};
+pub use ring::{PushError, Ring, RingSet};
 pub use router::{CallError, CallOutcome, CallRequest, CallVerdict, Provenance, MAX_HOPS};
 pub use service::{
-    DeadlinePolicy, DispatchMode, InvalidationBus, RuntimeConfig, ServiceReport, SubmitError,
-    TenantCounts, TenantLatency, WorldCallService, WorldMemory,
+    DeadlinePolicy, RuntimeConfig, ServiceReport, SubmitError, TenantCounts, TenantLatency,
+    WorldCallService, WorldMemory,
 };
-pub use shard::{auto_shards, ContentionSnapshot, ShardedWorldTable};
 pub use supervisor::{
     DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport, SupervisorSummary,
 };

@@ -83,21 +83,14 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
     reg.counter_set("xover_tlb_misses", report.tlb.misses);
     reg.counter_set("xover_makespan_cycles", report.smp.makespan_cycles());
     reg.counter_set("xover_total_cycles", report.smp.total_cycles());
+    reg.counter_set("xover_table_lookups", report.table.lookups);
     reg.counter_set(
-        "xover_table_shard_acquisitions",
-        report.contention.shard_acquisitions,
+        "xover_table_writer_acquisitions",
+        report.table.writer_acquisitions,
     );
     reg.counter_set(
-        "xover_table_shard_contended",
-        report.contention.shard_contended,
-    );
-    reg.counter_set(
-        "xover_table_index_acquisitions",
-        report.contention.index_acquisitions,
-    );
-    reg.counter_set(
-        "xover_table_index_contended",
-        report.contention.index_contended,
+        "xover_table_writer_contended",
+        report.table.writer_contended,
     );
     reg.counter_set("xover_table_live_worlds", report.table.live);
     reg.counter_set("xover_table_resident_entries", report.table.resident);

@@ -1,12 +1,9 @@
 //! Lock-free per-worker request rings with work stealing.
 //!
-//! The mutex queue ([`crate::queue::Queue`]) serializes every submit and
-//! every pop through one lock — measurable as pure overhead once the
-//! per-call fast path itself is cheap. This module replaces it on the
-//! dispatch path: each worker owns a bounded ring (its inbox; submissions
-//! are routed to a home ring by callee, preserving destination affinity),
-//! and an idle worker *steals* from its peers' rings so load imbalance
-//! cannot strand queued calls.
+//! This is the service's dispatch structure. Each worker owns a bounded
+//! ring (its inbox; submissions are routed to a home ring by callee,
+//! preserving destination affinity), and an idle worker *steals* from
+//! its peers' rings so load imbalance cannot strand queued calls.
 //!
 //! Each ring is a Vyukov bounded queue: every slot carries a sequence
 //! number that encodes, without locks, whether the slot is free for the
@@ -15,15 +12,25 @@
 //! safe, which stealing (extra consumers) and open submission (any tenant
 //! thread producing into any ring) require.
 //!
-//! Backpressure and lifecycle mirror the mutex queue: `try_push` reports
-//! `Busy` when the home ring is full, `close` lets every ring drain and
-//! then wakes blocked poppers with `None`.
+//! Backpressure is observable: `try_push` reports [`PushError::Busy`]
+//! when the home ring is full, so the service can reject rather than
+//! buffer without bound (the admission-control analogue of the paper's
+//! anti-DoS quotas). `close` lets every ring drain and then wakes
+//! blocked poppers with `None`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-use crate::queue::PushError;
+/// Why a non-blocking push was refused.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The home ring is at capacity — backpressure; retry later or shed
+    /// load.
+    Busy(T),
+    /// The ring set is closed and accepts no further items.
+    Closed(T),
+}
 
 /// One slot of a ring. `seq` is the Vyukov sequence number: equal to the
 /// slot index + lap when free for writing, index + lap + 1 when readable.
@@ -186,16 +193,16 @@ fn backoff(spins: &mut u32) {
     }
 }
 
+/// EWMA smoothing shift: new samples weigh 1/8
+/// (`ewma += (sample - ewma) / 8`).
+const WAIT_EWMA_SHIFT: u32 = 3;
+
 /// One ring per worker plus a shared close flag: the lock-free dispatcher.
 ///
 /// Submissions are routed to a *home* ring (the service hashes the callee,
 /// so calls into the same world land in the same inbox and batch
 /// naturally); a worker pops its own ring first and steals from its peers
 /// only when its inbox is empty.
-/// EWMA smoothing shift: new samples weigh 1/8
-/// (`ewma += (sample - ewma) / 8`).
-const WAIT_EWMA_SHIFT: u32 = 3;
-
 #[derive(Debug)]
 pub struct RingSet<T> {
     rings: Vec<Ring<T>>,
@@ -240,16 +247,6 @@ impl<T: Send> RingSet<T> {
             .iter()
             .map(|e| e.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Number of rings (== workers).
-    pub fn ring_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Per-ring capacity after rounding.
-    pub fn capacity_per_ring(&self) -> usize {
-        self.rings[0].capacity()
     }
 
     /// Total queued items across all rings (approximate).

@@ -4,9 +4,9 @@
 //! caller world it originates from, the callee world to invoke, the
 //! callee-side work to charge, and an optional cycle budget (the §3.4
 //! callee-DoS timeout, here enforced per request by the worker that
-//! executes it). The service's queue carries these; workers batch pops
-//! by callee (see [`crate::queue::Queue::pop_batch`]) so consecutive
-//! calls into the same world pay one scheduling decision.
+//! executes it). The service's rings carry these; workers batch pops
+//! by callee so consecutive calls into the same world pay one
+//! scheduling decision.
 
 use crossover::world::Wid;
 use crossover::WorldError;
@@ -325,8 +325,7 @@ pub struct CallOutcome {
     pub queue_wait_cycles: u64,
     /// Index of the worker (== SMP core) that serviced the request.
     pub worker: usize,
-    /// Whether the executing worker stole the request from a peer's ring
-    /// (always `false` under the mutex-queue dispatcher).
+    /// Whether the executing worker stole the request from a peer's ring.
     pub stolen: bool,
     /// Whether the call was serviced through a switchless channel (its
     /// world transitions amortized across a coalesced batch) rather

@@ -3,14 +3,14 @@
 //!
 //! [`WorldCallService`] is the concurrent driver the single-vCPU
 //! [`Platform`] cannot be: many guest VMs' worlds registered in one
-//! shared [`RuntimeTable`] (epoch-protected lock-free by default, the
-//! lock-striped table as an ablation), a bounded request queue in front of a pool of
-//! OS-thread workers (each simulating one vCPU with private WT-/IWT-
-//! caches), per-call deadlines reusing the §3.4 timeout machinery, and
-//! `Busy` rejection when the queue is full instead of unbounded
-//! buffering. When the pool drains, the per-worker meters are merged
-//! into an [`SmpMachine`] — one core per worker — so the usual SMP
-//! metrics (total cycles, makespan) apply unchanged.
+//! shared [`EpochWorldTable`], bounded per-worker request rings
+//! ([`RingSet`]) in front of a pool of OS-thread workers (each
+//! simulating one vCPU with private WT-/IWT-caches), per-call deadlines
+//! reusing the §3.4 timeout machinery, and `Busy` rejection when a ring
+//! is full instead of unbounded buffering. When the pool drains, the
+//! per-worker meters are merged into an [`SmpMachine`] — one core per
+//! worker — so the usual SMP metrics (total cycles, makespan) apply
+//! unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,28 +35,14 @@ use mmu::tlb::TlbStats;
 use obs::{Event, EventKind, EventRing, LogHistogram, ObsConfig, ObsReport, SUBMIT_TRACK};
 
 use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
-use crate::epoch::{RuntimeTable, TableHealth, TableMode};
+use crate::epoch::{EpochWorldTable, TableHealth};
 use crate::feedback::{FeedbackConfig, FeedbackSummary};
-use crate::queue::{PushError, Queue};
-use crate::ring::RingSet;
+use crate::ring::{PushError, RingSet};
 use crate::router::{CallOutcome, CallRequest, CallVerdict, Queued};
-use crate::shard::ContentionSnapshot;
 use crate::supervisor::{DegradeLevel, HealthState, SupervisorConfig, SupervisorSummary};
 use crate::switchless::{Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary};
 use crate::watchdog::{Watchdog, WatchdogConfig, WatchdogSummary};
 use crate::worker::{self, WorkerContext, WorkerReport};
-
-/// Which dispatch structure carries requests from submitters to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Per-worker lock-free rings (routed by callee) with work stealing —
-    /// the contention-free fast path.
-    #[default]
-    LockFreeRings,
-    /// The single `Mutex<VecDeque>` MPMC queue — kept as the ablation
-    /// baseline the rings are measured against.
-    MutexQueue,
-}
 
 /// What a [`CallRequest`]'s cycle budget bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,26 +65,13 @@ pub enum DeadlinePolicy {
 pub struct RuntimeConfig {
     /// Worker threads (simulated vCPUs / SMP cores).
     pub workers: usize,
-    /// Which world-table implementation backs the service: the
-    /// epoch-protected lock-free table (default) or the lock-striped
-    /// ablation.
-    pub table_mode: TableMode,
-    /// Shards of the striped world table. 0 (the default) sizes
-    /// adaptively from the worker count — the next power of two at or
-    /// above 4×workers; any other value is an explicit override.
-    /// Ignored in epoch mode.
-    pub shards: usize,
     /// Per-VM world-creation quota.
     pub quota: usize,
-    /// Dispatch capacity: the mutex queue's bound, or each worker ring's
-    /// bound (rounded up to a power of two). `try_submit` beyond it
-    /// returns `Busy`.
+    /// Each worker ring's bound (rounded up to a power of two).
+    /// `try_submit` into a full home ring returns `Busy`.
     pub queue_capacity: usize,
     /// Maximum same-callee batch a worker pops at once.
     pub batch_max: usize,
-    /// Dispatch structure (lock-free rings by default; mutex queue as
-    /// the ablation baseline).
-    pub dispatch: DispatchMode,
     /// Whether worker platforms use their unified TLBs (ablation: off
     /// models hardware whose world switch flushes translations).
     pub unified_tlb: bool,
@@ -142,12 +115,9 @@ impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
             workers: 4,
-            table_mode: TableMode::default(),
-            shards: 0,
             quota: DEFAULT_WORLD_QUOTA,
             queue_capacity: 1024,
             batch_max: 16,
-            dispatch: DispatchMode::default(),
             unified_tlb: true,
             wtc_geometry: CacheGeometry::default(),
             switchless: SwitchlessConfig::default(),
@@ -171,77 +141,6 @@ pub enum SubmitError {
     Closed(CallRequest),
 }
 
-/// The dispatch structure behind submit/pop, selected by
-/// [`RuntimeConfig::dispatch`].
-#[derive(Debug)]
-pub(crate) enum Dispatcher {
-    /// Per-worker lock-free rings with work stealing.
-    Rings(RingSet<Queued>),
-    /// The mutex MPMC queue (ablation baseline).
-    Mutex(Queue<Queued>),
-}
-
-impl Dispatcher {
-    fn new(mode: DispatchMode, workers: usize, capacity: usize) -> Dispatcher {
-        match mode {
-            DispatchMode::LockFreeRings => Dispatcher::Rings(RingSet::new(workers, capacity)),
-            DispatchMode::MutexQueue => Dispatcher::Mutex(Queue::bounded(capacity)),
-        }
-    }
-
-    // The Err variants below carry the rejected request back to the
-    // caller by value — backpressure hands ownership back, so the
-    // "large" Err is the point, not an accident.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_push(&self, home: usize, item: Queued) -> Result<(), PushError<Queued>> {
-        match self {
-            Dispatcher::Rings(r) => r.try_push(home, item),
-            Dispatcher::Mutex(q) => q.try_push(item),
-        }
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn push(&self, home: usize, item: Queued) -> Result<(), Queued> {
-        match self {
-            Dispatcher::Rings(r) => r.push(home, item),
-            Dispatcher::Mutex(q) => q.push(item),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Dispatcher::Rings(r) => r.close(),
-            Dispatcher::Mutex(q) => q.close(),
-        }
-    }
-
-    /// Approximate occupancy of `home`'s inbox (the whole queue under
-    /// the mutex dispatcher) — the controller's ring-occupancy signal.
-    pub(crate) fn occupancy(&self, home: usize) -> usize {
-        match self {
-            Dispatcher::Rings(r) => r.len_of(home),
-            Dispatcher::Mutex(q) => q.len(),
-        }
-    }
-
-    /// Feeds one observed queue wait into `home`'s ring EWMA (the
-    /// biased-steal signal). A no-op under the mutex queue, which has a
-    /// single backlog and nothing to bias.
-    pub(crate) fn note_wait(&self, home: usize, wait_cycles: u64) {
-        if let Dispatcher::Rings(r) = self {
-            r.note_wait(home, wait_cycles);
-        }
-    }
-
-    /// Per-ring queue-wait EWMAs at drain (empty under the mutex queue).
-    fn wait_ewmas(&self) -> Vec<u64> {
-        match self {
-            Dispatcher::Rings(r) => r.wait_ewmas(),
-            Dispatcher::Mutex(_) => Vec::new(),
-        }
-    }
-}
-
 /// A world's attached working set: a private page table rooted at the
 /// world's PTP, mapping `pages` consecutive guest pages at `base`. The
 /// callee body of a [`CallRequest`] with `touch_pages > 0` walks it via
@@ -254,43 +153,6 @@ pub struct WorldMemory {
     pub base: Gva,
     /// Number of mapped pages.
     pub pages: u64,
-}
-
-/// Broadcast channel for `manage_wtc` invalidations: one slot vector per
-/// worker. Deleting a world pushes its WID to every worker's slot; each
-/// worker drains its slot before servicing a batch, purging its private
-/// caches — the concurrent analogue of the sequential invalidate call.
-#[derive(Debug)]
-pub struct InvalidationBus {
-    queues: Vec<Mutex<Vec<Wid>>>,
-}
-
-impl InvalidationBus {
-    /// A bus for `workers` receivers.
-    pub fn new(workers: usize) -> InvalidationBus {
-        InvalidationBus {
-            queues: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Enqueues `wid` for every worker. A receiver that died holding
-    /// the lock poisons it, but a Vec push/take cannot be left torn —
-    /// recover the guard rather than cascading the panic into every
-    /// subsequent delete.
-    pub fn broadcast(&self, wid: Wid) {
-        for q in &self.queues {
-            q.lock().unwrap_or_else(|e| e.into_inner()).push(wid);
-        }
-    }
-
-    /// Takes all pending invalidations for `worker`.
-    pub fn drain(&self, worker: usize) -> Vec<Wid> {
-        std::mem::take(
-            &mut *self.queues[worker]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        )
-    }
 }
 
 /// Per-tenant admission accounting (see [`ServiceReport::per_tenant`]).
@@ -409,12 +271,9 @@ pub struct ServiceReport {
     pub queue_wait_cycles: u64,
     /// Batches whose leading request was stolen from a peer's ring.
     pub stolen: u64,
-    /// World-table lock contention counters. In epoch mode the shard
-    /// counters are wait-free lookups (never contended) and the index
-    /// counters the writer-lock path.
-    pub contention: ContentionSnapshot,
     /// World-table health: live/resident counts, eviction, refault and
-    /// grace-period reclamation totals.
+    /// grace-period reclamation totals, lookups and writer-lock
+    /// contention.
     pub table: TableHealth,
     /// Switchless-path accounting (all zero / empty when the layer is
     /// off).
@@ -464,17 +323,6 @@ impl ServiceReport {
         }
         self.queue_wait_cycles as f64 / self.outcomes.len() as f64
     }
-
-    /// Simulated throughput: completed calls per simulated second, with
-    /// the makespan (the busiest core's cycles) as the wall-clock proxy
-    /// at `hz` cycles per second.
-    pub fn sim_calls_per_sec(&self, hz: f64) -> f64 {
-        let makespan = self.smp.makespan_cycles();
-        if makespan == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * hz / makespan as f64
-    }
 }
 
 fn add_stats(a: CacheStats, b: CacheStats) -> CacheStats {
@@ -490,15 +338,14 @@ fn add_stats(a: CacheStats, b: CacheStats) -> CacheStats {
 /// The service. Life cycle: configure → create VMs → register worlds →
 /// [`WorldCallService::start`] → submit → [`WorldCallService::drain`].
 /// Worlds can also be registered or deleted while the pool runs; deletes
-/// converge every worker's caches within one batch — via the retire log
-/// in epoch mode, via the invalidation bus in striped mode.
+/// converge every worker's caches within one batch through the table's
+/// retire log.
 #[derive(Debug)]
 pub struct WorldCallService {
     config: RuntimeConfig,
     template: Platform,
-    table: Arc<RuntimeTable>,
-    dispatcher: Arc<Dispatcher>,
-    bus: Arc<InvalidationBus>,
+    table: Arc<EpochWorldTable>,
+    rings: Arc<RingSet<Queued>>,
     /// Per-worker virtual clocks; submissions are stamped with the
     /// minimum live clock so workers can derive queue-wait cycles.
     clocks: Arc<Vec<AtomicU64>>,
@@ -553,18 +400,8 @@ impl WorldCallService {
         WorldCallService {
             config,
             template,
-            table: Arc::new(RuntimeTable::build(
-                config.table_mode,
-                config.shards,
-                config.workers,
-                config.quota,
-            )),
-            dispatcher: Arc::new(Dispatcher::new(
-                config.dispatch,
-                config.workers,
-                config.queue_capacity,
-            )),
-            bus: Arc::new(InvalidationBus::new(config.workers)),
+            table: Arc::new(EpochWorldTable::new(config.workers, config.quota)),
+            rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
             memory: HashMap::new(),
             segments: HashMap::new(),
             controller: config.switchless.enabled().then(|| {
@@ -688,7 +525,7 @@ impl WorldCallService {
     }
 
     /// The shared world table.
-    pub fn table(&self) -> &RuntimeTable {
+    pub fn table(&self) -> &EpochWorldTable {
         &self.table
     }
 
@@ -740,20 +577,15 @@ impl WorldCallService {
         self.table.create(descriptor)
     }
 
-    /// Deletes a world. In epoch mode the table logs the retirement and
-    /// workers pull it at their next batch boundary — O(1), no per-worker
-    /// broadcast on the hot path. In striped mode the invalidation is
-    /// broadcast to every worker's bus slot as before. Either way the
-    /// staleness bound is one batch.
+    /// Deletes a world. The table logs the retirement and workers pull
+    /// it at their next batch boundary — O(1), no per-worker broadcast
+    /// on the hot path; the staleness bound is one batch.
     ///
     /// # Errors
     ///
     /// [`WorldError::InvalidWid`] if absent.
     pub fn delete_world(&self, wid: Wid) -> Result<(), WorldError> {
         self.table.delete(wid)?;
-        if matches!(&*self.table, RuntimeTable::Striped(_)) {
-            self.bus.broadcast(wid);
-        }
         // A deleted world's authority dies with it: revoking here pins
         // the WID dead in the policy, so a successor reusing the same
         // context (or a forged replay of the stale WID) can never
@@ -900,8 +732,7 @@ impl WorldCallService {
                 index,
                 platform,
                 table: Arc::clone(&self.table),
-                dispatcher: Arc::clone(&self.dispatcher),
-                bus: Arc::clone(&self.bus),
+                rings: Arc::clone(&self.rings),
                 batch_max: self.config.batch_max,
                 clocks: Arc::clone(&self.clocks),
                 memory: Arc::clone(&memory),
@@ -945,8 +776,8 @@ impl WorldCallService {
     }
 
     /// Home worker for a request: callee-hashed so all calls into one
-    /// world land on the same ring (destination batching survives the
-    /// switch from the shared queue), with stealing rebalancing skew.
+    /// world land on the same ring (destination batching), with stealing
+    /// rebalancing skew.
     fn home_of(&self, req: &CallRequest) -> usize {
         (req.callee.raw() % self.config.workers as u64) as usize
     }
@@ -986,14 +817,14 @@ impl WorldCallService {
         }
     }
 
-    /// Blocking submission: waits for queue space.
+    /// Blocking submission: waits for ring space.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Closed`] if the service is draining.
     pub fn submit(&self, req: CallRequest) -> Result<(), SubmitError> {
         let queued = self.make_queued(req);
-        self.dispatcher
+        self.rings
             .push(self.home_of(&req), queued)
             .map_err(|q| SubmitError::Closed(q.req))?;
         self.note_decision(req.tenant, true);
@@ -1018,7 +849,8 @@ impl WorldCallService {
     ///
     /// # Errors
     ///
-    /// * [`SubmitError::Busy`] — queue full; the rejection is counted.
+    /// * [`SubmitError::Busy`] — home ring full; the rejection is
+    ///   counted.
     /// * [`SubmitError::Closed`] — service draining.
     pub fn try_submit(&self, req: CallRequest) -> Result<(), SubmitError> {
         // The bottom of the degradation ladder: a pool that cannot heal
@@ -1031,7 +863,7 @@ impl WorldCallService {
             return Err(SubmitError::Busy(req));
         }
         let queued = self.make_queued(req);
-        self.dispatcher
+        self.rings
             .try_push(self.home_of(&req), queued)
             .map_err(|e| match e {
                 PushError::Busy(q) => {
@@ -1046,11 +878,11 @@ impl WorldCallService {
         Ok(())
     }
 
-    /// Closes the queue, joins every worker once the backlog drains, and
+    /// Closes the rings, joins every worker once the backlog drains, and
     /// merges their meters into an [`SmpMachine`] (core *i* ← worker
     /// *i*).
     pub fn drain(mut self) -> ServiceReport {
-        self.dispatcher.close();
+        self.rings.close();
         // A worker thread that genuinely panicked (injected crashes are
         // healed in-thread and never reach here) must not take the drain
         // down with it: its results are lost but everyone else's verdicts
@@ -1129,7 +961,7 @@ impl WorldCallService {
             feedback.lanes = ctl.lane_gauges();
         }
         if self.config.feedback.steal_bias_on() {
-            feedback.steal_wait_ewma = self.dispatcher.wait_ewmas();
+            feedback.steal_wait_ewma = self.rings.wait_ewmas();
         }
         // Rings indexed by worker id; a panicked worker leaves an empty
         // ring in its slot rather than shifting everyone else's.
@@ -1236,7 +1068,6 @@ impl WorldCallService {
             tlb,
             queue_wait_cycles,
             stolen,
-            contention: self.table.contention(),
             table: self.table.health(),
             switchless,
             feedback,
@@ -1256,16 +1087,22 @@ mod tests {
     use super::*;
     use crossover::service::ServiceTier;
 
-    fn two_world_service(workers: usize) -> (WorldCallService, Wid, Wid) {
-        let mut svc = WorldCallService::new(RuntimeConfig {
-            workers,
-            ..RuntimeConfig::default()
-        });
+    /// A service with a guest-user caller in one VM and a guest-kernel
+    /// callee in another; not started.
+    fn two_world_service_with(config: RuntimeConfig) -> (WorldCallService, Wid, Wid) {
+        let mut svc = WorldCallService::new(config);
         let vm1 = svc.create_vm(VmConfig::named("tenant-a")).unwrap();
         let vm2 = svc.create_vm(VmConfig::named("tenant-b")).unwrap();
         let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
         let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
         (svc, caller, callee)
+    }
+
+    fn two_world_service(workers: usize) -> (WorldCallService, Wid, Wid) {
+        two_world_service_with(RuntimeConfig {
+            workers,
+            ..RuntimeConfig::default()
+        })
     }
 
     #[test]
@@ -1320,18 +1157,11 @@ mod tests {
 
     #[test]
     fn try_submit_backpressure_counts_rejections() {
-        let (mut svc, caller, callee) = {
-            let mut svc = WorldCallService::new(RuntimeConfig {
-                workers: 1,
-                queue_capacity: 4,
-                ..RuntimeConfig::default()
-            });
-            let vm1 = svc.create_vm(VmConfig::named("a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0).unwrap();
-            (svc, caller, callee)
-        };
+        let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..RuntimeConfig::default()
+        });
         // Pool not started: the queue fills and stays full.
         let req = CallRequest::new(caller, callee, 10, 1);
         for _ in 0..4 {
@@ -1347,18 +1177,11 @@ mod tests {
 
     #[test]
     fn admission_ledger_conserves_per_tenant() {
-        let (mut svc, caller, callee) = {
-            let mut svc = WorldCallService::new(RuntimeConfig {
-                workers: 1,
-                queue_capacity: 4,
-                ..RuntimeConfig::default()
-            });
-            let vm1 = svc.create_vm(VmConfig::named("led-a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("led-b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0).unwrap();
-            (svc, caller, callee)
-        };
+        let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..RuntimeConfig::default()
+        });
         // Tenant 7 fills the queue; tenant 9's try_submit then sheds.
         let req = CallRequest::new(caller, callee, 10, 1).with_tenant(7);
         for _ in 0..4 {
@@ -1398,41 +1221,29 @@ mod tests {
 
     #[test]
     fn delete_invalidates_worker_caches_within_one_batch() {
-        // Both table modes must keep the one-batch staleness bound:
-        // epoch mode through the retire log workers pull at each batch
-        // boundary, striped mode through the invalidation broadcast.
-        for table_mode in [TableMode::Epoch, TableMode::Striped] {
-            let mut svc = WorldCallService::new(RuntimeConfig {
-                workers: 1,
-                table_mode,
-                ..RuntimeConfig::default()
-            });
-            let vm1 = svc.create_vm(VmConfig::named("del-a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("del-b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
-            svc.start();
-            // Warm the single worker's caches (may race with the delete
-            // below; either outcome for this call is fine).
-            svc.submit(CallRequest::new(caller, callee, 10, 1)).unwrap();
-            svc.delete_world(callee).unwrap();
-            // This call is submitted strictly after the delete, so the
-            // batch that carries it sees the retirement first. Without
-            // the invalidation it would hit the stale cache line and
-            // "succeed" against a deleted world.
-            svc.submit(CallRequest::new(caller, callee, 20, 1)).unwrap();
-            let report = svc.drain();
-            let second = report
-                .outcomes
-                .iter()
-                .find(|o| o.request.work_cycles == 20)
-                .expect("second call serviced");
-            assert_eq!(
-                second.verdict,
-                CallVerdict::Failed(WorldError::InvalidWid { wid: callee }),
-                "{table_mode:?}"
-            );
-        }
+        // The one-batch staleness bound: workers pull the table's retire
+        // log at each batch boundary.
+        let (mut svc, caller, callee) = two_world_service(1);
+        svc.start();
+        // Warm the single worker's caches (may race with the delete
+        // below; either outcome for this call is fine).
+        svc.submit(CallRequest::new(caller, callee, 10, 1)).unwrap();
+        svc.delete_world(callee).unwrap();
+        // This call is submitted strictly after the delete, so the batch
+        // that carries it sees the retirement first. Without the
+        // invalidation it would hit the stale cache line and "succeed"
+        // against a deleted world.
+        svc.submit(CallRequest::new(caller, callee, 20, 1)).unwrap();
+        let report = svc.drain();
+        let second = report
+            .outcomes
+            .iter()
+            .find(|o| o.request.work_cycles == 20)
+            .expect("second call serviced");
+        assert_eq!(
+            second.verdict,
+            CallVerdict::Failed(WorldError::InvalidWid { wid: callee })
+        );
     }
 
     #[test]
@@ -1448,51 +1259,19 @@ mod tests {
         assert_eq!(report.table.live, 2);
         assert_eq!(report.table.resident, 2, "tiny run never evicts");
         assert_eq!(report.table.evictions, 0);
-        assert!(report.contention.shard_acquisitions > 0);
-        assert_eq!(
-            report.contention.shard_contended, 0,
-            "epoch lookups are wait-free"
+        assert!(report.table.lookups > 0);
+        assert!(
+            report.table.writer_acquisitions >= 2,
+            "each registration takes the writer lock"
         );
-    }
-
-    #[test]
-    fn striped_ablation_still_services_calls() {
-        let mut svc = WorldCallService::new(RuntimeConfig {
-            workers: 2,
-            table_mode: TableMode::Striped,
-            shards: 3, // explicit override survives the auto-sizing default
-            ..RuntimeConfig::default()
-        });
-        let vm1 = svc.create_vm(VmConfig::named("str-a")).unwrap();
-        let vm2 = svc.create_vm(VmConfig::named("str-b")).unwrap();
-        let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-        let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
-        svc.start();
-        for _ in 0..40 {
-            svc.submit(CallRequest::new(caller, callee, 200, 20))
-                .unwrap();
-        }
-        let report = svc.drain();
-        assert_eq!(report.completed, 40);
-        assert_eq!(report.table.live, 2);
-    }
-
-    #[test]
-    fn invalidation_bus_broadcasts_to_every_worker() {
-        let bus = InvalidationBus::new(3);
-        bus.broadcast(Wid::from_raw(5));
-        bus.broadcast(Wid::from_raw(9));
-        for w in 0..3 {
-            assert_eq!(bus.drain(w), vec![Wid::from_raw(5), Wid::from_raw(9)]);
-            assert!(bus.drain(w).is_empty(), "drain empties the slot");
-        }
+        assert!(report.table.writer_contended <= report.table.writer_acquisitions);
     }
 
     #[test]
     fn submissions_after_drain_are_closed() {
         let (mut svc, caller, callee) = two_world_service(1);
         svc.start();
-        let dispatcher = Arc::clone(&svc.dispatcher);
+        let rings = Arc::clone(&svc.rings);
         let _ = svc.drain();
         let queued = Queued {
             req: CallRequest::new(caller, callee, 1, 1),
@@ -1500,23 +1279,18 @@ mod tests {
             seq: 0,
         };
         assert!(matches!(
-            dispatcher.try_push(0, queued),
+            rings.try_push(0, queued),
             Err(PushError::Closed(_))
         ));
     }
 
     #[test]
-    fn mutex_queue_ablation_still_services_calls() {
-        let mut svc = WorldCallService::new(RuntimeConfig {
+    fn unified_tlb_off_still_services_calls() {
+        let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
             workers: 2,
-            dispatch: DispatchMode::MutexQueue,
             unified_tlb: false,
             ..RuntimeConfig::default()
         });
-        let vm1 = svc.create_vm(VmConfig::named("abl-a")).unwrap();
-        let vm2 = svc.create_vm(VmConfig::named("abl-b")).unwrap();
-        let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-        let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
         svc.start();
         for _ in 0..40 {
             svc.submit(CallRequest::new(caller, callee, 200, 20))
@@ -1524,7 +1298,6 @@ mod tests {
         }
         let report = svc.drain();
         assert_eq!(report.completed, 40);
-        assert_eq!(report.stolen, 0, "mutex queue never steals");
         assert_eq!(
             report.tlb.hits + report.tlb.misses,
             0,
@@ -1593,17 +1366,14 @@ mod tests {
         workers: usize,
         switchless: SwitchlessConfig,
     ) -> (WorldCallService, Wid, Wid) {
-        let mut svc = WorldCallService::new(RuntimeConfig {
+        let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
             workers,
             switchless,
             queue_capacity: 4096,
             ..RuntimeConfig::default()
         });
-        let vm1 = svc.create_vm(VmConfig::named("sw-a")).unwrap();
-        let vm2 = svc.create_vm(VmConfig::named("sw-b")).unwrap();
-        let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-        let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
-        svc.attach_channel(callee, vm2).unwrap();
+        let vm = svc.platform().vm_ids()[1];
+        svc.attach_channel(callee, vm).unwrap();
         (svc, caller, callee)
     }
 
@@ -1731,15 +1501,11 @@ mod tests {
         // on-CPU. A 64-deep single-worker backlog means tail requests
         // wait far beyond 20k, so the end-to-end policy cancels them.
         let run = |policy: DeadlinePolicy| {
-            let mut svc = WorldCallService::new(RuntimeConfig {
+            let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
                 workers: 1,
                 deadline_policy: policy,
                 ..RuntimeConfig::default()
             });
-            let vm1 = svc.create_vm(VmConfig::named("dp-a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("dp-b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
             for _ in 0..64 {
                 svc.submit(CallRequest::new(caller, callee, 2_000, 200).with_budget(20_000))
                     .unwrap();
@@ -1762,31 +1528,69 @@ mod tests {
     fn default_policy_keeps_timed_out_constant_across_worker_counts() {
         // The documented §3.4 semantics: a budget bounds on-CPU service
         // time, so which calls time out is a property of the request,
-        // not of pool sizing. 10 abusive calls must time out whether 1
-        // or 4 workers drain the backlog.
+        // not of pool sizing. A seeded stream over skewed callees with
+        // working-set touches, where 3% of calls carry a budget below
+        // their body work and the rest a generous one, must cancel
+        // exactly the abusive calls whether 1, 2, 4 or 8 workers drain
+        // it.
+        use machine::rng::SplitMix64;
+        const CALLS: usize = 2_000;
+        const PAGES: u64 = 16;
         let run = |workers: usize| {
             let mut svc = WorldCallService::new(RuntimeConfig {
                 workers,
-                queue_capacity: 4096,
+                queue_capacity: CALLS,
                 ..RuntimeConfig::default()
             });
-            let vm1 = svc.create_vm(VmConfig::named("ct-a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("ct-b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
-            for i in 0..100u64 {
-                let req = if i % 10 == 3 {
-                    CallRequest::new(caller, callee, 50_000, 100).with_budget(1_000)
-                } else {
-                    CallRequest::new(caller, callee, 800, 100).with_budget(1_000_000)
+            let mut worlds = Vec::new();
+            for t in 0..4u64 {
+                let vm = svc.create_vm(VmConfig::named(&format!("ab-{t}"))).unwrap();
+                for wid in [
+                    svc.register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
+                        .unwrap(),
+                    svc.register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
+                        .unwrap(),
+                ] {
+                    svc.attach_working_set(wid, vm, PAGES).unwrap();
+                    worlds.push(wid);
+                }
+            }
+            let mut rng = SplitMix64::new(0xC0DE_BEEF);
+            let mut abusive = 0;
+            for _ in 0..CALLS {
+                let caller = *rng.pick(&worlds);
+                let callee = loop {
+                    let w = if rng.flip() {
+                        worlds[rng.below(2) as usize]
+                    } else {
+                        *rng.pick(&worlds)
+                    };
+                    if w != caller {
+                        break w;
+                    }
                 };
-                svc.submit(req).unwrap();
+                let work = 200 + rng.below(2_000);
+                let req = CallRequest::new(caller, callee, work, work / 3)
+                    .with_touches(rng.below(2 * PAGES));
+                let budget = if rng.chance(0.03) {
+                    abusive += 1;
+                    work / 4
+                } else {
+                    1_000_000
+                };
+                svc.submit(req.with_budget(budget)).unwrap();
             }
             svc.start();
-            svc.drain().timed_out
+            let report = svc.drain();
+            assert_eq!(report.completed + report.timed_out, CALLS as u64);
+            (report.timed_out, abusive)
         };
-        assert_eq!(run(1), 10);
-        assert_eq!(run(4), 10);
+        let (timed_out, abusive) = run(1);
+        assert!(abusive > 0, "the seeded stream carries abusive calls");
+        assert_eq!(timed_out, abusive, "every abusive call, and only those");
+        for workers in [2, 4, 8] {
+            assert_eq!(run(workers).0, timed_out, "{workers} workers");
+        }
     }
 
     #[test]
@@ -1842,15 +1646,11 @@ mod tests {
         // vanishingly unlikely without masking a real serialization bug.
         const CALLS: u64 = 2_000;
         for attempt in 0..5 {
-            let mut svc = WorldCallService::new(RuntimeConfig {
+            let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
                 workers: 4,
                 queue_capacity: 4096, // pre-filled before the pool starts
                 ..RuntimeConfig::default()
             });
-            let vm1 = svc.create_vm(VmConfig::named("fill-a")).unwrap();
-            let vm2 = svc.create_vm(VmConfig::named("fill-b")).unwrap();
-            let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-            let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
             for _ in 0..CALLS {
                 svc.submit(CallRequest::new(caller, callee, 1_000, 100))
                     .unwrap();

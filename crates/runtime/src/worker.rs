@@ -6,14 +6,11 @@
 //! core of a real CrossOver machine would have its own cache hardware.
 //! The platform clone also carries a private unified TLB, so repeated
 //! calls into the same worlds hit warm translations. The shared state is
-//! the [`RuntimeTable`] (the hypervisor-managed table all cores walk on a
-//! miss) plus the delete-notification plane, which depends on the table
-//! mode: the epoch table logs retirements and each worker *pulls* the log
-//! tail before its next batch (one relaxed load when nothing was
-//! deleted); the striped ablation keeps the PR-3 invalidation bus (the
-//! concurrent analogue of `manage_wtc` invalidate: deletes are broadcast
-//! and each worker purges its caches before its next batch). Either way
-//! WT/IWT staleness is bounded at one batch.
+//! the [`EpochWorldTable`] (the hypervisor-managed table all cores walk
+//! on a miss): it logs retirements and each worker *pulls* the log tail
+//! before its next batch (one relaxed load when nothing was deleted) and
+//! purges its caches — the concurrent analogue of `manage_wtc`
+//! invalidate — so WT/IWT staleness is bounded at one batch.
 //!
 //! Two execution paths service a popped batch:
 //!
@@ -32,10 +29,10 @@
 //!
 //! Metering is lock-free on the hot path: every charge lands on the
 //! worker's private CPU meter; the service merges the meters into an
-//! [`hypervisor::smp::SmpMachine`] when the pool drains. Under the
-//! lock-free dispatcher the pop path is lock-free too: the worker drains
-//! its own ring into a local backlog (forming same-callee batches there)
-//! and steals from peer rings only when idle.
+//! [`hypervisor::smp::SmpMachine`] when the pool drains. The pop path is
+//! lock-free too: the worker drains its own ring into a local backlog
+//! (forming same-callee batches there) and steals from peer rings only
+//! when idle.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +46,7 @@ use crossover::manager::{
 use crossover::prefetch::{PrefetchStats, SPECULATIVE_WALK_CYCLES, SPECULATIVE_WALK_INSTRUCTIONS};
 use crossover::switchless::ChannelSegment;
 use crossover::table::WorldLookup;
-use crossover::world::{Wid, WorldEntry};
+use crossover::world::{Wid, WorldContext, WorldEntry};
 use crossover::wtc::{CacheGeometry, CacheStats};
 use crossover::WorldError;
 use hypervisor::platform::Platform;
@@ -63,10 +60,11 @@ use mmu::tlb::TlbStats;
 use obs::{EventKind, EventRing, ObsConfig, Recorder};
 
 use crate::authz::AuthzPolicy;
-use crate::epoch::{RuntimeTable, TableView};
+use crate::epoch::EpochWorldTable;
 use crate::feedback::{FeedbackConfig, PrefillStats};
+use crate::ring::RingSet;
 use crate::router::{CallError, CallOutcome, CallRequest, CallVerdict, Queued};
-use crate::service::{DeadlinePolicy, Dispatcher, InvalidationBus, WorldMemory};
+use crate::service::{DeadlinePolicy, WorldMemory};
 use crate::supervisor::{
     DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport,
 };
@@ -77,9 +75,8 @@ use crate::watchdog::Watchdog;
 pub(crate) struct WorkerContext {
     pub index: usize,
     pub platform: Platform,
-    pub table: Arc<RuntimeTable>,
-    pub dispatcher: Arc<Dispatcher>,
-    pub bus: Arc<InvalidationBus>,
+    pub table: Arc<EpochWorldTable>,
+    pub rings: Arc<RingSet<Queued>>,
     pub batch_max: usize,
     /// Per-worker simulated clocks (cycles) for virtual-time pacing.
     pub clocks: Arc<Vec<AtomicU64>>,
@@ -219,13 +216,21 @@ pub struct WorkerReport {
     pub obs: EventRing,
 }
 
-impl WorkerReport {
-    /// Count of outcomes matching `verdict` coarsely.
-    pub fn count(&self, want_completed: bool) -> u64 {
-        self.outcomes
-            .iter()
-            .filter(|o| (o.verdict == CallVerdict::Completed) == want_completed)
-            .count() as u64
+/// The shared table as one worker's call unit walks it: WID lookups go
+/// through the worker's pin slot (wait-free), so the reclaimer never
+/// frees a bucket out from under an in-flight walk.
+struct PinnedTable<'a> {
+    table: &'a EpochWorldTable,
+    slot: usize,
+}
+
+impl WorldLookup for PinnedTable<'_> {
+    fn entry_of(&self, wid: Wid) -> Option<WorldEntry> {
+        self.table.lookup_pinned(self.slot, wid)
+    }
+
+    fn wid_of(&self, context: &WorldContext) -> Option<Wid> {
+        self.table.lookup_context(context)
     }
 }
 
@@ -266,10 +271,8 @@ fn touch_working_set(platform: &mut Platform, memory: &WorldMemory, touches: u64
 struct Engine<'a> {
     platform: &'a mut Platform,
     unit: &'a mut WorldCallUnit,
-    /// This worker's pinning view of the shared table: lookups through
-    /// it publish the worker's epoch pin, so the reclaimer never frees a
-    /// bucket out from under an in-flight walk.
-    table: TableView<'a>,
+    /// This worker's pinned view of the shared table.
+    table: PinnedTable<'a>,
     memory: &'a HashMap<u64, WorldMemory>,
     clocks: &'a [AtomicU64],
     index: usize,
@@ -280,9 +283,9 @@ struct Engine<'a> {
     /// The shared budget controller (the feedback plane feeds it
     /// measured latencies; absent when switchless is off).
     controller: Option<Arc<Controller>>,
-    /// The dispatcher, for feeding per-ring queue-wait EWMAs back into
-    /// steal victim selection (host-side state, zero virtual cycles).
-    dispatcher: Arc<Dispatcher>,
+    /// The rings, for feeding per-ring queue-wait EWMAs back into steal
+    /// victim selection (host-side state, zero virtual cycles).
+    rings: &'a RingSet<Queued>,
     /// Trace-driven prefill counters (stay zero when the policy is off).
     prefill: PrefillStats,
     outcomes: Vec<CallOutcome>,
@@ -500,7 +503,7 @@ impl Engine<'_> {
             // uses), wherever it was actually serviced: the estimate
             // describes rings, not thieves.
             let home = (queued.req.callee.raw() % self.clocks.len() as u64) as usize;
-            self.dispatcher.note_wait(home, wait);
+            self.rings.note_wait(home, wait);
         }
         wait
     }
@@ -576,7 +579,7 @@ impl Engine<'_> {
     /// verdict and on-CPU latency. The measured section (caller state
     /// save → caller state restore) is delimited by the caller's meter,
     /// mirroring `WorldManager::call`/`ret` but driven against the
-    /// shared sharded table.
+    /// shared epoch table.
     fn execute(&mut self, req: &CallRequest, wait: u64) -> (CallVerdict, u64) {
         let caller_entry = match self.lookup_with_retry(req.caller) {
             Ok(e) => e,
@@ -1134,17 +1137,16 @@ impl Engine<'_> {
     }
 }
 
-/// Takes the next destination-affine batch from the dispatcher. Under
-/// the mutex queue this is the queue's own `pop_batch`. Under the rings
-/// the worker first drains its own ring into `backlog` (bounded at twice
-/// the batch size), then extracts the first request's same-callee group
-/// from the backlog, preserving the relative order of what stays behind.
-/// Sets `first_stolen` when the leading request came from a peer's ring.
-/// `biased` routes steals through [`crate::ring::RingSet::pop_biased`]
+/// Takes the next destination-affine batch from the rings. The worker
+/// first drains its own ring into `backlog` (bounded at twice the batch
+/// size), then extracts the first request's same-callee group from the
+/// backlog, preserving the relative order of what stays behind. Sets
+/// `first_stolen` when the leading request came from a peer's ring.
+/// `biased` routes steals through [`RingSet::pop_biased`]
 /// (queue-wait-biased victim selection) instead of round-robin. Empty
 /// result means closed-and-drained.
 fn next_batch(
-    dispatcher: &Dispatcher,
+    rings: &RingSet<Queued>,
     home: usize,
     batch_max: usize,
     backlog: &mut VecDeque<Queued>,
@@ -1152,45 +1154,40 @@ fn next_batch(
     biased: bool,
 ) -> Vec<Queued> {
     *first_stolen = false;
-    match dispatcher {
-        Dispatcher::Mutex(queue) => queue.pop_batch(batch_max, |q: &Queued| q.req.callee),
-        Dispatcher::Rings(rings) => {
-            let first = match backlog.pop_front() {
-                Some(q) => q,
-                None => {
-                    let popped = if biased {
-                        rings.pop_biased(home)
-                    } else {
-                        rings.pop(home)
-                    };
-                    match popped {
-                        Some((q, stolen)) => {
-                            *first_stolen = stolen;
-                            q
-                        }
-                        None => return Vec::new(),
-                    }
-                }
+    let first = match backlog.pop_front() {
+        Some(q) => q,
+        None => {
+            let popped = if biased {
+                rings.pop_biased(home)
+            } else {
+                rings.pop(home)
             };
-            while backlog.len() < batch_max.saturating_mul(2) {
-                match rings.try_pop_local(home) {
-                    Some(q) => backlog.push_back(q),
-                    None => break,
+            match popped {
+                Some((q, stolen)) => {
+                    *first_stolen = stolen;
+                    q
                 }
+                None => return Vec::new(),
             }
-            let callee = first.req.callee;
-            let mut batch = vec![first];
-            backlog.retain(|q| {
-                if batch.len() < batch_max && q.req.callee == callee {
-                    batch.push(*q);
-                    false
-                } else {
-                    true
-                }
-            });
-            batch
+        }
+    };
+    while backlog.len() < batch_max.saturating_mul(2) {
+        match rings.try_pop_local(home) {
+            Some(q) => backlog.push_back(q),
+            None => break,
         }
     }
+    let callee = first.req.callee;
+    let mut batch = vec![first];
+    backlog.retain(|q| {
+        if batch.len() < batch_max && q.req.callee == callee {
+            batch.push(*q);
+            false
+        } else {
+            true
+        }
+    });
+    batch
 }
 
 /// Splits a same-callee batch into same-caller runs, preserving
@@ -1210,8 +1207,7 @@ fn split_by_caller(batch: Vec<Queued>, first_stolen: bool) -> Vec<(Wid, Vec<(Que
 }
 
 /// The worker thread body: pop destination-batched requests until the
-/// dispatcher closes and drains, servicing invalidation broadcasts
-/// between batches.
+/// rings close and drain, pulling table retirements between batches.
 pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // The template platform's meter carries registration-time costs;
     // each worker accounts only its own execution. Trace counts are
@@ -1234,22 +1230,24 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     let mut watchdog_fed = 0usize;
     let mut backlog: VecDeque<Queued> = VecDeque::new();
     // A batch held over a crash-respawn: requeued whole, order
-    // preserved, before any of it was serviced (dispatcher-agnostic —
-    // the rings' local backlog is not read under the mutex queue).
+    // preserved, before any of it was serviced.
     let mut requeued: Option<Vec<Queued>> = None;
     let mut stolen = 0u64;
-    // Invalidation broadcasts an injected fault dropped on the way to
-    // this worker's caches; healed (applied) at the next batch boundary,
-    // so staleness is bounded at one batch.
+    // Retirements an injected fault dropped on the way to this worker's
+    // caches; healed (applied) at the next batch boundary, so staleness
+    // is bounded at one batch.
     let mut deferred_invalidations: Vec<Wid> = Vec::new();
-    // This worker's private cursor into the epoch table's retire log
-    // (unused in striped mode): everything before it has already been
-    // purged from the WT/IWT caches.
+    // This worker's private cursor into the table's retire log:
+    // everything before it has already been purged from the WT/IWT
+    // caches.
     let mut retire_cursor = 0usize;
     let mut engine = Engine {
         platform: &mut ctx.platform,
         unit: &mut unit,
-        table: TableView::for_worker(&ctx.table, ctx.index),
+        table: PinnedTable {
+            table: &ctx.table,
+            slot: ctx.index,
+        },
         memory: &ctx.memory,
         clocks: &ctx.clocks,
         index: ctx.index,
@@ -1257,7 +1255,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         spin_cycles: ctx.switchless.spin_cycles,
         feedback: ctx.feedback,
         controller: ctx.controller.clone(),
-        dispatcher: Arc::clone(&ctx.dispatcher),
+        rings: &ctx.rings,
         prefill: PrefillStats::default(),
         outcomes: Vec::new(),
         queue_wait_cycles: 0,
@@ -1283,7 +1281,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         let batch = match requeued.take() {
             Some(b) => b,
             None => next_batch(
-                &ctx.dispatcher,
+                &ctx.rings,
                 ctx.index,
                 ctx.batch_max,
                 &mut backlog,
@@ -1371,9 +1369,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // The fresh unit's caches are empty, so retirements
                 // logged before the crash have nothing left to purge:
                 // fast-forward past them instead of replaying the log.
-                if let RuntimeTable::Epoch(t) = &*ctx.table {
-                    retire_cursor = t.retired_len();
-                }
+                retire_cursor = ctx.table.retired_len();
                 // Respawn warming: pre-fill the fresh caches from recent
                 // call history (priced manage_wtc fills) so the first
                 // post-respawn calls skip the cold miss faults. The next
@@ -1397,17 +1393,12 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // (fault-dropped) notifications from the previous batch heal
         // first; a fresh notification an InvalidationDrop event eats is
         // deferred in turn, bounding WT/IWT staleness at one batch. The
-        // epoch table replaces the bus broadcast with a pull of the
-        // shared retire log's tail — one relaxed load when nothing was
-        // deleted — while the striped ablation drains its bus mailbox.
+        // pull of the shared retire log's tail is one relaxed load when
+        // nothing was deleted.
         for wid in deferred_invalidations.drain(..) {
             engine.unit.manage_wtc_invalidate(engine.platform, wid);
         }
-        let retired = match &*ctx.table {
-            RuntimeTable::Epoch(t) => t.pull_retired(&mut retire_cursor),
-            RuntimeTable::Striped(_) => ctx.bus.drain(ctx.index),
-        };
-        for wid in retired {
+        for wid in ctx.table.pull_retired(&mut retire_cursor) {
             if engine.fire(FaultSite::InvalidationDrop).is_some() {
                 let now = engine.now();
                 engine.supervisor.report.invalidation_defers += 1;
@@ -1429,17 +1420,15 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // obs is on — the sweep is the table's side effect, only the
         // event emission is conditional — and charges zero virtual
         // cycles, so obs-on runs stay cycle-exact.
-        if let RuntimeTable::Epoch(t) = &*ctx.table {
-            let m = t.maintain();
-            if m.evicted > 0 {
-                engine.emit(EventKind::WorldEvict, m.evicted, 0, 0);
-            }
-            if m.refaults > 0 {
-                engine.emit(EventKind::WorldRefault, m.refaults, 0, 0);
-            }
-            if m.reclaimed > 0 {
-                engine.emit(EventKind::GraceReclaim, m.reclaimed, 0, 0);
-            }
+        let m = ctx.table.maintain();
+        if m.evicted > 0 {
+            engine.emit(EventKind::WorldEvict, m.evicted, 0, 0);
+        }
+        if m.refaults > 0 {
+            engine.emit(EventKind::WorldRefault, m.refaults, 0, 0);
+        }
+        if m.reclaimed > 0 {
+            engine.emit(EventKind::GraceReclaim, m.reclaimed, 0, 0);
         }
         // Revocation visibility marker: one atomic load per batch when
         // the plane is on. Enforcement itself reads the shared policy
@@ -1458,7 +1447,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // degradation ladder once a quiet window has passed.
         engine.health.maybe_recover(engine.now());
         let callee = batch[0].req.callee;
-        let occupancy = ctx.dispatcher.occupancy(ctx.index) as u64 + backlog.len() as u64;
+        let occupancy = ctx.rings.len_of(ctx.index) as u64 + backlog.len() as u64;
         let budget = match (&ctx.controller, ctx.switchless.enabled()) {
             (Some(c), true) => c.budget_for(callee),
             _ => 0,

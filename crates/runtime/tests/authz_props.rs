@@ -21,16 +21,15 @@
 //! 4. **A deleted world's WID never authorizes again.** Deleting a
 //!    world auto-revokes its WID; re-registering the same guest context
 //!    mints a *new* WID (WIDs are never reused), and replays of the old
-//!    one are refused even under a default-open policy — in both the
-//!    epoch table and the striped ablation.
+//!    one are refused even under a default-open policy.
 
 use std::time::Duration;
 
 use crossover::world::Wid;
 use machine::rng::SplitMix64;
 use xover_runtime::{
-    trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, DispatchMode, EventKind,
-    ObsConfig, RateLimitConfig, RuntimeConfig, ServiceReport, TableMode, WorldCallService,
+    trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, EventKind, ObsConfig,
+    RateLimitConfig, RuntimeConfig, ServiceReport, WorldCallService,
 };
 
 const PARITY_CALLS: u64 = 600;
@@ -92,7 +91,6 @@ fn draw_request(rng: &mut SplitMix64, worlds: &[Wid], tag: u64) -> CallRequest {
 fn run_parity(authz: AuthzConfig) -> ServiceReport {
     let (svc, worlds) = build_service(RuntimeConfig {
         workers: 1,
-        dispatch: DispatchMode::LockFreeRings,
         queue_capacity: PARITY_CALLS as usize + 16,
         batch_max: 32,
         authz,
@@ -400,82 +398,75 @@ fn deputy_chains_are_refused_end_to_end() {
     assert_eq!(conserved(&report), 3);
 }
 
-/// Invariant 4 (the stale-WID property, both table modes): deleting a
+/// Invariant 4 (the stale-WID property): deleting a
 /// world revokes its WID; re-registering the same guest context mints a
 /// fresh WID; and replays of the dead WID are refused `Revoked` even
 /// under a default-open policy — the successor never inherits, the
 /// predecessor never resurrects.
 #[test]
-fn deleted_wid_never_authorizes_across_refault_in_either_table_mode() {
-    for mode in [TableMode::Epoch, TableMode::Striped] {
-        let config = RuntimeConfig {
-            workers: 1,
-            table_mode: mode,
-            queue_capacity: 256,
-            authz: AuthzConfig::permissive(),
-            ..RuntimeConfig::default()
-        };
-        let mut svc = WorldCallService::new(config);
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named("stale"))
-            .expect("create vm");
-        let old = svc
-            .register_guest_user(vm, 0x1000, 0x40_0000)
-            .expect("register caller");
-        let callee = svc
-            .register_guest_kernel(vm, 0x10_0000, 0xFFFF_8000)
-            .expect("register callee");
-        svc.start();
+fn deleted_wid_never_authorizes_across_refault() {
+    let config = RuntimeConfig {
+        workers: 1,
+        queue_capacity: 256,
+        authz: AuthzConfig::permissive(),
+        ..RuntimeConfig::default()
+    };
+    let mut svc = WorldCallService::new(config);
+    let vm = svc
+        .create_vm(hypervisor::vm::VmConfig::named("stale"))
+        .expect("create vm");
+    let old = svc
+        .register_guest_user(vm, 0x1000, 0x40_0000)
+        .expect("register caller");
+    let callee = svc
+        .register_guest_kernel(vm, 0x10_0000, 0xFFFF_8000)
+        .expect("register callee");
+    svc.start();
 
-        // The old identity works while it lives.
-        svc.submit(CallRequest::new(old, callee, 500, 100).with_tag(0))
-            .expect("queue open");
-        std::thread::sleep(Duration::from_millis(200));
+    // The old identity works while it lives.
+    svc.submit(CallRequest::new(old, callee, 500, 100).with_tag(0))
+        .expect("queue open");
+    std::thread::sleep(Duration::from_millis(200));
 
-        // Delete, then re-register the *same* guest context. The table
-        // slot refaults; the WID must not.
-        svc.delete_world(old).expect("delete caller");
-        let successor = svc
-            .register_guest_user(vm, 0x1000, 0x40_0000)
-            .expect("re-register same context");
-        assert_ne!(
-            successor.raw(),
-            old.raw(),
-            "{mode:?}: WIDs are never reused"
-        );
+    // Delete, then re-register the *same* guest context. The table
+    // slot refaults; the WID must not.
+    svc.delete_world(old).expect("delete caller");
+    let successor = svc
+        .register_guest_user(vm, 0x1000, 0x40_0000)
+        .expect("re-register same context");
+    assert_ne!(successor.raw(), old.raw(), "WIDs are never reused");
 
-        // Replay the corpse: denied by revocation — not a table miss,
-        // a policy refusal, even though this policy is default-open.
-        svc.submit(CallRequest::new(old, callee, 500, 100).with_tag(1))
-            .expect("queue open");
-        // The successor is its own principal and passes default-allow.
-        svc.submit(CallRequest::new(successor, callee, 500, 100).with_tag(2))
-            .expect("queue open");
-        let report = svc.drain();
+    // Replay the corpse: denied by revocation — not a table miss,
+    // a policy refusal, even though this policy is default-open.
+    svc.submit(CallRequest::new(old, callee, 500, 100).with_tag(1))
+        .expect("queue open");
+    // The successor is its own principal and passes default-allow.
+    svc.submit(CallRequest::new(successor, callee, 500, 100).with_tag(2))
+        .expect("queue open");
+    let report = svc.drain();
 
-        let verdict_of = |tag: u64| {
-            &report
-                .outcomes
-                .iter()
-                .find(|o| o.request.tag == tag)
-                .expect("outcome present")
-                .verdict
-        };
-        assert_eq!(verdict_of(0), &CallVerdict::Completed, "{mode:?}");
-        assert!(
-            matches!(
-                verdict_of(1),
-                CallVerdict::Denied(CallError::Revoked { .. })
-            ),
-            "{mode:?}: stale WID must be refused as revoked, got {:?}",
-            verdict_of(1)
-        );
-        assert_eq!(
-            verdict_of(2),
-            &CallVerdict::Completed,
-            "{mode:?}: the successor authorizes as itself"
-        );
-        assert_eq!(report.authz.revocations, 1, "{mode:?}: delete auto-revokes");
-        assert_eq!(conserved(&report), 3, "{mode:?}");
-    }
+    let verdict_of = |tag: u64| {
+        &report
+            .outcomes
+            .iter()
+            .find(|o| o.request.tag == tag)
+            .expect("outcome present")
+            .verdict
+    };
+    assert_eq!(verdict_of(0), &CallVerdict::Completed);
+    assert!(
+        matches!(
+            verdict_of(1),
+            CallVerdict::Denied(CallError::Revoked { .. })
+        ),
+        "stale WID must be refused as revoked, got {:?}",
+        verdict_of(1)
+    );
+    assert_eq!(
+        verdict_of(2),
+        &CallVerdict::Completed,
+        "the successor authorizes as itself"
+    );
+    assert_eq!(report.authz.revocations, 1, "delete auto-revokes");
+    assert_eq!(conserved(&report), 3);
 }

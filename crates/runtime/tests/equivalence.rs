@@ -1,8 +1,8 @@
-//! Sharded-vs-sequential equivalence property.
+//! Epoch-vs-sequential equivalence property.
 //!
-//! The sharded table's contract is that concurrency is *purely* an
-//! implementation property: driven by a single worker, the service must
-//! be indistinguishable from the sequential `WorldTable` + `WorldCallUnit`
+//! The epoch table's contract is that concurrency is *purely* an
+//! implementation property: driven by a single worker, it must be
+//! indistinguishable from the sequential `WorldTable` + `WorldCallUnit`
 //! stack. This test replays identical seeded schedules of create /
 //! delete / world_call operations through both stacks and asserts that
 //! every observable agrees: minted WIDs, per-operation results, cache
@@ -15,7 +15,7 @@ use crossover::world::{Wid, WorldDescriptor};
 use hypervisor::platform::Platform;
 use hypervisor::vm::VmConfig;
 use machine::rng::SplitMix64;
-use xover_runtime::ShardedWorldTable;
+use xover_runtime::EpochWorldTable;
 
 const CASES: u64 = 32;
 const OPS_PER_CASE: usize = 120;
@@ -115,7 +115,7 @@ impl Run {
 }
 
 #[test]
-fn sharded_table_is_observably_sequential() {
+fn epoch_table_is_observably_sequential() {
     let mut template = Platform::new_default();
     template.create_vm(VmConfig::named("eq-a")).unwrap();
     template.create_vm(VmConfig::named("eq-b")).unwrap();
@@ -128,67 +128,67 @@ fn sharded_table_is_observably_sequential() {
         let ops = schedule(&mut rng, pool.len(), OPS_PER_CASE);
 
         let mut seq_table = WorldTable::with_quota(QUOTA);
-        // Shard count deliberately different from the default and odd,
-        // so WIDs spray across shards unevenly.
-        let sharded = ShardedWorldTable::with_shards(3, QUOTA);
+        // One reader slot: the schedule drives the table the way a
+        // single worker would.
+        let epoch = EpochWorldTable::new(1, QUOTA);
         let mut seq = Run::new(&template);
-        let mut shd = Run::new(&template);
+        let mut ept = Run::new(&template);
 
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 Op::Create(d) => {
                     let a = seq_table.create(pool[d]);
-                    let b = sharded.create(pool[d]);
+                    let b = epoch.create(pool[d]);
                     assert_eq!(a, b, "case {case} op {i}: create diverged");
                 }
                 Op::Delete(raw) => {
                     let wid = Wid::from_raw(raw);
                     let a = seq_table.delete(wid);
-                    let b = sharded.delete(wid);
+                    let b = epoch.delete(wid);
                     assert_eq!(a, b, "case {case} op {i}: delete diverged");
                     if a.is_ok() {
-                        // manage_wtc invalidate on both units (the
-                        // sequential analogue of the broadcast bus).
+                        // manage_wtc invalidate on both units (what a
+                        // worker does when it pulls the retire log).
                         seq.unit.manage_wtc_invalidate(&mut seq.platform, wid);
-                        shd.unit.manage_wtc_invalidate(&mut shd.platform, wid);
+                        ept.unit.manage_wtc_invalidate(&mut ept.platform, wid);
                     }
                 }
                 Op::Call { caller, callee } => {
                     let caller = Wid::from_raw(caller);
                     let callee = Wid::from_raw(callee);
                     let seq_entry = seq_table.lookup(caller).copied();
-                    let shd_entry = sharded.lookup(caller);
+                    let ept_entry = epoch.lookup_pinned(0, caller);
                     assert_eq!(
-                        seq_entry, shd_entry,
+                        seq_entry, ept_entry,
                         "case {case} op {i}: caller lookup diverged"
                     );
                     let a = seq.call(&seq_table, seq_entry, callee);
-                    let b = shd.call(&sharded, shd_entry, callee);
+                    let b = ept.call(&epoch, ept_entry, callee);
                     assert_eq!(a, b, "case {case} op {i}: call outcome diverged");
                 }
             }
         }
 
         // End-of-schedule observables.
-        assert_eq!(seq_table.len(), sharded.len(), "case {case}: table size");
+        assert_eq!(seq_table.len(), epoch.len(), "case {case}: table size");
         assert_eq!(
             seq.unit.wt_stats(),
-            shd.unit.wt_stats(),
+            ept.unit.wt_stats(),
             "case {case}: WT-cache statistics"
         );
         assert_eq!(
             seq.unit.iwt_stats(),
-            shd.unit.iwt_stats(),
+            ept.unit.iwt_stats(),
             "case {case}: IWT-cache statistics"
         );
         assert_eq!(
             seq.platform.cpu().meter().cycles(),
-            shd.platform.cpu().meter().cycles(),
+            ept.platform.cpu().meter().cycles(),
             "case {case}: metered cycles"
         );
         assert_eq!(
             seq.platform.cpu().meter().instructions(),
-            shd.platform.cpu().meter().instructions(),
+            ept.platform.cpu().meter().instructions(),
             "case {case}: metered instructions"
         );
     }
@@ -197,13 +197,15 @@ fn sharded_table_is_observably_sequential() {
 /// The same schedule driven through a 1-worker `WorldCallService` must
 /// produce the same per-call verdicts as direct sequential execution
 /// (latency/metering aside, since the service adds save/restore framing).
+/// One world is deleted before the pool starts, so calls from and into
+/// it exercise the miss path without racing the deletion against
+/// service order.
 #[test]
 fn single_worker_service_matches_direct_call_results() {
     use xover_runtime::{CallRequest, CallVerdict, RuntimeConfig, WorldCallService};
 
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
-        shards: 3,
         quota: QUOTA,
         // batch_max 1 disables destination batching, which would reorder
         // the queue; with one worker this makes outcomes strictly FIFO.
@@ -217,6 +219,10 @@ fn single_worker_service_matches_direct_call_results() {
     let h = svc
         .register_world(WorldDescriptor::host_kernel(0xAA_0000, 0xE000))
         .unwrap();
+    let doomed = svc
+        .register_world(WorldDescriptor::host_user(0xBB_0000, 0xF000))
+        .unwrap();
+    svc.delete_world(doomed).unwrap();
 
     // Sequential oracle: same worlds in a plain WorldTable.
     let mut oracle_table = WorldTable::with_quota(QUOTA);
@@ -230,18 +236,22 @@ fn single_worker_service_matches_direct_call_results() {
     let oh = oracle_table
         .create(WorldDescriptor::host_kernel(0xAA_0000, 0xE000))
         .unwrap();
-    assert_eq!((u, k, h), (ou, ok_, oh), "same WIDs minted");
+    let od = oracle_table
+        .create(WorldDescriptor::host_user(0xBB_0000, 0xF000))
+        .unwrap();
+    oracle_table.delete(od).unwrap();
+    assert_eq!((u, k, h, doomed), (ou, ok_, oh, od), "same WIDs minted");
 
-    let worlds = [u, k, h];
+    let worlds = [u, k, h, doomed];
     let ghost = Wid::from_raw(999);
     let mut rng = SplitMix64::new(0xFACE);
     let mut requests = Vec::new();
     for _ in 0..200 {
-        let caller = worlds[rng.below(3) as usize];
+        let caller = worlds[rng.below(4) as usize];
         let callee = if rng.chance(0.05) {
             ghost
         } else {
-            worlds[rng.below(3) as usize]
+            worlds[rng.below(4) as usize]
         };
         if callee == caller {
             continue;
@@ -267,6 +277,12 @@ fn single_worker_service_matches_direct_call_results() {
     }
     let report = svc.drain();
     assert_eq!(report.outcomes.len(), requests.len());
+    assert!(
+        requests
+            .iter()
+            .any(|r| r.caller == doomed || r.callee == doomed),
+        "the schedule exercises the deleted world"
+    );
     // One worker: outcomes arrive in submission order.
     for (i, (outcome, want_ok)) in report.outcomes.iter().zip(&expect).enumerate() {
         assert_eq!(

@@ -1,19 +1,19 @@
 //! Event-stream lifecycle pairing: every admitted request's
 //! `RequestEnqueue` is matched by exactly one terminal `RequestVerdict`
 //! with the same sequence number — across the chaos seed matrix (the
-//! same generated fault schedules the fault-properties suite runs),
-//! worker counts 1–4, and both world-table modes. This is the
-//! event-stream mirror of the runtime's exactly-one-verdict invariant:
-//! the flight recorder must not lose a request's ending or invent a
-//! second one, even when the schedule crashes workers, drops
-//! invalidations and dead-letters crash-looped calls.
+//! same generated fault schedules the fault-properties suite runs) and
+//! worker counts 1–4. This is the event-stream mirror of the runtime's
+//! exactly-one-verdict invariant: the flight recorder must not lose a
+//! request's ending or invent a second one, even when the schedule
+//! crashes workers, drops invalidations and dead-letters crash-looped
+//! calls.
 
 use std::collections::BTreeMap;
 
 use machine::fault::FaultPlan;
 use machine::rng::SplitMix64;
 use xover_runtime::{
-    CallRequest, EventKind, ObsConfig, RuntimeConfig, SwitchlessConfig, TableMode, WorldCallService,
+    CallRequest, EventKind, ObsConfig, RuntimeConfig, SwitchlessConfig, WorldCallService,
 };
 
 const CHAOS_CALLS: u64 = 400;
@@ -80,71 +80,68 @@ fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64
 /// Every `RequestEnqueue` pairs with exactly one `RequestVerdict`
 /// carrying the same sequence number, and no verdict appears for a
 /// sequence that was never enqueued — under every seeded chaos
-/// schedule, in both table modes.
+/// schedule.
 #[test]
 fn every_enqueue_pairs_with_exactly_one_terminal_verdict() {
-    for table_mode in [TableMode::Epoch, TableMode::Striped] {
-        for (i, &seed) in CHAOS_SEEDS.iter().enumerate() {
-            let workers = 1 + (i % 4);
-            let (mut svc, worlds) = build_service(RuntimeConfig {
-                workers,
-                table_mode,
-                queue_capacity: CHAOS_CALLS as usize + 16,
-                batch_max: 32,
-                switchless: SwitchlessConfig::fixed(8),
-                obs: ObsConfig::ring_with_capacity(1 << 16),
-                ..RuntimeConfig::default()
-            });
-            svc.set_fault_plan(FaultPlan::from_seed(seed, 3_000_000, 4));
-            let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
-            for tag in 0..CHAOS_CALLS {
-                svc.submit(draw_request(&mut rng, &worlds, tag))
-                    .expect("queue open");
-            }
-            svc.start();
-            let report = svc.drain();
-            let label = format!("{table_mode:?}/seed={seed:#x}/workers={workers}");
+    for (i, &seed) in CHAOS_SEEDS.iter().enumerate() {
+        let workers = 1 + (i % 4);
+        let (mut svc, worlds) = build_service(RuntimeConfig {
+            workers,
+            queue_capacity: CHAOS_CALLS as usize + 16,
+            batch_max: 32,
+            switchless: SwitchlessConfig::fixed(8),
+            obs: ObsConfig::ring_with_capacity(1 << 16),
+            ..RuntimeConfig::default()
+        });
+        svc.set_fault_plan(FaultPlan::from_seed(seed, 3_000_000, 4));
+        let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
+        for tag in 0..CHAOS_CALLS {
+            svc.submit(draw_request(&mut rng, &worlds, tag))
+                .expect("queue open");
+        }
+        svc.start();
+        let report = svc.drain();
+        let label = format!("seed={seed:#x}/workers={workers}");
 
-            let recorded = report.obs.as_ref().expect("recording on");
-            assert_eq!(recorded.dropped(), 0, "{label}: pairing needs lossless");
-            let events = recorded.merged_events();
+        let recorded = report.obs.as_ref().expect("recording on");
+        assert_eq!(recorded.dropped(), 0, "{label}: pairing needs lossless");
+        let events = recorded.merged_events();
 
-            let mut enqueued: BTreeMap<u64, u64> = BTreeMap::new();
-            let mut ended: BTreeMap<u64, u64> = BTreeMap::new();
-            for e in &events {
-                match e.kind {
-                    EventKind::RequestEnqueue => *enqueued.entry(e.a).or_insert(0) += 1,
-                    EventKind::RequestVerdict => *ended.entry(e.a).or_insert(0) += 1,
-                    _ => {}
-                }
+        let mut enqueued: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut ended: BTreeMap<u64, u64> = BTreeMap::new();
+        for e in &events {
+            match e.kind {
+                EventKind::RequestEnqueue => *enqueued.entry(e.a).or_insert(0) += 1,
+                EventKind::RequestVerdict => *ended.entry(e.a).or_insert(0) += 1,
+                _ => {}
             }
-            for (&seq, &n) in &enqueued {
-                assert_eq!(n, 1, "{label}: seq {seq} enqueued {n} times");
-            }
-            for (&seq, &n) in &ended {
-                assert_eq!(n, 1, "{label}: seq {seq} reached {n} verdicts");
-                assert!(
-                    enqueued.contains_key(&seq),
-                    "{label}: verdict for never-enqueued seq {seq}"
-                );
-            }
-            for &seq in enqueued.keys() {
-                assert!(
-                    ended.contains_key(&seq),
-                    "{label}: seq {seq} enqueued but never reached a verdict"
-                );
-            }
-            // The stream agrees with the drained ledger end to end.
-            assert_eq!(
-                enqueued.len() as u64,
-                CHAOS_CALLS,
-                "{label}: enqueue events"
-            );
-            assert_eq!(
-                ended.len(),
-                report.outcomes.len(),
-                "{label}: one verdict event per outcome"
+        }
+        for (&seq, &n) in &enqueued {
+            assert_eq!(n, 1, "{label}: seq {seq} enqueued {n} times");
+        }
+        for (&seq, &n) in &ended {
+            assert_eq!(n, 1, "{label}: seq {seq} reached {n} verdicts");
+            assert!(
+                enqueued.contains_key(&seq),
+                "{label}: verdict for never-enqueued seq {seq}"
             );
         }
+        for &seq in enqueued.keys() {
+            assert!(
+                ended.contains_key(&seq),
+                "{label}: seq {seq} enqueued but never reached a verdict"
+            );
+        }
+        // The stream agrees with the drained ledger end to end.
+        assert_eq!(
+            enqueued.len() as u64,
+            CHAOS_CALLS,
+            "{label}: enqueue events"
+        );
+        assert_eq!(
+            ended.len(),
+            report.outcomes.len(),
+            "{label}: one verdict event per outcome"
+        );
     }
 }

@@ -14,7 +14,7 @@
 //!    unique tag appears exactly once) and the verdict counters sum to
 //!    the stream length. Nothing is lost, nothing is duplicated.
 //! 3. **Deferred invalidations heal at the next batch boundary.** A
-//!    dropped broadcast lets stale WT/IWT entries survive one batch
+//!    dropped retirement lets stale WT/IWT entries survive one batch
 //!    (the fault is real and observable), after which the deferred
 //!    purge applies and calls against the deleted world fail.
 //!
@@ -28,8 +28,7 @@ use std::time::Duration;
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use xover_runtime::{
-    CallRequest, CallVerdict, DispatchMode, RuntimeConfig, ServiceReport, SwitchlessConfig,
-    WorldCallService,
+    CallRequest, CallVerdict, RuntimeConfig, ServiceReport, SwitchlessConfig, WorldCallService,
 };
 
 const PARITY_CALLS: u64 = 600;
@@ -98,15 +97,9 @@ fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64
     req
 }
 
-fn run(
-    plan: Option<FaultPlan>,
-    workers: usize,
-    dispatch: DispatchMode,
-    calls: u64,
-) -> ServiceReport {
+fn run(plan: Option<FaultPlan>, workers: usize, calls: u64) -> ServiceReport {
     let (mut svc, worlds) = build_service(RuntimeConfig {
         workers,
-        dispatch,
         queue_capacity: calls as usize + 16,
         batch_max: 32,
         switchless: SwitchlessConfig::fixed(8),
@@ -130,13 +123,8 @@ fn run(
 /// virtual time and can be zipped index by index.
 #[test]
 fn empty_fault_plan_is_cycle_exact_against_no_plan() {
-    let bare = run(None, 1, DispatchMode::LockFreeRings, PARITY_CALLS);
-    let armed = run(
-        Some(FaultPlan::new()),
-        1,
-        DispatchMode::LockFreeRings,
-        PARITY_CALLS,
-    );
+    let bare = run(None, 1, PARITY_CALLS);
+    let armed = run(Some(FaultPlan::new()), 1, PARITY_CALLS);
     assert_eq!(bare.outcomes.len(), armed.outcomes.len());
     for (i, (a, b)) in bare.outcomes.iter().zip(armed.outcomes.iter()).enumerate() {
         assert_eq!(a.request, b.request, "request order diverged at {i}");
@@ -166,21 +154,16 @@ fn empty_fault_plan_is_cycle_exact_against_no_plan() {
 }
 
 /// Invariant 2: exactly one verdict per submitted call, for every seeded
-/// fault schedule, worker count and dispatcher. Tags are unique, so a
+/// fault schedule and worker count. Tags are unique, so a
 /// lost request leaves a hole and a duplicated one a collision — both
 /// are caught by the same multiset check.
 #[test]
 fn every_call_resolves_exactly_once_under_seeded_chaos() {
     for (i, seed) in CHAOS_SEEDS.into_iter().enumerate() {
         let workers = 1 + (i % 4);
-        let dispatch = if i % 2 == 0 {
-            DispatchMode::LockFreeRings
-        } else {
-            DispatchMode::MutexQueue
-        };
         let plan = FaultPlan::from_seed(seed, 3_000_000, 4);
         assert!(!plan.is_empty(), "seeded plan must carry events");
-        let report = run(Some(plan), workers, dispatch, CHAOS_CALLS);
+        let report = run(Some(plan), workers, CHAOS_CALLS);
 
         assert_eq!(
             report.outcomes.len() as u64,
@@ -209,8 +192,8 @@ fn every_call_resolves_exactly_once_under_seeded_chaos() {
     }
 }
 
-/// Invariant 3: an injected `InvalidationDrop` defers a delete broadcast
-/// by exactly one batch — the stale window is real (a post-delete call
+/// Invariant 3: an injected `InvalidationDrop` defers a pulled
+/// retirement by exactly one batch — the stale window is real (a post-delete call
 /// can still complete off the warm WT/IWT caches) — and the deferred
 /// purge applies at the next batch boundary, after which calls against
 /// the deleted world fail.
@@ -256,7 +239,7 @@ fn dropped_invalidation_defers_one_batch_then_heals() {
     assert_eq!(plan.fired_total(), 1, "the scheduled drop must fire");
     assert_eq!(
         report.supervisor.totals.invalidation_defers, 1,
-        "exactly one broadcast application deferred"
+        "exactly one retirement application deferred"
     );
     let verdict_of = |tag: u64| -> Vec<&CallVerdict> {
         report

@@ -1,6 +1,6 @@
 //! Scale properties of the epoch-protected world table.
 //!
-//! Four contracts pin the million-world redesign to the semantics the
+//! Three contracts pin the million-world redesign to the semantics the
 //! rest of the suite assumes:
 //!
 //! 1. **WID unforgeability survives the lock-free rewrite.** Under
@@ -18,13 +18,10 @@
 //!    demotes the cold tail, `live == resident + cold` holds and every
 //!    live world still resolves (refaulting transparently); deleting a
 //!    cold world works and releases it.
-//! 4. **The two table modes are observationally equivalent.** The same
-//!    seeded schedule driven through [`TableMode::Epoch`] and
-//!    [`TableMode::Striped`] services with identical verdicts and
-//!    identical virtual-time meters; and under concurrent
-//!    delete-then-call schedules both modes uphold the one-batch
-//!    staleness bound (a call submitted after `delete_world` returns
-//!    never completes).
+//!
+//! The service-level one-batch staleness bound is pinned by
+//! `tests/invalidation_props.rs`, and sequential equivalence with the
+//! reference table by `tests/equivalence.rs`.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -32,10 +29,7 @@ use std::thread;
 
 use crossover::world::{Wid, WorldDescriptor};
 use machine::rng::SplitMix64;
-use xover_runtime::{
-    CallRequest, CallVerdict, DispatchMode, EpochWorldTable, RuntimeConfig, TableMode,
-    WorldCallService,
-};
+use xover_runtime::EpochWorldTable;
 
 /// A host-kernel descriptor with a context unique to (`tag`, `i`), so
 /// registrations never collide (context collision means replacement,
@@ -200,144 +194,4 @@ fn eviction_is_lossless_and_cold_deletes_release_worlds() {
     table.delete(victim).expect("cold worlds are deletable");
     assert_eq!(table.lookup_pinned(0, victim), None);
     assert_eq!(table.len(), WORLDS as usize - 1);
-}
-
-/// Builds a small service with six callee worlds and one caller under
-/// the given table mode.
-fn service_with_worlds(
-    mode: TableMode,
-    workers: usize,
-    dispatch: DispatchMode,
-) -> (WorldCallService, Vec<Wid>, Wid) {
-    let mut svc = WorldCallService::new(RuntimeConfig {
-        workers,
-        table_mode: mode,
-        dispatch,
-        queue_capacity: 4096,
-        ..RuntimeConfig::default()
-    });
-    let vm = svc
-        .create_vm(hypervisor::vm::VmConfig::named("scale"))
-        .expect("create vm");
-    let worlds: Vec<Wid> = (0..6u64)
-        .map(|w| {
-            svc.register_guest_kernel(vm, 0x1000 * (w + 1), 0xFFFF_8000)
-                .expect("register callee")
-        })
-        .collect();
-    let caller = svc
-        .register_guest_user(vm, 0x9_0000, 0x40_0000)
-        .expect("register caller");
-    (svc, worlds, caller)
-}
-
-#[test]
-fn both_modes_uphold_the_one_batch_staleness_bound() {
-    const MARKER_BASE: u64 = 1_000_000;
-    for mode in [TableMode::Epoch, TableMode::Striped] {
-        for seed in [3u64, 0x00C0_FFEE] {
-            let mut rng = SplitMix64::new(seed);
-            let workers = 1 + rng.below(4) as usize;
-            let (mut svc, worlds, caller) =
-                service_with_worlds(mode, workers, DispatchMode::LockFreeRings);
-            svc.start();
-            let mut marker = MARKER_BASE;
-            let mut must_fail = Vec::new();
-            let mut live = worlds.clone();
-            while live.len() > 2 {
-                for _ in 0..rng.below(64) {
-                    let callee = live[rng.below(live.len() as u64) as usize];
-                    svc.submit(CallRequest::new(caller, callee, 100 + rng.below(2_000), 10))
-                        .expect("submit warm-up");
-                }
-                let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
-                svc.delete_world(victim).expect("delete live world");
-                // Calls aimed at the victim strictly after delete_world
-                // returned: the retire log (or bus) must beat them to
-                // every worker's caches.
-                for _ in 0..1 + rng.below(8) {
-                    svc.submit(CallRequest::new(caller, victim, marker, 10))
-                        .expect("submit marked");
-                    must_fail.push((marker, victim));
-                    marker += 1;
-                }
-            }
-            let report = svc.drain();
-            assert!(!must_fail.is_empty());
-            for (marker, wid) in must_fail {
-                let outcome = report
-                    .outcomes
-                    .iter()
-                    .find(|o| o.request.work_cycles == marker)
-                    .expect("marked call was serviced");
-                assert!(
-                    matches!(outcome.verdict, CallVerdict::Failed(_)),
-                    "call {marker} against deleted {wid:?} returned {:?} \
-                     ({mode:?}, seed {seed:#x}, {workers} workers) — stale entry",
-                    outcome.verdict,
-                );
-            }
-        }
-    }
-}
-
-/// One seeded schedule through one mode; returns per-outcome
-/// (work-tag, verdict, latency) plus the merged virtual-time meters.
-fn run_schedule(mode: TableMode, seed: u64) -> (Vec<(u64, String, u64)>, u64, u64) {
-    let (mut svc, worlds, caller) = service_with_worlds(mode, 1, DispatchMode::LockFreeRings);
-    // One world dies before the pool starts: both modes must fail the
-    // calls aimed at it identically (this exercises the miss path
-    // without racing the deletion against service order).
-    let doomed = worlds[5];
-    svc.delete_world(doomed).expect("delete before start");
-    // The whole schedule is enqueued before the pool starts, so batch
-    // formation (and with it the WT/IWT hit pattern, hence the meters)
-    // is a pure function of the seed — host timing cannot perturb the
-    // comparison.
-    let mut rng = SplitMix64::new(seed);
-    for _ in 0..400u64 {
-        let callee = if rng.chance(0.1) {
-            doomed
-        } else {
-            worlds[rng.below(5) as usize]
-        };
-        let work = 50 + rng.below(3_000);
-        svc.submit(CallRequest::new(caller, callee, work, rng.below(12)))
-            .expect("submit");
-    }
-    svc.start();
-    let report = svc.drain();
-    let outcomes = report
-        .outcomes
-        .iter()
-        .map(|o| {
-            (
-                o.request.work_cycles,
-                format!("{:?}", o.verdict),
-                o.latency_cycles,
-            )
-        })
-        .collect();
-    (
-        outcomes,
-        report.smp.total_cycles(),
-        report.smp.makespan_cycles(),
-    )
-}
-
-#[test]
-fn table_modes_service_identical_schedules_cycle_for_cycle() {
-    for seed in [11u64, 0xFEED_F00D] {
-        let epoch = run_schedule(TableMode::Epoch, seed);
-        let striped = run_schedule(TableMode::Striped, seed);
-        assert_eq!(
-            epoch.0, striped.0,
-            "verdict/latency streams diverged between table modes (seed {seed:#x})"
-        );
-        assert_eq!(
-            (epoch.1, epoch.2),
-            (striped.1, striped.2),
-            "virtual-time meters diverged between table modes (seed {seed:#x})"
-        );
-    }
 }

@@ -13,7 +13,7 @@
 //! * [`systems`] — Proxos, HyperShell, Tahoma, ShadowContext case studies.
 //! * [`workloads`] — lmbench micro-ops, utilities, OpenSSH scp model.
 //! * [`runtime`] — the concurrent multi-vCPU world-call service:
-//!   sharded world table, call router, worker pool.
+//!   epoch world table, call router, worker pool.
 
 pub use crossover;
 pub use guestos;
