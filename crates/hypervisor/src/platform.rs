@@ -31,6 +31,11 @@ use crate::HvError;
 
 /// The simulated machine.
 ///
+/// A clone models another core of the same machine. Host RAM is shared
+/// copy-on-write ([`PhysMemory`]), so a clone costs a reference-count
+/// increment rather than a copy of every frame. The CPU and the unified
+/// TLB are per-core state: each clone gets its own, as in hardware.
+///
 /// # Example
 ///
 /// ```

@@ -3,15 +3,20 @@
 //! Host frames back everything in the simulated machine: guest RAM, shared
 //! parameter-passing pages, and the cross-ring code page. Frames are
 //! allocated lazily and stored sparsely, so "32 GB" machines cost only what
-//! they touch.
+//! they touch. Clones share their frames copy-on-write: every simulated
+//! core sees the same host RAM, and a clone pays for a private copy only
+//! when it first allocates or writes.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::addr::{Hpa, PAGE_SIZE};
 use crate::MmuError;
 
 /// Simulated host physical memory: a sparse set of 4 KiB frames plus a
-/// bump allocator for new frames.
+/// bump allocator for new frames. Cloning is one reference-count
+/// increment; the first mutation on either side of a shared clone copies
+/// the frame set, so the other side's bytes never change.
 ///
 /// # Example
 ///
@@ -28,7 +33,7 @@ use crate::MmuError;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: Arc<HashMap<u64, Box<[u8]>>>,
     next_frame: u64,
 }
 
@@ -37,7 +42,7 @@ impl PhysMemory {
     /// `Hpa(0)` stays an obviously-invalid null value.
     pub fn new() -> PhysMemory {
         PhysMemory {
-            frames: HashMap::new(),
+            frames: Arc::default(),
             next_frame: 1,
         }
     }
@@ -46,8 +51,7 @@ impl PhysMemory {
     pub fn alloc_frame(&mut self) -> Hpa {
         let n = self.next_frame;
         self.next_frame += 1;
-        self.frames
-            .insert(n, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        Arc::make_mut(&mut self.frames).insert(n, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
         Hpa::from_frame(n)
     }
 
@@ -130,11 +134,11 @@ impl PhysMemory {
             remaining -= n;
             addr = addr.page_base() + PAGE_SIZE;
         }
+        let frames = Arc::make_mut(&mut self.frames);
         let mut addr = hpa;
         let mut done = 0usize;
         while done < data.len() {
-            let frame = self
-                .frames
+            let frame = frames
                 .get_mut(&addr.frame_number())
                 .expect("validated above");
             let off = addr.page_offset() as usize;
@@ -251,5 +255,34 @@ mod tests {
         for i in 0..512u64 {
             assert!(m.is_backed(base + i * PAGE_SIZE));
         }
+    }
+
+    #[test]
+    fn clones_share_frames_until_either_side_mutates() {
+        let mut a = PhysMemory::new();
+        let f = a.alloc_frame();
+        a.write(f, b"shared").unwrap();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.frames, &b.frames), "a clone copies no frame");
+
+        // A write on the clone is private to it.
+        b.write(f, b"clone!").unwrap();
+        let mut buf = [0u8; 6];
+        a.read(f, &mut buf).unwrap();
+        assert_eq!(&buf, b"shared");
+        b.read(f, &mut buf).unwrap();
+        assert_eq!(&buf, b"clone!");
+
+        // So is an allocation on the original.
+        let c = a.clone();
+        let g = a.alloc_frame();
+        assert_eq!(
+            (a.frame_count(), b.frame_count(), c.frame_count()),
+            (2, 1, 1)
+        );
+        assert!(!b.is_backed(g) && !c.is_backed(g));
+        a.write(g, b"orig").unwrap();
+        c.read(f, &mut buf).unwrap();
+        assert_eq!(&buf, b"shared");
     }
 }

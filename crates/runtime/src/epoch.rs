@@ -753,21 +753,29 @@ impl EpochWorldTable {
             let bucket = unsafe { &*arr.buckets[i].load(Ordering::SeqCst) };
             // Partition with a single stamp read per slot: reading twice
             // could race a concurrent reader's stamp and land an entry in
-            // both the kept bucket and the cold store.
-            let mut keep: Vec<Slot> = Vec::with_capacity(bucket.slots.len());
+            // both the kept bucket and the cold store. The replacement is
+            // built only from the first idle slot on (copying the kept
+            // prefix then), so a pass that demotes nothing allocates
+            // nothing.
+            let mut keep: Option<Vec<Slot>> = None;
             let mut demoted = 0u64;
-            for slot in &bucket.slots {
+            for (j, slot) in bucket.slots.iter().enumerate() {
                 let idle = now.saturating_sub(slot.last_access.load(Ordering::Relaxed));
                 if idle > window {
                     st.cold.insert(slot.entry);
                     demoted += 1;
-                } else {
-                    keep.push(slot.duplicate());
+                    keep.get_or_insert_with(|| {
+                        let mut kept = Vec::with_capacity(bucket.slots.len() - 1);
+                        kept.extend(bucket.slots[..j].iter().map(Slot::duplicate));
+                        kept
+                    });
+                } else if let Some(kept) = &mut keep {
+                    kept.push(slot.duplicate());
                 }
             }
-            if demoted == 0 {
+            let Some(keep) = keep else {
                 continue;
-            }
+            };
             let fresh = Box::into_raw(Box::new(Bucket { slots: keep }));
             let old = arr.buckets[i].swap(fresh, Ordering::SeqCst);
             self.retire(st, Garbage::Bucket(old));
@@ -1022,6 +1030,37 @@ mod tests {
         t.delete(cold_wid).unwrap();
         assert!(t.lookup(cold_wid).is_none());
         assert_eq!(t.len(), 8);
+    }
+
+    #[test]
+    fn maintenance_without_idle_entries_retires_nothing() {
+        let t = EpochWorldTable::new(1, 16);
+        let hot: Vec<Wid> = (0..8)
+            .map(|i| t.create(host(0x1000 + i * 8)).unwrap())
+            .collect();
+        for round in 0..(MIN_WINDOW * 3) {
+            assert!(t.lookup_pinned(0, hot[(round % 8) as usize]).is_some());
+        }
+        // The first pass calibrates the window and frees the insert
+        // garbage; every world was read within the window.
+        assert_eq!(t.maintain().evicted, 0);
+        assert!(t.health().eviction_window > 0, "the sweep must run");
+        let buckets = |t: &EpochWorldTable| -> Vec<*mut Bucket> {
+            // SAFETY: the root array is freed only after a grow retires
+            // it, and this single-threaded test registers no world here.
+            let arr = unsafe { &*t.root.load(Ordering::SeqCst) };
+            arr.buckets
+                .iter()
+                .map(|b| b.load(Ordering::SeqCst))
+                .collect()
+        };
+        let before = (t.epoch.load(Ordering::SeqCst), t.health(), buckets(&t));
+        let m = t.maintain();
+        assert_eq!((m.evicted, m.reclaimed), (0, 0));
+        assert_eq!(t.epoch.load(Ordering::SeqCst), before.0, "nothing retired");
+        assert_eq!(t.health().retired_pending, before.1.retired_pending);
+        assert_eq!(t.health().evictions, 0);
+        assert_eq!(buckets(&t), before.2, "no bucket was republished");
     }
 
     #[test]

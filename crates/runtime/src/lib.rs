@@ -28,7 +28,10 @@
 //!   worker) routed by callee with round-robin work stealing. Each
 //!   worker simulates one vCPU: a cloned platform with a private
 //!   EPTP-tagged unified TLB, private set-associative WT/IWT caches,
-//!   and a private meter, so the hot path takes no shared lock. Worlds
+//!   and a private meter, so the hot path takes no shared lock. As in
+//!   hardware, that CPU, TLB and WT/IWT state is all that is per-core:
+//!   host RAM is shared copy-on-write and the attached working-set page
+//!   tables are shared read-only, so starting a worker copies neither. Worlds
 //!   can be deleted while the pool runs; each worker pulls the table's
 //!   retire log tail before its next batch and purges its caches — the
 //!   concurrent `manage_wtc`, staleness bounded at one batch. Per-call

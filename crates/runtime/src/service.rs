@@ -305,15 +305,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Sorted on-CPU latencies (cycles) of all serviced requests. Kept
-    /// for exact-percentile needs; the bench loops read
-    /// [`ServiceReport::latency_hist`] instead.
-    pub fn sorted_latencies(&self) -> Vec<u64> {
-        let mut l: Vec<u64> = self.outcomes.iter().map(|o| o.latency_cycles).collect();
-        l.sort_unstable();
-        l
-    }
-
     /// Mean per-call queue wait (cycles). Unlike the summed
     /// [`ServiceReport::queue_wait_cycles`], this is bounded by the
     /// makespan: no single call can wait longer than the whole run.
@@ -323,6 +314,13 @@ impl ServiceReport {
         }
         self.queue_wait_cycles as f64 / self.outcomes.len() as f64
     }
+}
+
+/// Mutable access to a map the workers share once the pool starts. The
+/// callers assert the pool has not started, and `drain(self)` consumes
+/// the service, so the service holds the only reference here.
+fn unshared<T>(map: &mut Arc<T>) -> &mut T {
+    Arc::get_mut(map).expect("worker-shared maps change only before start()")
 }
 
 fn add_stats(a: CacheStats, b: CacheStats) -> CacheStats {
@@ -349,10 +347,13 @@ pub struct WorldCallService {
     /// Per-worker virtual clocks; submissions are stamped with the
     /// minimum live clock so workers can derive queue-wait cycles.
     clocks: Arc<Vec<AtomicU64>>,
-    /// Attached per-world working sets, keyed by raw WID.
-    memory: HashMap<u64, WorldMemory>,
-    /// Attached per-callee switchless channel segments, keyed by raw WID.
-    segments: HashMap<u64, ChannelSegment>,
+    /// Attached per-world working sets, keyed by raw WID. Filled in
+    /// place before [`WorldCallService::start`], then shared read-only
+    /// with every worker: page tables are machine state, not per-core.
+    memory: Arc<HashMap<u64, WorldMemory>>,
+    /// Attached per-callee switchless channel segments, keyed by raw
+    /// WID; shared with the workers the same way.
+    segments: Arc<HashMap<u64, ChannelSegment>>,
     /// The shared budget controller (present when switchless is on).
     controller: Option<Arc<Controller>>,
     /// Armed fault schedule; `None` (the default) and an empty plan are
@@ -402,8 +403,8 @@ impl WorldCallService {
             template,
             table: Arc::new(EpochWorldTable::new(config.workers, config.quota)),
             rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
-            memory: HashMap::new(),
-            segments: HashMap::new(),
+            memory: Arc::default(),
+            segments: Arc::default(),
             controller: config.switchless.enabled().then(|| {
                 Arc::new(Controller::with_feedback(
                     config.switchless,
@@ -632,8 +633,7 @@ impl WorldCallService {
         for i in 0..pages {
             pt.map(base + i * PAGE_SIZE, gpa_base + i * PAGE_SIZE, Perms::rw())?;
         }
-        self.memory
-            .insert(wid.raw(), WorldMemory { pt, base, pages });
+        unshared(&mut self.memory).insert(wid.raw(), WorldMemory { pt, base, pages });
         Ok(())
     }
 
@@ -685,8 +685,7 @@ impl WorldCallService {
         for i in 0..lanes {
             pt.map(base + i * PAGE_SIZE, gpa_base + i * PAGE_SIZE, Perms::rw())?;
         }
-        self.segments
-            .insert(wid.raw(), ChannelSegment::new(pt, base, lanes));
+        unshared(&mut self.segments).insert(wid.raw(), ChannelSegment::new(pt, base, lanes));
         Ok(())
     }
 
@@ -704,11 +703,11 @@ impl WorldCallService {
             self.handles.is_empty(),
             "set channel grants before starting the pool"
         );
-        let seg = self
-            .segments
+        let segments = unshared(&mut self.segments);
+        let seg = segments
             .remove(&wid.raw())
             .expect("set_channel_grants requires an attached channel");
-        self.segments.insert(wid.raw(), seg.with_grants(grants));
+        segments.insert(wid.raw(), seg.with_grants(grants));
     }
 
     /// The attached channel segment of `wid`, if any.
@@ -723,8 +722,6 @@ impl WorldCallService {
     /// Panics if already started.
     pub fn start(&mut self) {
         assert!(self.handles.is_empty(), "pool already started");
-        let memory = Arc::new(self.memory.clone());
-        let segments = Arc::new(self.segments.clone());
         for index in 0..self.config.workers {
             let mut platform = self.template.clone();
             platform.set_tlb_enabled(self.config.unified_tlb);
@@ -735,12 +732,12 @@ impl WorldCallService {
                 rings: Arc::clone(&self.rings),
                 batch_max: self.config.batch_max,
                 clocks: Arc::clone(&self.clocks),
-                memory: Arc::clone(&memory),
+                memory: Arc::clone(&self.memory),
                 wtc_geometry: self.config.wtc_geometry,
                 switchless: self.config.switchless,
                 feedback: self.config.feedback,
                 controller: self.controller.clone(),
-                segments: Arc::clone(&segments),
+                segments: Arc::clone(&self.segments),
                 deadline_policy: self.config.deadline_policy,
                 faults: self.faults.clone(),
                 supervisor: self.config.supervisor,
@@ -1322,6 +1319,21 @@ mod tests {
         assert_eq!(traffic, 160, "every touch consults the unified TLB");
         // 8 distinct pages, 160 touches: all but the first round hit.
         assert!(report.tlb.hits >= 140, "tlb hits: {:?}", report.tlb);
+    }
+
+    #[test]
+    fn workers_share_the_working_set_map_instead_of_copying_it() {
+        const WORKERS: usize = 3;
+        let (mut svc, _caller, callee) = two_world_service(WORKERS);
+        let vm = svc.platform().vm_ids()[1];
+        svc.attach_working_set(callee, vm, 4).unwrap();
+        assert_eq!(Arc::strong_count(&svc.memory), 1);
+        svc.start();
+        // Workers hold their reference until drain joins them.
+        assert_eq!(Arc::strong_count(&svc.memory), WORKERS + 1);
+        assert_eq!(Arc::strong_count(&svc.segments), WORKERS + 1);
+        let report = svc.drain();
+        assert_eq!(report.completed, 0);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! when idle.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -738,22 +739,27 @@ impl Engine<'_> {
 
     /// Runs a same-caller group through the authz policy, denying every
     /// request the policy refuses before any path (classic or resident)
-    /// sees it, and returning the admitted remainder in order. With the
-    /// plane off this is one branch and the group passes through
-    /// untouched — the cycle-exact off configuration. Checking at the
+    /// sees it. The admitted remainder is compacted, in order, to the
+    /// front of `group`, and its length returned. With the plane off this
+    /// is one branch and the group passes through untouched — the
+    /// cycle-exact off configuration. Checking at the
     /// group boundary (after the batch-boundary retire pull) is what
     /// bounds revocation staleness at one batch: a revocation lands in
     /// the shared policy immediately, and the longest anything already
     /// past this gate can run is the remainder of its batch.
-    fn enforce_authz(&mut self, group: Vec<(Queued, bool)>) -> Vec<(Queued, bool)> {
+    fn enforce_authz(&mut self, group: &mut [(Queued, bool)]) -> usize {
         let Some(policy) = self.authz.clone() else {
-            return group;
+            return group.len();
         };
-        let mut admitted = Vec::with_capacity(group.len());
-        for (queued, was_stolen) in group {
+        let mut admitted = 0;
+        for i in 0..group.len() {
+            let (queued, was_stolen) = group[i];
             let now = self.now();
             match policy.check(&queued.req, now) {
-                Ok(()) => admitted.push((queued, was_stolen)),
+                Ok(()) => {
+                    group[admitted] = (queued, was_stolen);
+                    admitted += 1;
+                }
                 Err(err) => self.deny(&queued, was_stolen, err),
             }
         }
@@ -1143,17 +1149,20 @@ impl Engine<'_> {
 /// backlog, preserving the relative order of what stays behind. Sets
 /// `first_stolen` when the leading request came from a peer's ring.
 /// `biased` routes steals through [`RingSet::pop_biased`]
-/// (queue-wait-biased victim selection) instead of round-robin. Empty
-/// result means closed-and-drained.
+/// (queue-wait-biased victim selection) instead of round-robin. The
+/// batch lands in the worker-owned `batch` buffer, replacing its
+/// contents; left empty, it means closed-and-drained.
 fn next_batch(
     rings: &RingSet<Queued>,
     home: usize,
     batch_max: usize,
     backlog: &mut VecDeque<Queued>,
+    batch: &mut Vec<Queued>,
     first_stolen: &mut bool,
     biased: bool,
-) -> Vec<Queued> {
+) {
     *first_stolen = false;
+    batch.clear();
     let first = match backlog.pop_front() {
         Some(q) => q,
         None => {
@@ -1167,7 +1176,7 @@ fn next_batch(
                     *first_stolen = stolen;
                     q
                 }
-                None => return Vec::new(),
+                None => return,
             }
         }
     };
@@ -1178,7 +1187,7 @@ fn next_batch(
         }
     }
     let callee = first.req.callee;
-    let mut batch = vec![first];
+    batch.push(first);
     backlog.retain(|q| {
         if batch.len() < batch_max && q.req.callee == callee {
             batch.push(*q);
@@ -1187,23 +1196,35 @@ fn next_batch(
             true
         }
     });
-    batch
 }
 
-/// Splits a same-callee batch into same-caller runs, preserving
+/// Reorders a same-callee batch into same-caller runs, preserving
 /// first-seen caller order and within-caller request order, and tagging
-/// each request with whether it was the batch's stolen head.
-fn split_by_caller(batch: Vec<Queued>, first_stolen: bool) -> Vec<(Wid, Vec<(Queued, bool)>)> {
-    let mut groups: Vec<(Wid, Vec<(Queued, bool)>)> = Vec::new();
-    for (i, q) in batch.into_iter().enumerate() {
+/// each request with whether it was the batch's stolen head. The
+/// reordered requests land in `tagged` and each caller's run is a
+/// `(caller, range into tagged)` pair in `runs`; both worker-owned
+/// buffers are cleared first and reused across batches.
+fn split_by_caller(
+    batch: &[Queued],
+    first_stolen: bool,
+    tagged: &mut Vec<(Queued, bool)>,
+    runs: &mut Vec<(Wid, Range<usize>)>,
+) {
+    tagged.clear();
+    runs.clear();
+    for (i, q) in batch.iter().enumerate() {
         let caller = q.req.caller;
-        let tagged = (q, i == 0 && first_stolen);
-        match groups.iter_mut().find(|(c, _)| *c == caller) {
-            Some((_, v)) => v.push(tagged),
-            None => groups.push((caller, vec![tagged])),
+        if runs.iter().any(|(c, _)| *c == caller) {
+            continue;
         }
+        let start = tagged.len();
+        tagged.extend(
+            (i..batch.len())
+                .filter(|&j| batch[j].req.caller == caller)
+                .map(|j| (batch[j], j == 0 && first_stolen)),
+        );
+        runs.push((caller, start..tagged.len()));
     }
-    groups
 }
 
 /// The worker thread body: pop destination-batched requests until the
@@ -1229,9 +1250,14 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // been fed to the SLO watchdog at a previous batch boundary.
     let mut watchdog_fed = 0usize;
     let mut backlog: VecDeque<Queued> = VecDeque::new();
-    // A batch held over a crash-respawn: requeued whole, order
-    // preserved, before any of it was serviced.
-    let mut requeued: Option<Vec<Queued>> = None;
+    // Batch-formation buffers, reused across batches: the batch itself,
+    // its requests reordered into same-caller runs, and the runs.
+    let mut batch: Vec<Queued> = Vec::new();
+    let mut tagged: Vec<(Queued, bool)> = Vec::new();
+    let mut runs: Vec<(Wid, Range<usize>)> = Vec::new();
+    // Set when a crash-respawn holds `batch` over to the next turn:
+    // requeued whole, order preserved, before any of it was serviced.
+    let mut requeued = false;
     let mut stolen = 0u64;
     // Retirements an injected fault dropped on the way to this worker's
     // caches; healed (applied) at the next batch boundary, so staleness
@@ -1278,17 +1304,17 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
             engine.platform.cpu().meter().cycles(),
         );
         let mut first_stolen = false;
-        let batch = match requeued.take() {
-            Some(b) => b,
-            None => next_batch(
+        if !std::mem::take(&mut requeued) {
+            next_batch(
                 &ctx.rings,
                 ctx.index,
                 ctx.batch_max,
                 &mut backlog,
+                &mut batch,
                 &mut first_stolen,
                 ctx.feedback.steal_bias_on(),
-            ),
-        };
+            );
+        }
         if batch.is_empty() {
             break; // closed and drained
         }
@@ -1380,7 +1406,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 }
                 engine.awaiting_post_respawn_sample = true;
                 engine.emit(EventKind::Respawn, respawns, 0, 0);
-                requeued = Some(batch);
+                requeued = true;
                 continue;
             }
         }
@@ -1457,11 +1483,14 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         } else {
             None
         };
-        for (caller, group) in split_by_caller(batch, first_stolen) {
+        split_by_caller(&batch, first_stolen, &mut tagged, &mut runs);
+        for (caller, run) in runs.iter().cloned() {
             // Policy gate: denials resolve here with typed verdicts;
             // only the admitted remainder picks a service path. A group
             // thinned below the coalescing threshold rides classic.
-            let group = engine.enforce_authz(group);
+            let group = &mut tagged[run];
+            let admitted = engine.enforce_authz(group);
+            let group = &group[..admitted];
             if group.is_empty() {
                 continue;
             }
@@ -1478,7 +1507,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                     }
                 }
                 _ => {
-                    for (queued, was_stolen) in &group {
+                    for (queued, was_stolen) in group {
                         engine.classic(queued, *was_stolen);
                     }
                 }
@@ -1584,5 +1613,39 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
             - returns_before,
         supervisor: supervisor_report,
         obs: obs_ring,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_by_caller_keeps_caller_order_request_order_and_the_stolen_head() {
+        let callee = Wid::from_raw(9);
+        let batch: Vec<Queued> = [3u64, 1, 3, 2, 1, 3]
+            .iter()
+            .enumerate()
+            .map(|(seq, &caller)| Queued {
+                req: CallRequest::new(Wid::from_raw(caller), callee, 1, 1),
+                stamped_at: 0,
+                seq: seq as u64,
+            })
+            .collect();
+        // Stale contents from an earlier batch must not leak into this one.
+        let (mut tagged, mut runs) = (vec![(batch[5], true)], Vec::new());
+        for first_stolen in [true, false] {
+            split_by_caller(&batch, first_stolen, &mut tagged, &mut runs);
+            let callers: Vec<u64> = runs.iter().map(|(c, _)| c.raw()).collect();
+            assert_eq!(callers, [3, 1, 2], "first-seen caller order");
+            assert_eq!(runs[0].1, 0..3);
+            assert_eq!(runs[1].1, 3..5);
+            assert_eq!(runs[2].1, 5..6);
+            let seqs: Vec<u64> = tagged.iter().map(|(q, _)| q.seq).collect();
+            assert_eq!(seqs, [0, 2, 5, 1, 4, 3], "within-caller order");
+            let stolen: Vec<bool> = tagged.iter().map(|&(_, s)| s).collect();
+            assert_eq!(stolen[0], first_stolen, "only the head carries the tag");
+            assert!(stolen[1..].iter().all(|&s| !s));
+        }
     }
 }
