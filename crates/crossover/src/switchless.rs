@@ -218,20 +218,6 @@ impl ChannelSegment {
         })
     }
 
-    /// Warms the TLB entry for `lane`'s slot page: one priced access to
-    /// slot 0, issued by the runtime's trace-driven prefill pass right
-    /// after a residency opens (the access must run under the *callee's*
-    /// (CR3, EPTP) tags to warm the entry the drain's slot reads will
-    /// hit). Returns the cycles charged — a full walk when cold, one
-    /// cycle when something already warmed it.
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::Mmu`] if the segment does not translate.
-    pub fn touch_lane(&self, platform: &mut Platform, lane: u64) -> Result<u64, HvError> {
-        self.priced_access(platform, lane, 0)
-    }
-
     fn priced_access(&self, platform: &mut Platform, lane: u64, seq: u64) -> Result<u64, HvError> {
         let before = platform.cpu().meter().cycles();
         // rw: request and response share the slot's line, and a single

@@ -78,32 +78,29 @@ pub enum EventKind {
     /// Retired table structures freed after their grace period.
     /// a=structures reclaimed in this maintenance pass.
     GraceReclaim = 28,
-    /// Feedback controller grew a lane budget. a=lane, b=new budget,
-    /// c=epoch index of the fold that decided it.
+    /// The switchless controller's epoch fold grew a lane budget.
+    /// a=lane, b=new budget, c=epoch index of the fold that decided it.
     BudgetGrow = 29,
-    /// Feedback controller shrank a lane budget. a=lane, b=new budget,
-    /// c=epoch index of the fold that decided it.
+    /// The switchless controller's epoch fold shrank a lane budget.
+    /// a=lane, b=new budget, c=epoch index of the fold that decided it.
     BudgetShrink = 30,
-    /// Trace-driven prefill warmed a worker's WT/IWT/TLB before a
-    /// resident drain. a=callee, b=worlds filled, c=walk cycles charged.
-    PrefillRun = 31,
     /// The authz policy refused a call. a=seq, b=deny code (0=denied,
     /// 1=revoked, 2=rate-limited, 3=chain-too-deep), c=caller WID.
-    AuthzDeny = 32,
+    AuthzDeny = 31,
     /// A worker observed a policy-generation bump at a batch boundary
     /// (the revocation-visibility marker the one-batch bound is measured
     /// against). a=generation now visible, b=previous generation.
-    Revocation = 33,
+    Revocation = 32,
     /// The SLO watchdog raised an incident. Synthesized post-hoc on the
     /// [`WATCHDOG_TRACK`](crate::ring::WATCHDOG_TRACK) when a recorded
     /// trace is annotated — never emitted from a worker ring. a=epoch
     /// index of the breached window, b=objective code (0=latency-p99,
     /// 1=shed-rate, 2=dead-letter-budget), c=burn rate ×100.
-    SloIncident = 34,
+    SloIncident = 33,
 }
 
 impl EventKind {
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 34;
 
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::RequestEnqueue,
@@ -137,7 +134,6 @@ impl EventKind {
         EventKind::GraceReclaim,
         EventKind::BudgetGrow,
         EventKind::BudgetShrink,
-        EventKind::PrefillRun,
         EventKind::AuthzDeny,
         EventKind::Revocation,
         EventKind::SloIncident,
@@ -182,7 +178,6 @@ impl EventKind {
             EventKind::GraceReclaim => "grace_reclaim",
             EventKind::BudgetGrow => "budget_grow",
             EventKind::BudgetShrink => "budget_shrink",
-            EventKind::PrefillRun => "prefill_run",
             EventKind::AuthzDeny => "authz_deny",
             EventKind::Revocation => "revocation",
             EventKind::SloIncident => "slo_incident",

@@ -198,11 +198,12 @@ pub fn verify(doc: &TraceDoc) -> ConservationReport {
         }
     }
 
-    // 7. Feedback conservation: every budget change decided by the feedback
-    //    controller carries the epoch of the fold that decided it, and that
-    //    fold must appear in the recording — a budget move without a fold
-    //    means the controller acted outside an epoch boundary. Recordings
-    //    without feedback events skip the check, so older traces stay valid.
+    // 7. Budget conservation: every budget change decided by the switchless
+    //    controller's epoch fold carries the epoch of the fold that decided
+    //    it, and that fold must appear in the recording — a budget move
+    //    without a fold means the controller acted outside an epoch
+    //    boundary. Recordings without budget changes skip the check, so
+    //    older traces stay valid.
     let budget_changes =
         event_counts[EventKind::BudgetGrow.index()] + event_counts[EventKind::BudgetShrink.index()];
     if budget_changes > 0 && doc.dropped == 0 {
@@ -454,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn feedback_free_recording_skips_budget_check() {
+    fn budget_free_recording_skips_budget_check() {
         let report = verify(&clean_doc());
         assert!(report
             .checks

@@ -51,7 +51,10 @@
 //!   each virtual-time epoch from dry/saturated residency exits and
 //!   ring occupancy, shrinking idle channels back to the classic
 //!   per-call path ([`switchless::SwitchlessMode::Off`] keeps PR-2
-//!   behavior bit for bit).
+//!   behavior bit for bit). The layer's one other switch,
+//!   [`switchless::SwitchlessConfig::prefetch_register`], wires
+//!   the §5.1 Current-World-ID register into each worker's call unit;
+//!   its counters land in [`switchless::SwitchlessSummary`].
 //! * [`authz`] — the callee-side authorization the paper's §3 defers
 //!   to software: capability grants with generation-stamped revocation
 //!   (`delete_world` auto-revokes, so a stale WID never authorizes as
@@ -68,7 +71,6 @@
 
 pub mod authz;
 pub mod epoch;
-pub mod feedback;
 pub mod observe;
 pub mod report;
 pub mod ring;
@@ -80,10 +82,8 @@ pub mod watchdog;
 mod worker;
 
 pub use authz::{AuthzConfig, AuthzMode, AuthzPolicy, AuthzSummary, RateLimitConfig};
+pub use crossover::prefetch::PrefetchStats;
 pub use epoch::{EpochWorldTable, MaintainOutcome, TableHealth};
-pub use feedback::{
-    FeedbackConfig, FeedbackMode, FeedbackSummary, LaneGauge, PrefetchStats, PrefillStats,
-};
 pub use obs::{
     build_spans, top_slowest, verify, ConservationReport, Event, EventKind, EventRing,
     LogHistogram, ObsConfig, ObsMode, ObsReport, Registry, Span, TraceDoc,

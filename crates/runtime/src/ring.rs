@@ -20,7 +20,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Why a non-blocking push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -193,10 +193,6 @@ fn backoff(spins: &mut u32) {
     }
 }
 
-/// EWMA smoothing shift: new samples weigh 1/8
-/// (`ewma += (sample - ewma) / 8`).
-const WAIT_EWMA_SHIFT: u32 = 3;
-
 /// One ring per worker plus a shared close flag: the lock-free dispatcher.
 ///
 /// Submissions are routed to a *home* ring (the service hashes the callee,
@@ -206,11 +202,6 @@ const WAIT_EWMA_SHIFT: u32 = 3;
 #[derive(Debug)]
 pub struct RingSet<T> {
     rings: Vec<Ring<T>>,
-    /// Per-ring queue-wait EWMAs (virtual cycles), fed by workers from
-    /// dispatch stamps via [`RingSet::note_wait`]. Host-side state only
-    /// — it steers [`RingSet::pop_biased`]'s victim order and costs
-    /// zero virtual cycles.
-    wait_ewma: Vec<AtomicU64>,
     closed: AtomicBool,
 }
 
@@ -225,28 +216,8 @@ impl<T: Send> RingSet<T> {
         assert!(workers > 0, "need at least one ring");
         RingSet {
             rings: (0..workers).map(|_| Ring::new(capacity)).collect(),
-            wait_ewma: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             closed: AtomicBool::new(false),
         }
-    }
-
-    /// Feed one observed queue wait (virtual cycles) for an item that
-    /// sat in `home`'s ring into that ring's EWMA. Racy read-modify-
-    /// write by design: a lost update only blurs the estimate, and the
-    /// estimate only orders steal victims.
-    pub fn note_wait(&self, home: usize, wait_cycles: u64) {
-        let ewma = &self.wait_ewma[home];
-        let old = ewma.load(Ordering::Relaxed);
-        let new = old - (old >> WAIT_EWMA_SHIFT) + (wait_cycles >> WAIT_EWMA_SHIFT);
-        ewma.store(new, Ordering::Relaxed);
-    }
-
-    /// Current per-ring queue-wait EWMAs (cycles), indexed by ring.
-    pub fn wait_ewmas(&self) -> Vec<u64> {
-        self.wait_ewma
-            .iter()
-            .map(|e| e.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Total queued items across all rings (approximate).
@@ -334,32 +305,6 @@ impl<T: Send> RingSet<T> {
             }
             // Check *after* the sweep: a close that raced with pushes is
             // caught next iteration, after the rings were re-examined.
-            if self.is_closed() && self.rings.iter().all(Ring::is_empty) {
-                return None;
-            }
-            backoff(&mut spins);
-        }
-    }
-
-    /// [`RingSet::pop`] with queue-wait-biased victim selection: after
-    /// the home ring, peers are visited in descending order of their
-    /// observed queue-wait EWMA (round-robin distance from `home`
-    /// breaks ties), so a steal drains the ring where items measurably
-    /// wait longest instead of whichever peer happens to sit next.
-    pub fn pop_biased(&self, home: usize) -> Option<(T, bool)> {
-        let n = self.rings.len();
-        let mut spins = 0;
-        let mut order: Vec<usize> = (1..n).map(|k| (home + k) % n).collect();
-        loop {
-            if let Some(item) = self.rings[home].try_pop() {
-                return Some((item, false));
-            }
-            order.sort_by_key(|&i| std::cmp::Reverse(self.wait_ewma[i].load(Ordering::Relaxed)));
-            for &i in &order {
-                if let Some(item) = self.rings[i].try_pop() {
-                    return Some((item, true));
-                }
-            }
             if self.is_closed() && self.rings.iter().all(Ring::is_empty) {
                 return None;
             }
@@ -552,57 +497,6 @@ mod tests {
         assert_eq!(all.len(), 1000);
         all.dedup();
         assert_eq!(all.len(), 1000);
-    }
-
-    #[test]
-    fn wait_ewma_tracks_samples() {
-        let rs: RingSet<u8> = RingSet::new(2, 4);
-        assert_eq!(rs.wait_ewmas(), vec![0, 0]);
-        for _ in 0..64 {
-            rs.note_wait(1, 8000);
-        }
-        let ewmas = rs.wait_ewmas();
-        assert_eq!(ewmas[0], 0);
-        assert!(
-            ewmas[1] > 7000 && ewmas[1] <= 8000,
-            "ewma {} should converge toward 8000",
-            ewmas[1]
-        );
-    }
-
-    #[test]
-    fn biased_pop_steals_from_longest_waiting_ring() {
-        let rs: RingSet<u8> = RingSet::new(3, 4);
-        rs.try_push(1, 11).unwrap();
-        rs.try_push(2, 22).unwrap();
-        // Round-robin from worker 0 would hit ring 1 first; ring 2's
-        // measured backlog redirects the steal.
-        for _ in 0..64 {
-            rs.note_wait(2, 50_000);
-        }
-        assert_eq!(rs.pop_biased(0), Some((22, true)));
-        assert_eq!(rs.pop_biased(0), Some((11, true)));
-    }
-
-    #[test]
-    fn biased_pop_prefers_own_ring_and_ties_break_round_robin() {
-        let rs: RingSet<u8> = RingSet::new(3, 4);
-        rs.try_push(0, 7).unwrap();
-        rs.try_push(1, 8).unwrap();
-        rs.try_push(2, 9).unwrap();
-        // Own ring first, then (all EWMAs tied at 0) ring 1 before 2.
-        assert_eq!(rs.pop_biased(0), Some((7, false)));
-        assert_eq!(rs.pop_biased(0), Some((8, true)));
-        assert_eq!(rs.pop_biased(0), Some((9, true)));
-    }
-
-    #[test]
-    fn biased_pop_drains_and_returns_none_after_close() {
-        let rs: RingSet<u8> = RingSet::new(2, 4);
-        rs.try_push(1, 5).unwrap();
-        rs.close();
-        assert_eq!(rs.pop_biased(0), Some((5, true)));
-        assert_eq!(rs.pop_biased(0), None);
     }
 
     #[test]

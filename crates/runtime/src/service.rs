@@ -36,7 +36,6 @@ use obs::{Event, EventKind, EventRing, LogHistogram, ObsConfig, ObsReport, SUBMI
 
 use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
 use crate::epoch::{EpochWorldTable, TableHealth};
-use crate::feedback::{FeedbackConfig, FeedbackSummary};
 use crate::ring::{PushError, RingSet};
 use crate::router::{CallOutcome, CallRequest, CallVerdict, Queued};
 use crate::supervisor::{DegradeLevel, HealthState, SupervisorConfig, SupervisorSummary};
@@ -60,7 +59,10 @@ pub enum DeadlinePolicy {
     IncludeQueueWait,
 }
 
-/// Pool and table sizing.
+/// Pool and table sizing, plus one configuration per optional plane
+/// (switchless, supervisor, obs, authz, watchdog). Every plane's
+/// default is its off or inert mode, so `RuntimeConfig::default()` is
+/// the classic per-call runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Worker threads (simulated vCPUs / SMP cores).
@@ -78,12 +80,9 @@ pub struct RuntimeConfig {
     /// Shape of each worker's private WT/IWT caches.
     pub wtc_geometry: CacheGeometry,
     /// Switchless fast path (off by default: classic per-call behavior,
-    /// bit for bit).
+    /// bit for bit). [`SwitchlessConfig::prefetch_register`] also wires
+    /// the §5.1 Current-World-ID register, in any mode.
     pub switchless: SwitchlessConfig,
-    /// Profile-guided feedback plane (off by default: PR-3 heuristics,
-    /// round-robin stealing, no prefill — cycle-exact with the
-    /// open-loop runtime).
-    pub feedback: FeedbackConfig,
     /// What per-call cycle budgets bound (on-CPU time by default).
     pub deadline_policy: DeadlinePolicy,
     /// Healing-policy tuning (backoff, quarantine, respawn caps). Inert
@@ -121,7 +120,6 @@ impl Default for RuntimeConfig {
             unified_tlb: true,
             wtc_geometry: CacheGeometry::default(),
             switchless: SwitchlessConfig::default(),
-            feedback: FeedbackConfig::default(),
             deadline_policy: DeadlinePolicy::default(),
             supervisor: SupervisorConfig::default(),
             obs: ObsConfig::default(),
@@ -278,10 +276,6 @@ pub struct ServiceReport {
     /// Switchless-path accounting (all zero / empty when the layer is
     /// off).
     pub switchless: SwitchlessSummary,
-    /// Feedback-plane accounting: merged prefill/prefetch counters,
-    /// per-ring queue-wait EWMAs, and per-lane budget/latency gauges
-    /// (all zero / empty when the plane is off).
-    pub feedback: FeedbackSummary,
     /// Healing summary: merged supervisor counters, degradation-ladder
     /// history and recovery latencies (all zero on clean runs).
     pub supervisor: SupervisorSummary,
@@ -391,9 +385,6 @@ impl WorldCallService {
     pub fn new(config: RuntimeConfig) -> WorldCallService {
         assert!(config.workers > 0, "need at least one worker");
         let template = Platform::new_default();
-        // The transition-pair price the feedback controller weighs
-        // measured service times against (a platform constant).
-        let pair_cycles = crossover::switchless::transition_pair_cycles(&template);
         // Hoisted: the watchdog buckets samples against the same
         // published clocks submissions are stamped from.
         let clocks: Arc<Vec<AtomicU64>> =
@@ -405,13 +396,10 @@ impl WorldCallService {
             rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
             memory: Arc::default(),
             segments: Arc::default(),
-            controller: config.switchless.enabled().then(|| {
-                Arc::new(Controller::with_feedback(
-                    config.switchless,
-                    config.feedback,
-                    pair_cycles,
-                ))
-            }),
+            controller: config
+                .switchless
+                .enabled()
+                .then(|| Arc::new(Controller::new(config.switchless))),
             faults: None,
             health: Arc::new(HealthState::new(config.supervisor.recover_after_cycles)),
             authz: config
@@ -735,7 +723,6 @@ impl WorldCallService {
                 memory: Arc::clone(&self.memory),
                 wtc_geometry: self.config.wtc_geometry,
                 switchless: self.config.switchless,
-                feedback: self.config.feedback,
                 controller: self.controller.clone(),
                 segments: Arc::clone(&self.segments),
                 deadline_policy: self.config.deadline_policy,
@@ -904,7 +891,10 @@ impl WorldCallService {
         let mut iwt = CacheStats::default();
         let mut tlb = TlbStats::default();
         let mut stolen = 0;
-        let mut switchless = SwitchlessSummary::default();
+        let mut switchless = SwitchlessSummary {
+            prefetch_register: self.config.switchless.prefetch_register,
+            ..SwitchlessSummary::default()
+        };
         let mut supervisor = SupervisorSummary {
             worker_panics,
             degrade_escalations: self.health.escalations(),
@@ -913,18 +903,8 @@ impl WorldCallService {
             ..SupervisorSummary::default()
         };
         let mut per_callee: HashMap<u64, (u64, u64)> = HashMap::new();
-        let mut feedback = FeedbackSummary {
-            config: self.config.feedback,
-            ..FeedbackSummary::default()
-        };
         for r in &reports {
             supervisor.totals.absorb(&r.supervisor);
-            feedback.prefill.merge(&r.prefill);
-            feedback.prefetch.useful_walks += r.prefetch.useful_walks;
-            feedback.prefetch.useless_walks += r.prefetch.useless_walks;
-            feedback.prefetch.register_hits += r.prefetch.register_hits;
-            feedback.prefetch.register_misses += r.prefetch.register_misses;
-            feedback.register_walk_cycles += r.prefetch_walk_cycles;
             smp.core_mut(CoreId(r.index as u32))
                 .expect("one core per worker")
                 .meter_mut()
@@ -938,6 +918,11 @@ impl WorldCallService {
             switchless.classic_calls += r.switchless.classic_calls;
             switchless.world_calls += r.world_calls;
             switchless.world_returns += r.world_returns;
+            switchless.prefetch.useful_walks += r.prefetch.useful_walks;
+            switchless.prefetch.useless_walks += r.prefetch.useless_walks;
+            switchless.prefetch.register_hits += r.prefetch.register_hits;
+            switchless.prefetch.register_misses += r.prefetch.register_misses;
+            switchless.register_walk_cycles += r.prefetch_walk_cycles;
             for (&callee, &(coalesced, pairs)) in &r.switchless.per_callee {
                 let slot = per_callee.entry(callee).or_insert((0, 0));
                 slot.0 += coalesced;
@@ -955,10 +940,6 @@ impl WorldCallService {
         switchless.per_callee.sort_unstable_by_key(|p| p.callee);
         if let Some(ctl) = &self.controller {
             switchless.epochs = ctl.history();
-            feedback.lanes = ctl.lane_gauges();
-        }
-        if self.config.feedback.steal_bias_on() {
-            feedback.steal_wait_ewma = self.rings.wait_ewmas();
         }
         // Rings indexed by worker id; a panicked worker leaves an empty
         // ring in its slot rather than shifting everyone else's.
@@ -1067,7 +1048,6 @@ impl WorldCallService {
             stolen,
             table: self.table.health(),
             switchless,
-            feedback,
             supervisor,
             authz: self.authz.as_ref().map(|p| p.summary()).unwrap_or_default(),
             outcomes,
@@ -1082,6 +1062,7 @@ impl WorldCallService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossover::prefetch::PrefetchStats;
     use crossover::service::ServiceTier;
 
     /// A service with a guest-user caller in one VM and a guest-kernel
@@ -1634,20 +1615,35 @@ mod tests {
 
     #[test]
     fn prefetch_register_is_opt_in_and_functional() {
-        let (mut svc, caller, callee) = switchless_service(
-            1,
-            SwitchlessConfig {
-                prefetch_register: true,
-                ..SwitchlessConfig::fixed(8)
-            },
-        );
-        for _ in 0..32 {
-            svc.submit(CallRequest::new(caller, callee, 500, 100))
-                .unwrap();
+        for wired in [true, false] {
+            let (mut svc, caller, callee) = switchless_service(
+                1,
+                SwitchlessConfig {
+                    prefetch_register: wired,
+                    ..SwitchlessConfig::fixed(8)
+                },
+            );
+            for _ in 0..32 {
+                svc.submit(CallRequest::new(caller, callee, 500, 100))
+                    .unwrap();
+            }
+            svc.start();
+            let report = svc.drain();
+            assert_eq!(report.completed, 32);
+            let sw = &report.switchless;
+            assert_eq!(sw.prefetch_register, wired);
+            if wired {
+                assert!(
+                    sw.prefetch.register_hits + sw.prefetch.register_misses > 0,
+                    "a wired register sees every world_call: {:?}",
+                    sw.prefetch
+                );
+                assert!(sw.register_walk_cycles > 0);
+            } else {
+                assert_eq!(sw.prefetch, PrefetchStats::default());
+                assert_eq!(sw.register_walk_cycles, 0);
+            }
         }
-        svc.start();
-        let report = svc.drain();
-        assert_eq!(report.completed, 32);
     }
 
     #[test]

@@ -33,10 +33,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crossover::prefetch::PrefetchStats;
 use crossover::switchless::DrainStats;
 use crossover::world::Wid;
-
-use crate::feedback::{decide_lean, demand_shifted, FeedbackConfig, LaneGauge, LaneProfile, Lean};
 
 /// Whether and how the switchless layer engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -203,20 +202,7 @@ pub struct EpochSnapshot {
 #[derive(Debug)]
 pub struct Controller {
     config: SwitchlessConfig,
-    /// Feedback-plane switches. Under [`FeedbackConfig::budgets_on`]
-    /// the adaptive fold swaps the PR-3 occupancy heuristic for the
-    /// measured payoff-versus-transition-cost rule
-    /// ([`crate::feedback::decide_lean`]); otherwise the heuristic runs
-    /// untouched and the per-lane profiles are never written.
-    feedback: FeedbackConfig,
-    /// Transition-pair price the payoff rule weighs growth against
-    /// (from [`crossover::switchless::transition_pair_cycles`] on the
-    /// service's platform; unused when feedback budgets are off).
-    pair_cycles: u64,
     lanes: Vec<Lane>,
-    /// Measured service/wait distributions, one per lane, fed by
-    /// [`Controller::observe_latency`].
-    profiles: Vec<LaneProfile>,
     epoch: AtomicU64,
     next_epoch_at: AtomicU64,
     history: Mutex<Vec<EpochSnapshot>>,
@@ -224,28 +210,13 @@ pub struct Controller {
 
 impl Controller {
     /// A controller with every lane's budget seeded at
-    /// `config.batch_budget` (clamped into `[min_budget, max_budget]`)
-    /// and the feedback plane off — the PR-3 heuristic, bit for bit.
+    /// `config.batch_budget` (clamped into `[min_budget, max_budget]`).
     pub fn new(config: SwitchlessConfig) -> Controller {
-        Controller::with_feedback(config, FeedbackConfig::off(), 0)
-    }
-
-    /// A controller with the feedback plane configured. `pair_cycles`
-    /// is the platform's transition-pair price, the cost the measured
-    /// payoff rule amortizes (ignored when feedback budgets are off).
-    pub fn with_feedback(
-        config: SwitchlessConfig,
-        feedback: FeedbackConfig,
-        pair_cycles: u64,
-    ) -> Controller {
         let seed = config
             .batch_budget
             .clamp(config.min_budget.max(1), config.max_budget.max(1));
         Controller {
             config,
-            feedback,
-            pair_cycles,
-            profiles: (0..CONTROLLER_LANES).map(|_| LaneProfile::new()).collect(),
             lanes: (0..CONTROLLER_LANES)
                 .map(|_| Lane {
                     budget: AtomicUsize::new(seed),
@@ -292,42 +263,6 @@ impl Controller {
         if saturated {
             lane.saturated.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// The feedback configuration this controller runs with.
-    pub fn feedback(&self) -> FeedbackConfig {
-        self.feedback
-    }
-
-    /// A worker reports one decided call's measured service and
-    /// queue-wait cycles. No-op unless feedback budgets are on, so the
-    /// open-loop path never touches the profile atomics.
-    pub fn observe_latency(&self, callee: Wid, service_cycles: u64, wait_cycles: u64) {
-        if !self.feedback.budgets_on() {
-            return;
-        }
-        self.profiles[Controller::lane_index(callee)].record(service_cycles, wait_cycles);
-    }
-
-    /// Per-lane budget and cumulative measured-latency gauges, for the
-    /// service report and the Prometheus registry. Lanes that never
-    /// recorded a sample stay out.
-    pub fn lane_gauges(&self) -> Vec<LaneGauge> {
-        self.lanes
-            .iter()
-            .zip(self.profiles.iter())
-            .enumerate()
-            .filter_map(|(i, (lane, profile))| {
-                let (mean_service_cycles, mean_wait_cycles, calls) = profile.cumulative();
-                (calls > 0).then(|| LaneGauge {
-                    lane: i,
-                    budget: lane.budget.load(Ordering::Relaxed),
-                    mean_service_cycles,
-                    mean_wait_cycles,
-                    calls,
-                })
-            })
-            .collect()
     }
 
     /// Epoch gate, called by workers with their virtual clock. The
@@ -393,37 +328,7 @@ impl Controller {
                 // cycle) parks instead of thrashing, and a lane
                 // straddling a decision threshold flips at most a
                 // couple of times before freezing.
-                let mut shifted = false;
-                let dir = if self.feedback.budgets_on() {
-                    // Closed loop: weigh the amortization a grow buys
-                    // against the measured per-lane service and wait
-                    // distributions sampled this epoch. A ≥4× demand
-                    // change is a regime shift — the hotspot moved — so
-                    // the annealed confirmation state resets and this
-                    // epoch's lean applies immediately: re-convergence
-                    // in epochs, not tens of epochs.
-                    let profile = &self.profiles[i];
-                    let sampled = profile.fold();
-                    shifted = demand_shifted(profile.prev_calls(), calls);
-                    profile.set_prev_calls(calls);
-                    if shifted {
-                        lane.confirm_need.store(2, Ordering::Relaxed);
-                    }
-                    match decide_lean(
-                        self.pair_cycles,
-                        old,
-                        calls,
-                        dry,
-                        saturated,
-                        residencies,
-                        mean_occ,
-                        sampled,
-                    ) {
-                        Lean::Grow => Direction::Grow,
-                        Lean::Shrink => Direction::Shrink,
-                        Lean::Hold => Direction::Hold,
-                    }
-                } else if saturated > dry.saturating_mul(2) {
+                let dir = if saturated > dry.saturating_mul(2) {
                     // The ring kept outpacing the budget: stay longer.
                     Direction::Grow
                 } else if calls.saturating_mul(2) < old as u64 * residencies {
@@ -446,11 +351,7 @@ impl Controller {
                     1
                 };
                 lane.run_len.store(run, Ordering::Relaxed);
-                let need = if shifted {
-                    1
-                } else {
-                    lane.confirm_need.load(Ordering::Relaxed)
-                };
+                let need = lane.confirm_need.load(Ordering::Relaxed);
                 let new = if dir != Direction::Hold && run >= need {
                     let applied = match dir {
                         Direction::Grow => {
@@ -559,6 +460,16 @@ pub struct SwitchlessSummary {
     pub per_callee: Vec<PairTraffic>,
     /// The controller's epoch history (empty when switchless is off).
     pub epochs: Vec<EpochSnapshot>,
+    /// Whether the §5.1 Current-World-ID register was wired into the
+    /// workers' call units ([`SwitchlessConfig::prefetch_register`]).
+    pub prefetch_register: bool,
+    /// Merged §5.1 register counters (all zero unless it was wired).
+    pub prefetch: PrefetchStats,
+    /// Merged cycles the register spent on speculative table walks
+    /// ([`crossover::prefetch::CurrentWidRegister::walk_cycles_spent`])
+    /// — the cost side of the §5.1 trade-off, next to the hit counters
+    /// that are its benefit side.
+    pub register_walk_cycles: u64,
 }
 
 impl SwitchlessSummary {
@@ -789,108 +700,6 @@ mod tests {
         assert!(converged(&h, 2));
         assert!(!converged(&h, 3));
         assert!(!converged(&h, 4));
-    }
-
-    #[test]
-    fn feedback_controller_grows_on_measured_payoff_without_decisive_majority() {
-        // saturated leads dry 3:2 — inside the PR-3 2× deadband, and the
-        // ring is shallow so occupancy doesn't arbitrate — but the
-        // measured service time is short enough that the transition
-        // share is still worth amortizing, so the payoff rule grows.
-        let cfg = SwitchlessConfig {
-            batch_budget: 4,
-            epoch_cycles: 100,
-            ..SwitchlessConfig::adaptive()
-        };
-        let heuristic = Controller::new(cfg);
-        let feedback = Controller::with_feedback(cfg, crate::feedback::FeedbackConfig::on(), 460);
-        let w = wid(21);
-        for epoch in 1..=3u64 {
-            for ctl in [&heuristic, &feedback] {
-                for _ in 0..3 {
-                    ctl.observe(w, 4, false, true, 2);
-                }
-                for _ in 0..2 {
-                    ctl.observe(w, 4, true, false, 2);
-                }
-                for _ in 0..20 {
-                    ctl.observe_latency(w, 800, 100);
-                }
-                let _ = ctl.tick(epoch * 100);
-            }
-        }
-        assert_eq!(
-            heuristic.budget_for(w),
-            4,
-            "heuristic holds in the deadband"
-        );
-        assert!(
-            feedback.budget_for(w) > 4,
-            "payoff rule grows: budget {}",
-            feedback.budget_for(w)
-        );
-    }
-
-    #[test]
-    fn feedback_shift_resets_annealing_and_applies_immediately() {
-        let ctl = Controller::with_feedback(
-            SwitchlessConfig {
-                batch_budget: 4,
-                epoch_cycles: 100,
-                ..SwitchlessConfig::adaptive()
-            },
-            crate::feedback::FeedbackConfig::on(),
-            460,
-        );
-        let w = wid(23);
-        // Epoch 1: first active epoch is itself a shift, so a decisive
-        // saturated epoch with a short measured service grows at once.
-        for _ in 0..10 {
-            ctl.observe(w, 4, false, true, 8);
-            ctl.observe_latency(w, 800, 100);
-        }
-        let _ = ctl.tick(100);
-        assert_eq!(ctl.budget_for(w), 8, "first-epoch shift applies the lean");
-        // Epochs 2-3: steady demand — back to two-epoch confirmation.
-        for epoch in 2..=3u64 {
-            for _ in 0..10 {
-                ctl.observe(w, 8, false, true, 16);
-                ctl.observe_latency(w, 800, 100);
-            }
-            let _ = ctl.tick(epoch * 100);
-        }
-        assert_eq!(ctl.budget_for(w), 16, "steady epochs confirm before moving");
-        // Epoch 4: the hotspot leaves — demand collapses ≥4× — and the
-        // over-budget shrink applies in the same epoch.
-        ctl.observe(w, 2, true, false, 0);
-        ctl.observe_latency(w, 800, 10);
-        let _ = ctl.tick(400);
-        assert_eq!(ctl.budget_for(w), 8, "demand collapse shrinks immediately");
-    }
-
-    #[test]
-    fn observe_latency_is_inert_when_feedback_is_off() {
-        let ctl = Controller::new(SwitchlessConfig::adaptive());
-        ctl.observe_latency(wid(3), 1000, 1000);
-        assert!(ctl.lane_gauges().is_empty());
-        assert!(!ctl.feedback().enabled());
-    }
-
-    #[test]
-    fn lane_gauges_carry_measured_means() {
-        let ctl = Controller::with_feedback(
-            SwitchlessConfig::adaptive(),
-            crate::feedback::FeedbackConfig::on(),
-            460,
-        );
-        ctl.observe_latency(wid(5), 600, 60);
-        ctl.observe_latency(wid(5), 800, 80);
-        let gauges = ctl.lane_gauges();
-        assert_eq!(gauges.len(), 1);
-        assert_eq!(gauges[0].budget, 16);
-        assert_eq!(gauges[0].mean_service_cycles, 700);
-        assert_eq!(gauges[0].mean_wait_cycles, 70);
-        assert_eq!(gauges[0].calls, 2);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crossover::manager::{
     CallToken, RESTORE_STATE_CYCLES, RESTORE_STATE_INSTRUCTIONS, SAVE_STATE_CYCLES,
     SAVE_STATE_INSTRUCTIONS,
 };
-use crossover::prefetch::{PrefetchStats, SPECULATIVE_WALK_CYCLES, SPECULATIVE_WALK_INSTRUCTIONS};
+use crossover::prefetch::PrefetchStats;
 use crossover::switchless::ChannelSegment;
 use crossover::table::WorldLookup;
 use crossover::world::{Wid, WorldContext, WorldEntry};
@@ -62,7 +62,6 @@ use obs::{EventKind, EventRing, ObsConfig, Recorder};
 
 use crate::authz::AuthzPolicy;
 use crate::epoch::EpochWorldTable;
-use crate::feedback::{FeedbackConfig, PrefillStats};
 use crate::ring::RingSet;
 use crate::router::{CallError, CallOutcome, CallRequest, CallVerdict, Queued};
 use crate::service::{DeadlinePolicy, WorldMemory};
@@ -87,8 +86,6 @@ pub(crate) struct WorkerContext {
     pub wtc_geometry: CacheGeometry,
     /// Switchless layer configuration.
     pub switchless: SwitchlessConfig,
-    /// Feedback-plane configuration (`Off` is bit-for-bit inert).
-    pub feedback: FeedbackConfig,
     /// The shared budget controller (present when switchless is on).
     pub controller: Option<Arc<Controller>>,
     /// Attached per-callee channel segments, keyed by raw WID.
@@ -201,14 +198,11 @@ pub struct WorkerReport {
     pub world_calls: u64,
     /// `world_return` transitions this worker's vCPU executed.
     pub world_returns: u64,
-    /// Trace-driven prefill accounting (all zero when the feedback
-    /// plane's prefill policy is off).
-    pub prefill: PrefillStats,
     /// §5.1 Current-World-ID register counters (all zero unless the
     /// register was wired into this worker's call unit).
     pub prefetch: PrefetchStats,
     /// Cycles this worker's register spent on speculative table walks
-    /// (the §5.1 trade-off's cost side, for the feedback gauges).
+    /// (the §5.1 trade-off's cost side, next to the hit counters).
     pub prefetch_walk_cycles: u64,
     /// Healing counters from this worker's supervisor (all zero without
     /// an armed fault plan).
@@ -279,16 +273,6 @@ struct Engine<'a> {
     index: usize,
     policy: DeadlinePolicy,
     spin_cycles: u64,
-    /// Feedback-plane switches; all checks below are one branch when off.
-    feedback: FeedbackConfig,
-    /// The shared budget controller (the feedback plane feeds it
-    /// measured latencies; absent when switchless is off).
-    controller: Option<Arc<Controller>>,
-    /// The rings, for feeding per-ring queue-wait EWMAs back into steal
-    /// victim selection (host-side state, zero virtual cycles).
-    rings: &'a RingSet<Queued>,
-    /// Trace-driven prefill counters (stay zero when the policy is off).
-    prefill: PrefillStats,
     outcomes: Vec<CallOutcome>,
     queue_wait_cycles: u64,
     stats: SwitchlessWorkerStats,
@@ -381,19 +365,6 @@ impl Engine<'_> {
         if outcome.verdict == CallVerdict::Completed {
             let now = self.now();
             self.supervisor.note_healthy(now);
-            // Close the feedback loop: completed calls feed their
-            // measured service and queue-wait cycles into the callee's
-            // controller lane profile (host-side atomics, zero virtual
-            // cycles; one branch when the policy is off).
-            if self.feedback.budgets_on() {
-                if let Some(c) = &self.controller {
-                    c.observe_latency(
-                        outcome.request.callee,
-                        outcome.latency_cycles,
-                        outcome.queue_wait_cycles,
-                    );
-                }
-            }
         }
         if self.awaiting_post_respawn_sample {
             self.awaiting_post_respawn_sample = false;
@@ -402,7 +373,7 @@ impl Engine<'_> {
                 .post_respawn_latency_samples
                 .push(outcome.latency_cycles);
         }
-        if self.supervisor.config().prefetch_warm_on_respawn || self.feedback.prefill_on() {
+        if self.supervisor.config().prefetch_warm_on_respawn {
             self.note_history(&outcome.request);
         }
         self.outcomes.push(outcome);
@@ -440,55 +411,6 @@ impl Engine<'_> {
         }
     }
 
-    /// Trace-driven prefill (feedback policy 3): before a resident drain
-    /// into a (caller, callee) pair, consult the recent call history —
-    /// the worker's own trace. Worlds the trace does not vouch for get a
-    /// priced speculative walk ([`SPECULATIVE_WALK_CYCLES`], the §5.1
-    /// walker running ahead of need) plus a `manage_wtc` fill each, so
-    /// the residency's opening `world_call` hits its WT/IWT lookups
-    /// instead of taking 2600-cycle miss faults. A pair the trace fully
-    /// covers skips the pass (a prefill *hit*). Returns whether a pass
-    /// ran — the caller then also warms the channel lane's TLB entry
-    /// once the residency (and with it the callee's translation tags)
-    /// is open.
-    fn prefill(&mut self, caller: Wid, callee: Wid) -> bool {
-        if !self.feedback.prefill_on() {
-            return false;
-        }
-        let cold: Vec<Wid> = [caller, callee]
-            .into_iter()
-            .filter(|w| !self.call_history.contains(w))
-            .collect();
-        if cold.is_empty() {
-            self.prefill.warm_skips += 1;
-            return false;
-        }
-        let before = self.now();
-        let mut fills = 0u64;
-        for wid in cold {
-            self.platform.cpu_mut().charge_work(
-                SPECULATIVE_WALK_CYCLES,
-                SPECULATIVE_WALK_INSTRUCTIONS,
-                "prefill speculative walk",
-            );
-            // A world deleted since it was traced fails its fill and is
-            // skipped — the walk was speculative, its cost stands.
-            if self
-                .unit
-                .manage_wtc_fill(self.platform, &self.table, wid)
-                .is_ok()
-            {
-                fills += 1;
-            }
-        }
-        let cycles = self.now() - before;
-        self.prefill.runs += 1;
-        self.prefill.fills += fills;
-        self.prefill.walk_cycles += cycles;
-        self.emit(EventKind::PrefillRun, callee.raw(), fills, cycles);
-        true
-    }
-
     /// Publishes this worker's clock and computes the request's queue
     /// wait. Publishing *per request* (not only at the batch-top pace
     /// gate) keeps the min-live-clock submission stamp fresh during
@@ -497,16 +419,7 @@ impl Engine<'_> {
     fn stamp_wait(&mut self, queued: &Queued) -> u64 {
         let now = self.now();
         self.clocks[self.index].store(now, Ordering::Relaxed);
-        let wait = now.saturating_sub(queued.stamped_at);
-        if self.feedback.steal_bias_on() {
-            // Feed the wait into the *home* ring's EWMA (the ring the
-            // request was routed to — same callee hash the service
-            // uses), wherever it was actually serviced: the estimate
-            // describes rings, not thieves.
-            let home = (queued.req.callee.raw() % self.clocks.len() as u64) as usize;
-            self.rings.note_wait(home, wait);
-        }
-        wait
+        now.saturating_sub(queued.stamped_at)
     }
 
     /// The §3.4 deadline token for a call starting now. Under
@@ -872,7 +785,6 @@ impl Engine<'_> {
                 return;
             }
         };
-        let cold_pair = self.prefill(caller, callee);
         schedule_in(self.platform, &caller_entry);
         self.unit.notify_context_switch(self.platform, &self.table);
         self.platform.cpu_mut().charge_work(
@@ -923,23 +835,6 @@ impl Engine<'_> {
             chunk.len() as u64,
         );
         let lane = seg.lane_of(caller);
-        // TLB half of the prefill: the worker TLB tags entries with the
-        // *current* (CR3, EPTP), so warming the lane's slot page is only
-        // useful from inside the callee context — i.e. here, after the
-        // open and before the request loop. The touch pays the walk the
-        // first slot read of a cold drain would have paid, moving it
-        // out of the first request's measured slice.
-        if cold_pair {
-            if let Ok(cycles) = seg.touch_lane(self.platform, lane) {
-                // Count only touches that actually walked: a hit means
-                // the lane page was already resident and the touch cost
-                // one cycle, not a warm-up.
-                if cycles != mmu::tlb::TLB_HIT_CYCLES {
-                    self.prefill.tlb_touches += 1;
-                }
-                self.prefill.walk_cycles += cycles;
-            }
-        }
         let mut serviced = 0usize;
         let mut aborted = false;
         let mut broken = false;
@@ -1148,9 +1043,7 @@ impl Engine<'_> {
 /// size), then extracts the first request's same-callee group from the
 /// backlog, preserving the relative order of what stays behind. Sets
 /// `first_stolen` when the leading request came from a peer's ring.
-/// `biased` routes steals through [`RingSet::pop_biased`]
-/// (queue-wait-biased victim selection) instead of round-robin. The
-/// batch lands in the worker-owned `batch` buffer, replacing its
+/// The batch lands in the worker-owned `batch` buffer, replacing its
 /// contents; left empty, it means closed-and-drained.
 fn next_batch(
     rings: &RingSet<Queued>,
@@ -1159,26 +1052,18 @@ fn next_batch(
     backlog: &mut VecDeque<Queued>,
     batch: &mut Vec<Queued>,
     first_stolen: &mut bool,
-    biased: bool,
 ) {
     *first_stolen = false;
     batch.clear();
     let first = match backlog.pop_front() {
         Some(q) => q,
-        None => {
-            let popped = if biased {
-                rings.pop_biased(home)
-            } else {
-                rings.pop(home)
-            };
-            match popped {
-                Some((q, stolen)) => {
-                    *first_stolen = stolen;
-                    q
-                }
-                None => return,
+        None => match rings.pop(home) {
+            Some((q, stolen)) => {
+                *first_stolen = stolen;
+                q
             }
-        }
+            None => return,
+        },
     };
     while backlog.len() < batch_max.saturating_mul(2) {
         match rings.try_pop_local(home) {
@@ -1242,7 +1127,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         .trace()
         .count(TransitionKind::WorldReturn);
     let mut unit = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-    if ctx.switchless.prefetch_register || ctx.feedback.register_on() {
+    if ctx.switchless.prefetch_register {
         unit.enable_prefetch();
     }
     let mut batches = 0u64;
@@ -1279,10 +1164,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         index: ctx.index,
         policy: ctx.deadline_policy,
         spin_cycles: ctx.switchless.spin_cycles,
-        feedback: ctx.feedback,
-        controller: ctx.controller.clone(),
-        rings: &ctx.rings,
-        prefill: PrefillStats::default(),
         outcomes: Vec::new(),
         queue_wait_cycles: 0,
         stats: SwitchlessWorkerStats::default(),
@@ -1312,7 +1193,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 &mut backlog,
                 &mut batch,
                 &mut first_stolen,
-                ctx.feedback.steal_bias_on(),
             );
         }
         if batch.is_empty() {
@@ -1386,7 +1266,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // it is the vCPU's clock, not the thread's.
                 *engine.unit = {
                     let mut fresh = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-                    if ctx.switchless.prefetch_register || ctx.feedback.register_on() {
+                    if ctx.switchless.prefetch_register {
                         fresh.enable_prefetch();
                     }
                     fresh
@@ -1584,7 +1464,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     }
     let outcomes = std::mem::take(&mut engine.outcomes);
     let queue_wait_cycles = engine.queue_wait_cycles;
-    let prefill = engine.prefill;
     let switchless = std::mem::take(&mut engine.stats);
     let supervisor_report = std::mem::take(&mut engine.supervisor.report);
     let obs_ring = std::mem::replace(&mut engine.obs, Recorder::off()).into_ring();
@@ -1601,7 +1480,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         queue_wait_cycles,
         stolen,
         switchless,
-        prefill,
         prefetch: unit.prefetch().map(|r| r.stats()).unwrap_or_default(),
         prefetch_walk_cycles: unit.prefetch().map(|r| r.walk_cycles_spent()).unwrap_or(0),
         world_calls: ctx.platform.cpu().trace().count(TransitionKind::WorldCall) - calls_before,

@@ -20,8 +20,8 @@
 //! host-scheduling-dependent, and these are determinism properties.
 
 use xover_runtime::{
-    build_spans, trace_doc, CallRequest, CallVerdict, ObsConfig, RuntimeConfig, ServiceReport,
-    SwitchlessConfig, WorldCallService,
+    build_spans, trace_doc, CallRequest, CallVerdict, EventKind, ObsConfig, RuntimeConfig,
+    ServiceReport, SwitchlessConfig, WorldCallService,
 };
 
 use machine::rng::SplitMix64;
@@ -33,12 +33,15 @@ const WORKING_SET_PAGES: u64 = 8;
 /// Two tenants × (user + kernel) with working sets and switchless
 /// channels, so traced runs exercise the coalesced path, the TLB and
 /// both caches — the paths with emission sites.
-fn build_service(obs: ObsConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
+fn build_service(
+    obs: ObsConfig,
+    switchless: SwitchlessConfig,
+) -> (WorldCallService, Vec<crossover::world::Wid>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
         queue_capacity: CALLS as usize + 16,
         batch_max: 32,
-        switchless: SwitchlessConfig::fixed(8),
+        switchless,
         obs,
         ..RuntimeConfig::default()
     });
@@ -92,7 +95,11 @@ fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], i: u64) 
 }
 
 fn run(obs: ObsConfig) -> ServiceReport {
-    let (mut svc, worlds) = build_service(obs);
+    run_with(obs, SwitchlessConfig::fixed(8))
+}
+
+fn run_with(obs: ObsConfig, switchless: SwitchlessConfig) -> ServiceReport {
+    let (mut svc, worlds) = build_service(obs, switchless);
     let mut rng = SplitMix64::new(SEED);
     for i in 0..CALLS {
         svc.submit(draw_request(&mut rng, &worlds, i))
@@ -177,6 +184,41 @@ fn lossless_recording_conserves_transition_counts() {
     let round = xover_runtime::TraceDoc::parse(&doc.render_json()).expect("round-trip");
     assert_eq!(round.events.len(), doc.events.len());
     assert_eq!(round.counts, doc.counts);
+}
+
+/// Leg 1c: a recorded adaptive run moves real budgets, and `verify`'s
+/// budget-changes-vs-folds check (which synthetic unit events otherwise
+/// exercise alone) passes on it: every `BudgetGrow`/`BudgetShrink` the
+/// switchless controller's fold emits names a recorded epoch fold.
+#[test]
+fn adaptive_recording_ties_every_budget_change_to_its_fold() {
+    let report = run_with(
+        ObsConfig::ring(),
+        SwitchlessConfig {
+            epoch_cycles: 50_000,
+            ..SwitchlessConfig::adaptive()
+        },
+    );
+    let doc = trace_doc("obs_props", &report, 3.4).expect("obs enabled");
+    assert_eq!(doc.dropped, 0, "the check needs a lossless recording");
+    let moves = doc
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::BudgetGrow | EventKind::BudgetShrink))
+        .count();
+    assert!(moves > 0, "the adaptive fold moved no budget");
+    let conservation = xover_runtime::verify(&doc);
+    let check = conservation
+        .checks
+        .iter()
+        .find(|c| c.name == "budget-changes-vs-folds")
+        .expect("budget changes were recorded, so the check must run");
+    assert!(check.passed, "budget check failed: {}", check.detail);
+    assert!(
+        conservation.ok(),
+        "conservation checks failed: {:?}",
+        conservation.failures()
+    );
 }
 
 /// Leg 2: a deliberately tiny ring keeps the oldest events, drops the

@@ -15,9 +15,6 @@
 //! * [`openloop`] — open-loop arrival processes (Poisson and bursty
 //!   ON/OFF over a Zipf callee popularity law) for driving the async
 //!   tenant gateway past saturation.
-//! * [`shifting_hotspot`] — a Zipf popularity law whose hot callee set
-//!   rotates on a seeded virtual-time schedule, for exercising the
-//!   profile-guided feedback plane's re-convergence.
 //! * [`adversary`] — seeded adversarial-tenant schedules (forged and
 //!   replayed WIDs, quota and channel floods, confused-deputy chains,
 //!   WT/IWT set probes) for exercising the callee authorization plane.
@@ -27,7 +24,6 @@ pub mod lmbench;
 pub mod micro;
 pub mod openloop;
 pub mod openssh;
-pub mod shifting_hotspot;
 pub mod utilities;
 
 pub use micro::{MicroOp, RedirectTarget};

@@ -65,8 +65,10 @@ SPECS = {
         ("adversary_summary/policy_bypasses", 0.0, False),
         ("adversary_summary/lost_verdicts", 0.0, False),
         ("revocation/completions_after_witness", 8.0, False),
+        ("revocation/within_one_batch", 0.0, True),
     ],
     "BENCH_slo.json": [
+        ("parity/watchdog_on_exact", 0.0, True),
         ("fault_burst/detect_epochs", 2.0, False),
         ("degrade_shift/detect_epochs", 2.0, False),
     ],
