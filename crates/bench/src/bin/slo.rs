@@ -30,15 +30,14 @@ use std::fmt::Write as _;
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use obs::Component;
+use runtime::watchdog::EPOCH_CYCLES;
 use runtime::{
     annotate_trace, incidents_to_json, trace_doc, CallRequest, DegradeLevel, Incident, ObsConfig,
-    RuntimeConfig, ServiceReport, SwitchlessConfig, WatchdogConfig, WatchdogSummary,
+    RuntimeConfig, ServiceReport, SwitchlessConfig, WatchdogMode, WatchdogSummary,
     WorldCallService,
 };
 
 const FREQUENCY_GHZ: f64 = 3.4;
-/// Narrow epochs so every scenario spans many evaluation windows.
-const EPOCH_CYCLES: u64 = 100_000;
 const CLEAN_SEEDS: [u64; 3] = [0x51_0001, 0x51_0002, 0x51_0003];
 const CLEAN_CALLS: u64 = 2_500;
 const BURST_CALLS: u64 = 4_000;
@@ -56,13 +55,6 @@ const SHIFT_AT: u64 = 1_500_000;
 /// Detection-latency bound, in epochs past the regression's epoch.
 const DETECT_EPOCH_BOUND: u64 = 6;
 const WORKING_SET_PAGES: u64 = 8;
-
-fn watchdog_on() -> WatchdogConfig {
-    WatchdogConfig {
-        epoch_cycles: EPOCH_CYCLES,
-        ..WatchdogConfig::on()
-    }
-}
 
 /// Two tenants × (user + kernel), working sets and channels everywhere.
 fn build_service(config: RuntimeConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
@@ -136,7 +128,7 @@ fn run_mixed(
     calls: u64,
     tenants: u64,
     plan: Option<FaultPlan>,
-    watchdog: WatchdogConfig,
+    watchdog: WatchdogMode,
     switchless: SwitchlessConfig,
     obs: ObsConfig,
 ) -> ServiceReport {
@@ -170,7 +162,7 @@ fn run_shift(seed: u64, calls: u64, shift_at: u64) -> (ServiceReport, u64) {
         queue_capacity: calls as usize + 16,
         batch_max: 32,
         switchless: SwitchlessConfig::fixed(8),
-        watchdog: watchdog_on(),
+        watchdog: WatchdogMode::On,
         obs: ObsConfig::ring_with_capacity(1 << 20),
         ..RuntimeConfig::default()
     });
@@ -230,7 +222,7 @@ fn main() {
         CLEAN_CALLS,
         2,
         None,
-        WatchdogConfig::default(),
+        WatchdogMode::Off,
         SwitchlessConfig::fixed(8),
         ObsConfig::off(),
     );
@@ -239,7 +231,7 @@ fn main() {
         CLEAN_CALLS,
         2,
         None,
-        watchdog_on(),
+        WatchdogMode::On,
         SwitchlessConfig::fixed(8),
         ObsConfig::off(),
     );
@@ -265,7 +257,7 @@ fn main() {
             CLEAN_CALLS,
             2,
             None,
-            watchdog_on(),
+            WatchdogMode::On,
             SwitchlessConfig::fixed(8),
             ObsConfig::off(),
         );
@@ -293,7 +285,7 @@ fn main() {
         BURST_CALLS,
         1,
         Some(plan),
-        watchdog_on(),
+        WatchdogMode::On,
         // Classic-only traffic: every call resolves its caller through
         // the table, so the armed burst drains back-to-back instead of
         // trickling through the rare non-coalesced lookups.

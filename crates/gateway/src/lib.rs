@@ -28,10 +28,9 @@
 //!   tenant, reason `health` — instead of bouncing every request off
 //!   `try_submit`.
 //! * *Service backpressure*: a `Busy` verdict from `try_submit` sheds
-//!   the head (reason `busy`); after
-//!   [`GatewayConfig::busy_shed_threshold`] consecutive `Busy` results
-//!   the reactor latches and fast-sheds the remaining backlog rather
-//!   than hammering a full queue.
+//!   the head (reason `busy`); after `BUSY_SHED_THRESHOLD` (4) consecutive
+//!   `Busy` results the reactor latches and fast-sheds the remaining
+//!   backlog rather than hammering a full queue.
 //!
 //! Because ring capacity and quota bound everything in front of an
 //! *admitted* call, its end-to-end latency is bounded by construction —
@@ -46,10 +45,8 @@
 //! `workloads::openloop`): the same seed gives the same admissions, the
 //! same sheds and the same completion order, every run, which is what
 //! lets the property tests compare the gateway against blocking
-//! submission verdict for verdict. [`GatewayMode::Off`] (the default)
-//! bypasses the reactor entirely — requests flow to the service
-//! untouched, bit-for-bit identical to calling `submit` yourself, and
-//! the parity test pins that.
+//! submission verdict for verdict. A caller that wants no gateway calls
+//! [`runtime::WorldCallService::submit`] directly.
 
 pub mod reactor;
 pub mod ring;
@@ -115,77 +112,37 @@ impl TenantConfig {
     }
 }
 
-impl Default for TenantConfig {
-    fn default() -> TenantConfig {
-        TenantConfig {
-            class: TenantClass::Silver,
-            quota: 64,
-            ring_capacity: 256,
-        }
-    }
-}
+/// Completions per delivery batch: the reactor flushes a tenant's
+/// pending completions whenever this many accumulate; a final partial
+/// batch flushes at drain.
+pub(crate) const COMPLETION_BATCH: usize = 8;
 
-/// Whether the gateway actually gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GatewayMode {
-    /// Passthrough: enqueued requests are handed to the service in
-    /// arrival order, completely untouched — no token stamping, no
-    /// rings, no events, no admission control. Bit-for-bit identical to
-    /// blocking submission (pinned by the parity property test).
-    #[default]
-    Off,
-    /// The full reactor: rings, WRR admission, quotas, shedding,
-    /// batched completion delivery.
-    Rings,
-}
+/// Consecutive `Busy` results from `try_submit` before the reactor stops
+/// knocking and fast-sheds the rest of the backlog.
+pub(crate) const BUSY_SHED_THRESHOLD: u32 = 4;
 
-/// Gateway-wide configuration.
+/// Gateway-wide configuration: one entry per tenant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatewayConfig {
-    /// Off (default) or the full ring reactor.
-    pub mode: GatewayMode,
     /// One entry per tenant; tenant id is the index.
     pub tenants: Vec<TenantConfig>,
-    /// Completions per delivery batch (the reactor flushes a tenant's
-    /// pending completions whenever this many accumulate; a final
-    /// partial batch flushes at drain). Must be ≥ 1.
-    pub completion_batch: usize,
-    /// Consecutive `Busy` results from `try_submit` before the reactor
-    /// stops knocking and fast-sheds the rest of the backlog.
-    pub busy_shed_threshold: u32,
 }
 
 impl GatewayConfig {
-    /// A ring-mode gateway over the given tenants.
+    /// A gateway over the given tenants.
     pub fn rings(tenants: Vec<TenantConfig>) -> GatewayConfig {
-        GatewayConfig {
-            mode: GatewayMode::Rings,
-            tenants,
-            ..GatewayConfig::default()
-        }
+        GatewayConfig { tenants }
     }
 
     /// Panics on nonsensical knobs (zero quotas/capacities would
     /// deadlock or shed everything silently).
     pub(crate) fn validate(&self) {
-        assert!(self.completion_batch >= 1, "completion_batch must be >= 1");
         for (id, t) in self.tenants.iter().enumerate() {
             assert!(t.quota >= 1, "tenant {id}: quota must be >= 1");
             assert!(
                 t.ring_capacity >= 1,
                 "tenant {id}: ring_capacity must be >= 1"
             );
-        }
-    }
-}
-
-impl Default for GatewayConfig {
-    fn default() -> GatewayConfig {
-        GatewayConfig {
-            mode: GatewayMode::Off,
-            tenants: vec![TenantConfig::default()],
-            completion_batch: 8,
-            busy_shed_threshold: 4,
         }
     }
 }
@@ -213,8 +170,8 @@ pub enum ShedReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Submission {
     /// Gateway-assigned token, unique across the run; completions carry
-    /// it back. In ring mode it also rides the request's `tag` through
-    /// the service (the original tag is restored on the completion).
+    /// it back. It also rides the request's `tag` through the service
+    /// (the original tag is restored on the completion).
     pub token: u64,
     /// Tenant that issued the submission.
     pub tenant: u32,

@@ -31,7 +31,8 @@ use runtime::{CallVerdict, ServiceReport, SubmitError, WorldCallService};
 
 use crate::ring::{CompletionRing, SubmissionRing};
 use crate::{
-    CallRequest, Completion, GatewayConfig, GatewayMode, ShedReason, Submission, GATEWAY_TRACK,
+    CallRequest, Completion, GatewayConfig, ShedReason, Submission, BUSY_SHED_THRESHOLD,
+    COMPLETION_BATCH, GATEWAY_TRACK,
 };
 
 /// The admission model's estimate of per-call overhead on top of the
@@ -121,7 +122,7 @@ pub struct GatewayReport {
     pub shed_busy: u64,
     /// Sheds on authz policy refusal at the admission precheck.
     pub shed_denied: u64,
-    /// Completions delivered to tenant rings (ring mode: == admitted).
+    /// Completions delivered to tenant rings (== admitted).
     pub completions_delivered: u64,
     /// Delivery batches flushed (== `completion_batch` events emitted).
     pub completion_batches: u64,
@@ -130,7 +131,7 @@ pub struct GatewayReport {
     /// End-to-end cycles of every admitted call, sorted ascending.
     pub admitted_e2e_cycles: Vec<u64>,
     /// Gateway obs events (admit/shed/batch) on [`GATEWAY_TRACK`],
-    /// time-ordered. Empty in `Off` mode.
+    /// time-ordered.
     pub events: Vec<Event>,
     /// The underlying pool's drained report.
     pub service: ServiceReport,
@@ -148,7 +149,7 @@ impl GatewayReport {
     /// * `submitted == admitted + shed`, globally and per tenant;
     /// * every admitted call got exactly one verdict from the service
     ///   (`admitted == completed + timed_out + failed + dead_lettered`);
-    /// * ring mode: every admitted call's completion was delivered.
+    /// * every admitted call's completion was delivered.
     ///
     /// # Errors
     ///
@@ -185,7 +186,7 @@ impl GatewayReport {
                 self.admitted
             ));
         }
-        if !self.events.is_empty() && self.completions_delivered != self.admitted {
+        if self.completions_delivered != self.admitted {
             return Err(format!(
                 "delivery broken: {} admitted != {} completions delivered",
                 self.admitted, self.completions_delivered
@@ -211,7 +212,7 @@ impl Gateway {
     ///
     /// # Panics
     ///
-    /// On nonsensical knobs (zero quota, ring capacity or batch size).
+    /// On nonsensical knobs (zero quota or ring capacity).
     pub fn new(config: GatewayConfig) -> Gateway {
         config.validate();
         Gateway {
@@ -228,14 +229,12 @@ impl Gateway {
     ///
     /// # Panics
     ///
-    /// In ring mode, if `tenant` has no [`crate::TenantConfig`] entry.
+    /// If `tenant` has no [`crate::TenantConfig`] entry.
     pub fn enqueue(&mut self, tenant: u32, at_cycles: u64, request: CallRequest) -> u64 {
-        if self.config.mode == GatewayMode::Rings {
-            assert!(
-                (tenant as usize) < self.config.tenants.len(),
-                "tenant {tenant} has no gateway config entry"
-            );
-        }
+        assert!(
+            (tenant as usize) < self.config.tenants.len(),
+            "tenant {tenant} has no gateway config entry"
+        );
         let token = self.next_token;
         self.next_token += 1;
         self.staged.push(Submission {
@@ -247,69 +246,16 @@ impl Gateway {
         token
     }
 
-    /// Runs the staged trace against the service and drains it.
+    /// Runs the staged trace against the service and drains it: the
+    /// two-pass reactor described in the module docs.
     ///
     /// The gateway owns the service lifecycle from here: admission
     /// happens against the un-started pool (every admitted call is
     /// pre-start, keeping single-worker runs cycle-deterministic), then
-    /// `start()`/`drain()`, then completion delivery. In `Off` mode the
-    /// staged requests are submitted untouched in arrival order — the
-    /// service must be configured with queue capacity for the whole
-    /// trace, exactly as a blocking-submit harness would be.
-    pub fn run(mut self, svc: WorldCallService) -> GatewayReport {
+    /// `start()`/`drain()`, then completion delivery.
+    pub fn run(mut self, mut svc: WorldCallService) -> GatewayReport {
         self.staged
             .sort_by_key(|s| (s.arrival_cycles, s.tenant, s.token));
-        match self.config.mode {
-            GatewayMode::Off => self.run_passthrough(svc),
-            GatewayMode::Rings => self.run_rings(svc),
-        }
-    }
-
-    /// `Off` mode: hand the trace to the service untouched.
-    fn run_passthrough(self, mut svc: WorldCallService) -> GatewayReport {
-        let mut tallies: HashMap<u32, u64> = HashMap::new();
-        for sub in &self.staged {
-            svc.submit(sub.request).expect("service open until drain");
-            *tallies.entry(sub.tenant).or_insert(0) += 1;
-        }
-        svc.start();
-        let service = svc.drain();
-        let submitted = self.staged.len() as u64;
-        let mut tenants: Vec<TenantReport> = tallies
-            .into_iter()
-            .map(|(tenant, submitted)| TenantReport {
-                tenant,
-                submitted,
-                admitted: submitted,
-                shed_ring_full: 0,
-                shed_health: 0,
-                shed_busy: 0,
-                shed_denied: 0,
-                ring_high_water: 0,
-                completions: CompletionRing::new(),
-                e2e_p99_cycles: 0,
-            })
-            .collect();
-        tenants.sort_by_key(|t| t.tenant);
-        GatewayReport {
-            submitted,
-            admitted: submitted,
-            shed: 0,
-            shed_ring_full: 0,
-            shed_health: 0,
-            shed_busy: 0,
-            shed_denied: 0,
-            completions_delivered: 0,
-            completion_batches: 0,
-            tenants,
-            admitted_e2e_cycles: Vec::new(),
-            events: Vec::new(),
-            service,
-        }
-    }
-
-    /// Ring mode: the two-pass reactor described in the module docs.
-    fn run_rings(self, mut svc: WorldCallService) -> GatewayReport {
         let n = self.config.tenants.len();
         let workers = svc.config().workers.max(1);
         let mut rings: Vec<SubmissionRing> = self
@@ -457,7 +403,7 @@ impl Gateway {
                             Err(SubmitError::Busy(_)) => {
                                 shed(sub, ShedReason::Busy, t, &mut tallies, &mut events);
                                 busy_streak += 1;
-                                if busy_streak >= self.config.busy_shed_threshold {
+                                if busy_streak >= BUSY_SHED_THRESHOLD {
                                     busy_latched = true;
                                 }
                             }
@@ -569,7 +515,7 @@ impl Gateway {
             let tid = c.tenant as usize;
             delivered += 1;
             pending[tid].push(c);
-            if pending[tid].len() >= self.config.completion_batch {
+            if pending[tid].len() >= COMPLETION_BATCH {
                 flush(tid, &mut pending, &mut completion_rings, &mut events);
             }
         }

@@ -1,13 +1,8 @@
 //! Gateway properties.
 //!
-//! The gateway's contract has three legs, mirroring the other planes'
-//! parity suites:
+//! The gateway's contract has two legs:
 //!
-//! 1. **Off is invisible.** `GatewayMode::Off` (the default) hands the
-//!    staged trace to the service untouched — bit-for-bit identical
-//!    verdicts, meters and cache statistics to calling `submit`
-//!    yourself.
-//! 2. **Rings reorder, never rewrite.** For any seeded schedule the
+//! 1. **Rings reorder, never rewrite.** For any seeded schedule the
 //!    ring reactor yields the same per-tenant verdict multisets as
 //!    blocking submission — admission control may delay or reorder
 //!    calls, but what each call *is* (and therefore how it ends) is
@@ -15,7 +10,7 @@
 //!    admission order collapses to arrival order and the equality is
 //!    exact, outcome for outcome, including under an injected fault
 //!    plan.
-//! 3. **Overload sheds loudly.** Undersized rings shed with explicit
+//! 2. **Overload sheds loudly.** Undersized rings shed with explicit
 //!    reasons, `submitted == admitted + shed` at every level, and the
 //!    recorded trace replays through `obs::verify`'s gateway checks.
 //!
@@ -25,7 +20,7 @@ use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use runtime::{
     CallRequest, CallVerdict, DegradeLevel, ObsConfig, RuntimeConfig, ServiceReport,
-    SupervisorConfig, SwitchlessConfig, WorldCallService,
+    SwitchlessConfig, WorldCallService,
 };
 use xover_gateway::{
     gateway_trace_doc, Gateway, GatewayConfig, GatewayReport, TenantClass, TenantConfig,
@@ -48,7 +43,6 @@ fn build_service(
         queue_capacity: CALLS as usize + 16,
         batch_max: 32,
         switchless: SwitchlessConfig::fixed(8),
-        supervisor: SupervisorConfig::default(),
         obs,
         ..RuntimeConfig::default()
     });
@@ -176,46 +170,7 @@ fn generous() -> GatewayConfig {
     ])
 }
 
-/// Leg 1: `Off` is bit-for-bit blocking submission.
-#[test]
-fn gateway_off_is_cycle_exact_passthrough() {
-    let direct = run_direct(SEED, 97, None);
-    let off = run_gateway(
-        SEED,
-        97,
-        GatewayConfig::default(),
-        ObsConfig::default(),
-        None,
-    );
-    assert_eq!(
-        off.service.outcomes, direct.outcomes,
-        "outcome streams diverge"
-    );
-    assert_eq!(off.service.smp.total_cycles(), direct.smp.total_cycles());
-    assert_eq!(
-        off.service.smp.makespan_cycles(),
-        direct.smp.makespan_cycles()
-    );
-    assert_eq!(off.service.wt, direct.wt);
-    assert_eq!(off.service.iwt, direct.iwt);
-    assert_eq!(off.service.tlb, direct.tlb);
-    assert_eq!(off.service.queue_wait_cycles, direct.queue_wait_cycles);
-    assert_eq!(
-        off.service.switchless.world_calls,
-        direct.switchless.world_calls
-    );
-    assert_eq!(
-        off.service.switchless.world_returns,
-        direct.switchless.world_returns
-    );
-    assert_eq!(off.submitted, CALLS);
-    assert_eq!(off.admitted, CALLS);
-    assert_eq!(off.shed, 0);
-    assert!(off.events.is_empty(), "Off mode must record nothing");
-    off.check_conservation().expect("conservation");
-}
-
-/// Leg 2a: spaced arrivals + generous quotas collapse admission order
+/// Leg 1a: spaced arrivals + generous quotas collapse admission order
 /// to arrival order — the gateway is then *exactly* blocking
 /// submission, outcome for outcome, across seeds and under faults.
 #[test]
@@ -263,7 +218,7 @@ fn spaced_arrivals_match_direct_exactly_even_under_faults() {
     }
 }
 
-/// Leg 2b: with every arrival at t=0 the WRR scheduler genuinely
+/// Leg 1b: with every arrival at t=0 the WRR scheduler genuinely
 /// reorders admissions across tenants — verdict multisets per tenant
 /// must still match blocking submission, because admission control may
 /// move a call, never change it.
@@ -305,7 +260,7 @@ fn wrr_reordering_preserves_per_tenant_verdict_multisets() {
     }
 }
 
-/// Leg 3a: undersized rings shed at the door with explicit accounting,
+/// Leg 2a: undersized rings shed at the door with explicit accounting,
 /// and the recorded trace replays through `obs::verify`.
 #[test]
 fn overload_sheds_loudly_and_trace_verifies() {
@@ -345,7 +300,7 @@ fn overload_sheds_loudly_and_trace_verifies() {
     );
 }
 
-/// Leg 3b: a service already at the `Shedding` rung sheds at the
+/// Leg 2b: a service already at the `Shedding` rung sheds at the
 /// gateway — the pool never sees a single request, and every shed is
 /// accounted with the health reason.
 #[test]

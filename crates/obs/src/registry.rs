@@ -24,18 +24,8 @@ impl Registry {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Add to a counter (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
-    }
-
-    /// Mutable access to a named histogram (creating it empty).
-    pub fn histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
-        self.histograms.entry(name.to_string()).or_default()
     }
 
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
@@ -91,9 +81,12 @@ mod tests {
     fn counters_and_histograms_render() {
         let mut reg = Registry::new();
         reg.counter_set("xover_completed", 97);
-        reg.counter_add("xover_completed", 3);
-        reg.histogram_mut("xover_latency_cycles").record_n(10, 4);
-        reg.histogram_mut("xover_latency_cycles").record(1000);
+        // Absolute, not additive: the second set replaces the first.
+        reg.counter_set("xover_completed", 100);
+        let mut hist = LogHistogram::new();
+        hist.record_n(10, 4);
+        hist.record(1000);
+        reg.histogram_set("xover_latency_cycles", hist);
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE xover_completed counter"));
         assert!(text.contains("xover_completed 100"));

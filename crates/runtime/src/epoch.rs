@@ -361,11 +361,6 @@ impl EpochWorldTable {
         self.quota
     }
 
-    /// Reader pin slots (one per worker).
-    pub fn worker_slots(&self) -> usize {
-        self.pins.len()
-    }
-
     /// Buckets in the currently-published root array.
     pub fn bucket_count(&self) -> usize {
         unsafe { &*self.root.load(Ordering::SeqCst) }.buckets.len()

@@ -64,6 +64,10 @@
 //!   cycles, so [`AuthzConfig::off`] (the default) is bit-for-bit
 //!   cycle-exact with the unenforced runtime.
 //!
+//! [`RuntimeConfig`] documents which values are settable and why; the
+//! rest are constants in the modules that use them ([`supervisor`],
+//! [`watchdog`], [`switchless`]).
+//!
 //! The equivalence property test (`tests/equivalence.rs`) pins the
 //! crate's central claim: the epoch table driven sequentially is
 //! *indistinguishable* from the sequential table — same WIDs, same
@@ -92,18 +96,16 @@ pub use observe::{annotate_trace, metrics_registry, trace_doc};
 pub use ring::{PushError, Ring, RingSet};
 pub use router::{CallError, CallOutcome, CallRequest, CallVerdict, Provenance, MAX_HOPS};
 pub use service::{
-    DeadlinePolicy, RuntimeConfig, ServiceReport, SubmitError, TenantCounts, TenantLatency,
-    WorldCallService, WorldMemory,
+    RuntimeConfig, ServiceReport, SubmitError, TenantCounts, TenantLatency, WorldCallService,
+    WorldMemory,
 };
-pub use supervisor::{
-    DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport, SupervisorSummary,
-};
+pub use supervisor::{DegradeLevel, HealthState, Supervisor, SupervisorReport, SupervisorSummary};
 pub use switchless::{
     converged, Controller, EpochSnapshot, PairTraffic, SwitchlessConfig, SwitchlessMode,
     SwitchlessSummary, SwitchlessWorkerStats,
 };
 pub use watchdog::{
-    incident_events, incidents_to_json, Contributor, Incident, Objective, Watchdog, WatchdogConfig,
-    WatchdogMode, WatchdogSummary,
+    incident_events, incidents_to_json, Contributor, Incident, Objective, Watchdog, WatchdogMode,
+    WatchdogSummary,
 };
 pub use worker::WorkerReport;

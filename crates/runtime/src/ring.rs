@@ -244,7 +244,7 @@ impl<T: Send> RingSet<T> {
     }
 
     /// Whether [`RingSet::close`] has been called.
-    pub fn is_closed(&self) -> bool {
+    fn is_closed(&self) -> bool {
         self.closed.load(Ordering::SeqCst)
     }
 

@@ -21,7 +21,7 @@ use crossover::service::ServiceRegistry;
 use crossover::switchless::ChannelSegment;
 use crossover::table::DEFAULT_WORLD_QUOTA;
 use crossover::world::{Wid, WorldDescriptor};
-use crossover::wtc::{CacheGeometry, CacheStats};
+use crossover::wtc::CacheStats;
 use crossover::WorldError;
 use hypervisor::platform::Platform;
 use hypervisor::smp::{CoreId, SmpMachine};
@@ -38,31 +38,29 @@ use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
 use crate::epoch::{EpochWorldTable, TableHealth};
 use crate::ring::{PushError, RingSet};
 use crate::router::{CallOutcome, CallRequest, CallVerdict, Queued};
-use crate::supervisor::{DegradeLevel, HealthState, SupervisorConfig, SupervisorSummary};
-use crate::switchless::{Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary};
-use crate::watchdog::{Watchdog, WatchdogConfig, WatchdogSummary};
+use crate::supervisor::{DegradeLevel, HealthState, SupervisorSummary};
+use crate::switchless::{
+    Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary, SEGMENT_LANES,
+};
+use crate::watchdog::{Watchdog, WatchdogMode, WatchdogSummary};
 use crate::worker::{self, WorkerContext, WorkerReport};
 
-/// What a [`CallRequest`]'s cycle budget bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeadlinePolicy {
-    /// On-CPU service time only (the documented §3.4 semantics: the
-    /// timer arms when the callee starts running). A call's timeout
-    /// verdict is then independent of queue depth, which is what keeps
-    /// the bench's `timed_out` count constant across worker counts.
-    #[default]
-    OnCpu,
-    /// End-to-end: the budget also covers the request's virtual-time
-    /// queue wait, so deadlines bound what a tenant actually observes.
-    /// Opt-in, because a backlogged service then cancels work the
-    /// on-CPU policy would happily finish.
-    IncludeQueueWait,
-}
-
-/// Pool and table sizing, plus one configuration per optional plane
-/// (switchless, supervisor, obs, authz, watchdog). Every plane's
+/// Pool and table sizing, plus one switch per optional plane
+/// (switchless, respawn warming, obs, authz, watchdog). Every plane's
 /// default is its off or inert mode, so `RuntimeConfig::default()` is
-/// the classic per-call runtime.
+/// the classic per-call runtime. A value lives here only when callers
+/// outside the tests need it at two settings; everything else is a
+/// constant next to the code that uses it (the healing policy's in
+/// [`crate::supervisor`], the watchdog's in [`crate::watchdog`], the
+/// switchless budget rails in [`crate::switchless`]). Three settings
+/// do not meet that rule yet and await a decision (ROADMAP item 2):
+/// only tests set [`SwitchlessConfig::prefetch_register`],
+/// [`RuntimeConfig::prefetch_warm_on_respawn`] or the pool-wide
+/// [`AuthzConfig::rate`] to a second value. Worker
+/// WT/IWT caches take [`crossover::wtc::CacheGeometry::default`], and a
+/// call's budget bounds its on-CPU service time (the §3.4 timer arms
+/// when the callee starts running, so a timeout verdict never depends
+/// on queue depth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Worker threads (simulated vCPUs / SMP cores).
@@ -77,37 +75,37 @@ pub struct RuntimeConfig {
     /// Whether worker platforms use their unified TLBs (ablation: off
     /// models hardware whose world switch flushes translations).
     pub unified_tlb: bool,
-    /// Shape of each worker's private WT/IWT caches.
-    pub wtc_geometry: CacheGeometry,
     /// Switchless fast path (off by default: classic per-call behavior,
     /// bit for bit). [`SwitchlessConfig::prefetch_register`] also wires
     /// the §5.1 Current-World-ID register, in any mode.
     pub switchless: SwitchlessConfig,
-    /// What per-call cycle budgets bound (on-CPU time by default).
-    pub deadline_policy: DeadlinePolicy,
-    /// Healing-policy tuning (backoff, quarantine, respawn caps). Inert
-    /// until faults actually occur; the defaults are fine for clean runs.
-    pub supervisor: SupervisorConfig,
+    /// After a crash-respawn, pre-fill the fresh worker's WT/IWT caches
+    /// (`manage_wtc` fills, priced) from its recent call history instead
+    /// of letting the first post-respawn calls eat cold-cache miss
+    /// faults. Off by default: the fills charge virtual cycles. The
+    /// rest of the healing policy (backoff, quarantine, respawn caps)
+    /// is inert until faults actually occur.
+    pub prefetch_warm_on_respawn: bool,
     /// Observability plane: `Off` (the default) records nothing and is
     /// bit-for-bit identical to a build without obs wiring (pinned by
-    /// the obs parity tests); `Ring` attaches per-worker flight-recorder
+    /// the parity suite); `Ring` attaches per-worker flight-recorder
     /// rings whose events come back in [`ServiceReport::obs`].
     pub obs: ObsConfig,
     /// Callee-side authorization plane: `Off` (the default) builds no
     /// policy object at all — dispatch carries zero checks and the
     /// runtime is bit-for-bit identical to a build without authz wiring
-    /// (pinned by the authz parity suite). `Enforce` gates every
-    /// dispatched call on grants, revocation generation, chain
-    /// provenance and token-bucket rate limits.
+    /// (pinned by the parity suite). `Enforce` gates every dispatched
+    /// call on grants, revocation generation, chain provenance and
+    /// token-bucket rate limits.
     pub authz: AuthzConfig,
     /// Online SLO watchdog: `Off` (the default) builds no watchdog
     /// object at all and the runtime is bit-for-bit identical to a
-    /// build without the plane (pinned by the watchdog parity tests).
-    /// `On` learns per-objective baselines from the run's first clean
+    /// build without the plane (pinned by the parity suite). `On`
+    /// learns per-objective baselines from the run's first clean
     /// epochs and raises structured [`crate::watchdog::Incident`]s on
     /// multi-window burn-rate breaches — all host-side, at batch
     /// boundaries, charging zero virtual cycles.
-    pub watchdog: WatchdogConfig,
+    pub watchdog: WatchdogMode,
 }
 
 impl Default for RuntimeConfig {
@@ -118,13 +116,11 @@ impl Default for RuntimeConfig {
             queue_capacity: 1024,
             batch_max: 16,
             unified_tlb: true,
-            wtc_geometry: CacheGeometry::default(),
             switchless: SwitchlessConfig::default(),
-            deadline_policy: DeadlinePolicy::default(),
-            supervisor: SupervisorConfig::default(),
+            prefetch_warm_on_respawn: false,
             obs: ObsConfig::default(),
             authz: AuthzConfig::default(),
-            watchdog: WatchdogConfig::default(),
+            watchdog: WatchdogMode::default(),
         }
     }
 }
@@ -401,15 +397,13 @@ impl WorldCallService {
                 .enabled()
                 .then(|| Arc::new(Controller::new(config.switchless))),
             faults: None,
-            health: Arc::new(HealthState::new(config.supervisor.recover_after_cycles)),
+            health: Arc::new(HealthState::new()),
             authz: config
                 .authz
                 .enabled()
                 .then(|| Arc::new(AuthzPolicy::new(config.authz))),
-            watchdog: config
-                .watchdog
-                .enabled()
-                .then(|| Arc::new(Watchdog::new(config.watchdog, Arc::clone(&clocks)))),
+            watchdog: (config.watchdog == WatchdogMode::On)
+                .then(|| Arc::new(Watchdog::new(Arc::clone(&clocks)))),
             clocks,
             handles: Vec::new(),
             rejected_busy: AtomicU64::new(0),
@@ -473,20 +467,14 @@ impl WorldCallService {
     }
 
     /// Operational drill: forces the degradation ladder to `level` and
-    /// pins it there (automatic recovery is suspended) until
-    /// [`WorldCallService::end_degrade_drill`]. Forcing `ClassicOnly`
-    /// mid-run rehearses a switchless-plane outage — every subsequent
-    /// call pays per-call transition pairs, which is exactly the
-    /// regression the watchdog's latency objectives plus the causal
-    /// analyzer's `transition` component must attribute.
+    /// pins it there for the rest of the run (automatic recovery is
+    /// suspended). Forcing `ClassicOnly` mid-run rehearses a
+    /// switchless-plane outage — every subsequent call pays per-call
+    /// transition pairs, which is exactly the regression the watchdog's
+    /// latency objectives plus the causal analyzer's `transition`
+    /// component must attribute.
     pub fn force_degrade(&self, level: DegradeLevel) {
         self.health.pin_level(level, self.stamp());
-    }
-
-    /// Ends a [`WorldCallService::force_degrade`] drill: the ladder
-    /// resumes normal quiet-window recovery from the pinned rung.
-    pub fn end_degrade_drill(&self) {
-        self.health.unpin(self.stamp());
     }
 
     /// Records a shed decided *outside* the service (the gateway's
@@ -631,7 +619,7 @@ impl WorldCallService {
     }
 
     /// Attaches a switchless channel segment to the registered callee
-    /// world `wid`: allocates [`SwitchlessConfig::segment_lanes`] backed
+    /// world `wid`: allocates `SEGMENT_LANES` (8) backed
     /// guest pages in `vm`, maps them rw in a page table rooted at the
     /// world's PTP, and records the [`ChannelSegment`]. Workers then
     /// service same-(caller, callee) batches into `wid` through the
@@ -664,16 +652,16 @@ impl WorldCallService {
             .table
             .lookup(wid)
             .expect("attach_channel requires a registered world");
-        let lanes = self.config.switchless.segment_lanes.max(1);
-        let gpa_base = self.template.alloc_guest_pages(vm, lanes)?;
+        let gpa_base = self.template.alloc_guest_pages(vm, SEGMENT_LANES)?;
         // Disjoint from the 0x10_... working-set range, per-world offset
         // for the same reason.
         let base = Gva(0x20_0000_0000 + wid.raw() * 0x1000_0000);
         let mut pt = PageTable::new(entry.context.ptp);
-        for i in 0..lanes {
+        for i in 0..SEGMENT_LANES {
             pt.map(base + i * PAGE_SIZE, gpa_base + i * PAGE_SIZE, Perms::rw())?;
         }
-        unshared(&mut self.segments).insert(wid.raw(), ChannelSegment::new(pt, base, lanes));
+        unshared(&mut self.segments)
+            .insert(wid.raw(), ChannelSegment::new(pt, base, SEGMENT_LANES));
         Ok(())
     }
 
@@ -721,13 +709,11 @@ impl WorldCallService {
                 batch_max: self.config.batch_max,
                 clocks: Arc::clone(&self.clocks),
                 memory: Arc::clone(&self.memory),
-                wtc_geometry: self.config.wtc_geometry,
                 switchless: self.config.switchless,
                 controller: self.controller.clone(),
                 segments: Arc::clone(&self.segments),
-                deadline_policy: self.config.deadline_policy,
                 faults: self.faults.clone(),
-                supervisor: self.config.supervisor,
+                prefetch_warm_on_respawn: self.config.prefetch_warm_on_respawn,
                 health: Arc::clone(&self.health),
                 obs: self.config.obs,
                 authz: self.authz.clone(),
@@ -740,11 +726,6 @@ impl WorldCallService {
                     .expect("spawn worker thread"),
             );
         }
-    }
-
-    /// Whether the pool is running.
-    pub fn is_started(&self) -> bool {
-        !self.handles.is_empty()
     }
 
     /// The submission stamp: the minimum live worker clock, i.e. the
@@ -1486,35 +1467,6 @@ mod tests {
             !report.switchless.epochs.is_empty(),
             "the controller ticked at least once"
         );
-    }
-
-    #[test]
-    fn deadline_policy_include_queue_wait_bounds_end_to_end() {
-        // Work of 2k cycles against a 20k budget: never times out
-        // on-CPU. A 64-deep single-worker backlog means tail requests
-        // wait far beyond 20k, so the end-to-end policy cancels them.
-        let run = |policy: DeadlinePolicy| {
-            let (mut svc, caller, callee) = two_world_service_with(RuntimeConfig {
-                workers: 1,
-                deadline_policy: policy,
-                ..RuntimeConfig::default()
-            });
-            for _ in 0..64 {
-                svc.submit(CallRequest::new(caller, callee, 2_000, 200).with_budget(20_000))
-                    .unwrap();
-            }
-            svc.start();
-            svc.drain()
-        };
-        let on_cpu = run(DeadlinePolicy::OnCpu);
-        assert_eq!(on_cpu.timed_out, 0, "on-CPU budget is never exceeded");
-        assert_eq!(on_cpu.completed, 64);
-        let end_to_end = run(DeadlinePolicy::IncludeQueueWait);
-        assert!(
-            end_to_end.timed_out > 0,
-            "queue wait now counts against the budget"
-        );
-        assert_eq!(end_to_end.timed_out + end_to_end.completed, 64);
     }
 
     #[test]

@@ -34,56 +34,28 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use machine::rng::SplitMix64;
 
-/// Tuning for the healing policies. `Copy`, so it rides directly in the
-/// runtime config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// First retry backoff (cycles); doubles per attempt.
-    pub backoff_base_cycles: u64,
-    /// Ceiling on a single backoff (cycles), before jitter.
-    pub backoff_cap_cycles: u64,
-    /// Lookup retries before a racing world is dead-lettered.
-    pub lookup_retries: u32,
-    /// First quarantine window after a channel strike (cycles); doubles
-    /// per strike.
-    pub quarantine_base_cycles: u64,
-    /// Ceiling on a quarantine window (cycles), before jitter.
-    pub quarantine_cap_cycles: u64,
-    /// Channel strikes on one worker before the pool degrades to
-    /// classic-only.
-    pub corruption_escalation_strikes: u32,
-    /// Worker respawns before a crash loop dead-letters its batch and
-    /// the pool degrades to shedding.
-    pub respawn_cap: u32,
-    /// Quiet cycles before the degradation ladder steps back up a level.
-    pub recover_after_cycles: u64,
-    /// Seed for the deterministic backoff jitter (mixed with the worker
-    /// index so workers don't thunder in lockstep).
-    pub jitter_seed: u64,
-    /// After a crash-respawn, pre-fill the fresh worker's WT/IWT caches
-    /// (`manage_wtc` fills, priced) from its recent call history instead
-    /// of letting the first post-respawn calls eat cold-cache miss
-    /// faults. Off by default: the fills charge virtual cycles, and the
-    /// fault-plane parity suite pins default behavior bit for bit.
-    pub prefetch_warm_on_respawn: bool,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            backoff_base_cycles: 500,
-            backoff_cap_cycles: 16_000,
-            lookup_retries: 4,
-            quarantine_base_cycles: 50_000,
-            quarantine_cap_cycles: 800_000,
-            corruption_escalation_strikes: 4,
-            respawn_cap: 8,
-            recover_after_cycles: 2_000_000,
-            jitter_seed: 0x5AFE_C0DE_5AFE_C0DE,
-            prefetch_warm_on_respawn: false,
-        }
-    }
-}
+/// First retry backoff (cycles); doubles per attempt.
+pub(crate) const BACKOFF_BASE_CYCLES: u64 = 500;
+/// Ceiling on a single backoff (cycles), before jitter.
+pub(crate) const BACKOFF_CAP_CYCLES: u64 = 16_000;
+/// Lookup retries before a racing world is dead-lettered.
+pub(crate) const LOOKUP_RETRIES: u32 = 4;
+/// First quarantine window after a channel strike (cycles); doubles per
+/// strike.
+pub(crate) const QUARANTINE_BASE_CYCLES: u64 = 50_000;
+/// Ceiling on a quarantine window (cycles), before jitter.
+pub(crate) const QUARANTINE_CAP_CYCLES: u64 = 800_000;
+/// Channel strikes on one worker before the pool degrades to
+/// classic-only.
+pub(crate) const CORRUPTION_ESCALATION_STRIKES: u32 = 4;
+/// Worker respawns before a crash loop dead-letters its batch and the
+/// pool degrades to shedding.
+pub(crate) const RESPAWN_CAP: u32 = 8;
+/// Quiet cycles before the degradation ladder steps back up a level.
+pub(crate) const RECOVER_AFTER_CYCLES: u64 = 2_000_000;
+/// Seed for the deterministic backoff jitter (mixed with the worker
+/// index so workers don't thunder in lockstep).
+const JITTER_SEED: u64 = 0x5AFE_C0DE_5AFE_C0DE;
 
 /// Rung on the pool-wide degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,22 +88,27 @@ pub struct HealthState {
     degraded_at: AtomicU64,
     escalations: AtomicU64,
     sheds: AtomicU64,
-    recover_after_cycles: u64,
     /// Set by [`HealthState::pin_level`] (operational drills): while
     /// pinned, [`HealthState::maybe_recover`] is a no-op so the forced
-    /// rung holds until the drill ends.
+    /// rung holds for the rest of the run.
     pinned: AtomicBool,
 }
 
+impl Default for HealthState {
+    fn default() -> HealthState {
+        HealthState::new()
+    }
+}
+
 impl HealthState {
-    /// Healthy state with the given cool-down window.
-    pub fn new(recover_after_cycles: u64) -> HealthState {
+    /// Healthy state; each rung cools down after `RECOVER_AFTER_CYCLES`
+    /// (2M) quiet cycles.
+    pub fn new() -> HealthState {
         HealthState {
             level: AtomicU8::new(0),
             degraded_at: AtomicU64::new(0),
             escalations: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
-            recover_after_cycles,
             pinned: AtomicBool::new(false),
         }
     }
@@ -171,22 +148,14 @@ impl HealthState {
         }
     }
 
-    /// Forces the ladder to at least `to` and *pins* it there:
-    /// [`HealthState::maybe_recover`] becomes a no-op until
-    /// [`HealthState::unpin`]. This is the operational-drill hook —
-    /// e.g. forcing `ClassicOnly` mid-run to rehearse a
-    /// switchless-plane outage — so the drill's rung cannot quietly
-    /// heal away under it.
+    /// Forces the ladder to at least `to` and *pins* it there for the
+    /// rest of the run: [`HealthState::maybe_recover`] becomes a no-op.
+    /// This is the operational-drill hook — e.g. forcing `ClassicOnly`
+    /// mid-run to rehearse a switchless-plane outage — so the drill's
+    /// rung cannot quietly heal away under it.
     pub fn pin_level(&self, to: DegradeLevel, now: u64) {
         self.escalate(to, now);
         self.pinned.store(true, Ordering::Relaxed);
-    }
-
-    /// Ends a drill: recovery resumes from the current rung.
-    pub fn unpin(&self, now: u64) {
-        self.pinned.store(false, Ordering::Relaxed);
-        // The freed rung must still earn its quiet window.
-        self.degraded_at.store(now, Ordering::Relaxed);
     }
 
     /// Steps the ladder down one rung if a full quiet window has passed
@@ -198,7 +167,7 @@ impl HealthState {
             return;
         }
         let since = self.degraded_at.load(Ordering::Relaxed);
-        if now >= since.saturating_add(self.recover_after_cycles)
+        if now >= since.saturating_add(RECOVER_AFTER_CYCLES)
             && self
                 .level
                 .compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed)
@@ -267,7 +236,7 @@ pub struct SupervisorReport {
     /// bench reports).
     pub recovery_samples: Vec<u64>,
     /// WT/IWT entries pre-filled after crash-respawns (nonzero only with
-    /// [`SupervisorConfig::prefetch_warm_on_respawn`]).
+    /// [`crate::RuntimeConfig::prefetch_warm_on_respawn`]).
     pub warm_fills: u64,
     /// On-CPU latency (cycles) of the first call each respawned worker
     /// serviced — the before/after comparison for respawn warming: with
@@ -349,7 +318,6 @@ pub struct SupervisorSummary {
 /// respawn bookkeeping, plus the counters for the merged report.
 #[derive(Debug)]
 pub struct Supervisor {
-    config: SupervisorConfig,
     rng: SplitMix64,
     channels: HashMap<u64, ChannelHealth>,
     fault_pending_since: Option<u64>,
@@ -360,23 +328,15 @@ pub struct Supervisor {
 impl Supervisor {
     /// A supervisor for worker `index` (the index diversifies the jitter
     /// stream so workers don't retry in lockstep).
-    pub fn new(config: SupervisorConfig, index: usize) -> Supervisor {
+    pub fn new(index: usize) -> Supervisor {
         Supervisor {
-            config,
             rng: SplitMix64::new(
-                config
-                    .jitter_seed
-                    .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                JITTER_SEED.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ),
             channels: HashMap::new(),
             fault_pending_since: None,
             report: SupervisorReport::default(),
         }
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
     }
 
     fn jitter(&mut self, span: u64) -> u64 {
@@ -391,10 +351,8 @@ impl Supervisor {
     /// plus deterministic jitter, in virtual cycles. The caller charges
     /// this to its meter.
     pub fn backoff_cycles(&mut self, attempt: u32) -> u64 {
-        let base = self.config.backoff_base_cycles.max(1);
-        let raw = base.saturating_mul(1u64 << attempt.min(16));
-        let capped = raw.min(self.config.backoff_cap_cycles.max(base));
-        capped + self.jitter(base / 4 + 1)
+        let raw = BACKOFF_BASE_CYCLES.saturating_mul(1u64 << attempt.min(16));
+        raw.min(BACKOFF_CAP_CYCLES) + self.jitter(BACKOFF_BASE_CYCLES / 4 + 1)
     }
 
     /// Marks the start of a fault episode (no-op if one is already
@@ -424,14 +382,12 @@ impl Supervisor {
     }
 
     fn strike_channel(&mut self, callee: u64, now: u64) {
-        let base = self.config.quarantine_base_cycles.max(1);
-        let cap = self.config.quarantine_cap_cycles.max(base);
-        let jitter = self.jitter(base / 8 + 1);
+        let jitter = self.jitter(QUARANTINE_BASE_CYCLES / 8 + 1);
         let h = self.channels.entry(callee).or_default();
         h.strikes += 1;
-        let window = base
+        let window = QUARANTINE_BASE_CYCLES
             .saturating_mul(1u64 << (h.strikes - 1).min(16))
-            .min(cap);
+            .min(QUARANTINE_CAP_CYCLES);
         h.quarantined_until = now.saturating_add(window).saturating_add(jitter);
         self.report.quarantines += 1;
         self.note_fault(now);
@@ -479,29 +435,21 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let cfg = SupervisorConfig {
-            jitter_seed: 1,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::new(cfg, 0);
-        let jitter_span = cfg.backoff_base_cycles / 4 + 1;
+        let mut sup = Supervisor::new(0);
+        let jitter_span = BACKOFF_BASE_CYCLES / 4 + 1;
         let b0 = sup.backoff_cycles(0);
         let b3 = sup.backoff_cycles(3);
         let b20 = sup.backoff_cycles(20);
-        assert!(b0 >= cfg.backoff_base_cycles && b0 < cfg.backoff_base_cycles + jitter_span);
-        assert!(b3 >= cfg.backoff_base_cycles * 8);
-        assert!(
-            b20 <= cfg.backoff_cap_cycles + jitter_span,
-            "cap holds: {b20}"
-        );
+        assert!(b0 >= BACKOFF_BASE_CYCLES && b0 < BACKOFF_BASE_CYCLES + jitter_span);
+        assert!(b3 >= BACKOFF_BASE_CYCLES * 8);
+        assert!(b20 <= BACKOFF_CAP_CYCLES + jitter_span, "cap holds: {b20}");
     }
 
     #[test]
     fn backoff_is_deterministic_per_worker_and_diverse_across_workers() {
-        let cfg = SupervisorConfig::default();
-        let mut a1 = Supervisor::new(cfg, 3);
-        let mut a2 = Supervisor::new(cfg, 3);
-        let mut b = Supervisor::new(cfg, 4);
+        let mut a1 = Supervisor::new(3);
+        let mut a2 = Supervisor::new(3);
+        let mut b = Supervisor::new(4);
         let seq1: Vec<u64> = (0..8).map(|i| a1.backoff_cycles(i)).collect();
         let seq2: Vec<u64> = (0..8).map(|i| a2.backoff_cycles(i)).collect();
         let seqb: Vec<u64> = (0..8).map(|i| b.backoff_cycles(i)).collect();
@@ -511,7 +459,7 @@ mod tests {
 
     #[test]
     fn quarantine_windows_double_and_reopen() {
-        let mut sup = Supervisor::new(SupervisorConfig::default(), 0);
+        let mut sup = Supervisor::new(0);
         assert!(sup.channel_usable(7, 0));
         sup.record_corruption(7, 1_000);
         assert!(!sup.channel_usable(7, 1_000));
@@ -519,7 +467,7 @@ mod tests {
         // Far enough in the future the window has passed: re-opened.
         assert!(sup.channel_usable(7, u64::MAX));
         // A second strike quarantines for (at least) twice as long.
-        let base = sup.config().quarantine_base_cycles;
+        let base = QUARANTINE_BASE_CYCLES;
         sup.record_corruption(7, 0);
         let until_two = sup.channels[&7].quarantined_until;
         assert!(
@@ -534,7 +482,7 @@ mod tests {
 
     #[test]
     fn recovery_samples_span_fault_to_next_completion() {
-        let mut sup = Supervisor::new(SupervisorConfig::default(), 0);
+        let mut sup = Supervisor::new(0);
         sup.note_healthy(50); // no open episode: no sample
         assert!(sup.report.recovery_samples.is_empty());
         sup.note_fault(100);
@@ -548,7 +496,8 @@ mod tests {
 
     #[test]
     fn health_ladder_escalates_and_cools_down() {
-        let h = HealthState::new(1_000);
+        const R: u64 = RECOVER_AFTER_CYCLES;
+        let h = HealthState::new();
         assert_eq!(h.level(), DegradeLevel::Normal);
         assert!(!h.classic_only() && !h.is_shedding());
         h.escalate(DegradeLevel::ClassicOnly, 10);
@@ -559,17 +508,17 @@ mod tests {
         assert!(h.is_shedding());
         assert_eq!(h.escalations(), 2);
         // Not yet quiet long enough.
-        h.maybe_recover(500);
+        h.maybe_recover(R / 2);
         assert!(h.is_shedding());
         // One quiet window: down one rung (to classic-only)...
-        h.maybe_recover(1_100);
+        h.maybe_recover(30 + R);
         assert_eq!(h.level(), DegradeLevel::ClassicOnly);
         // ...and the next rung needs its own quiet window.
-        h.maybe_recover(1_200);
+        h.maybe_recover(130 + R);
         assert_eq!(h.level(), DegradeLevel::ClassicOnly);
-        h.maybe_recover(2_200);
+        h.maybe_recover(30 + 2 * R);
         assert_eq!(h.level(), DegradeLevel::Normal);
-        h.maybe_recover(9_999);
+        h.maybe_recover(10 * R);
         assert_eq!(h.level(), DegradeLevel::Normal);
     }
 

@@ -52,8 +52,24 @@ pub enum SwitchlessMode {
     Adaptive,
 }
 
+/// Budget floor. At the floor a residency of one call is never opened
+/// — the classic path is used — so the floor doubles as the
+/// fall-back-to-classic threshold.
+pub(crate) const MIN_BUDGET: usize = 1;
+
+/// Budget ceiling (bounds worst-case residency, i.e. how long a caller
+/// can wait behind a busy dispatcher).
+pub(crate) const MAX_BUDGET: usize = 64;
+
+/// Cycles a resident dispatcher spins on a dry ring before blocking
+/// (returning to the caller world) — the spin-then-block knee.
+pub(crate) const SPIN_CYCLES: u64 = 200;
+
+/// Lanes (pages) per callee channel segment; callers hash onto lanes.
+pub(crate) const SEGMENT_LANES: u64 = 8;
+
 /// Switchless layer configuration. All fields have working defaults;
-/// under [`SwitchlessMode::Adaptive`] the budgets are merely the
+/// under [`SwitchlessMode::Adaptive`] the budget is merely the
 /// controller's starting point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchlessConfig {
@@ -61,24 +77,11 @@ pub struct SwitchlessConfig {
     pub mode: SwitchlessMode,
     /// Initial (and, under `Fixed`, permanent) resident-dispatcher
     /// budget: the number of coalesced calls one transition pair may
-    /// amortize.
+    /// amortize. Clamped into `MIN_BUDGET..=MAX_BUDGET` (1..=64).
     pub batch_budget: usize,
-    /// Budget floor. At the floor a residency of one call is never
-    /// opened — the classic path is used — so the floor doubles as the
-    /// fall-back-to-classic threshold.
-    pub min_budget: usize,
-    /// Budget ceiling (bounds worst-case residency, i.e. how long a
-    /// caller can wait behind a busy dispatcher).
-    pub max_budget: usize,
     /// Virtual-time epoch length (cycles) between controller
     /// adjustments.
     pub epoch_cycles: u64,
-    /// Cycles a resident dispatcher spins on a dry ring before blocking
-    /// (returning to the caller world) — the spin-then-block knee.
-    pub spin_cycles: u64,
-    /// Lanes (pages) per callee channel segment; callers hash onto
-    /// lanes.
-    pub segment_lanes: u64,
     /// Opt-in wiring of the §5.1 Current-World-ID prefetch register in
     /// each worker's call unit. Off by default: the speculative walk
     /// costs [`crossover::prefetch::SPECULATIVE_WALK_CYCLES`] per
@@ -92,11 +95,7 @@ impl Default for SwitchlessConfig {
         SwitchlessConfig {
             mode: SwitchlessMode::default(),
             batch_budget: 16,
-            min_budget: 1,
-            max_budget: 64,
             epoch_cycles: 250_000,
-            spin_cycles: 200,
-            segment_lanes: 8,
             prefetch_register: false,
         }
     }
@@ -210,11 +209,9 @@ pub struct Controller {
 
 impl Controller {
     /// A controller with every lane's budget seeded at
-    /// `config.batch_budget` (clamped into `[min_budget, max_budget]`).
+    /// `config.batch_budget` (clamped into `[MIN_BUDGET, MAX_BUDGET]`).
     pub fn new(config: SwitchlessConfig) -> Controller {
-        let seed = config
-            .batch_budget
-            .clamp(config.min_budget.max(1), config.max_budget.max(1));
+        let seed = config.batch_budget.clamp(MIN_BUDGET, MAX_BUDGET);
         Controller {
             config,
             lanes: (0..CONTROLLER_LANES)
@@ -354,10 +351,8 @@ impl Controller {
                 let need = lane.confirm_need.load(Ordering::Relaxed);
                 let new = if dir != Direction::Hold && run >= need {
                     let applied = match dir {
-                        Direction::Grow => {
-                            (old.saturating_mul(2)).min(self.config.max_budget.max(1))
-                        }
-                        Direction::Shrink => (old / 2).max(self.config.min_budget.max(1)),
+                        Direction::Grow => old.saturating_mul(2).min(MAX_BUDGET),
+                        Direction::Shrink => (old / 2).max(MIN_BUDGET),
                         Direction::Hold => old,
                     };
                     let last = lane.last_move.swap(dir as usize, Ordering::Relaxed);
@@ -504,7 +499,6 @@ mod tests {
     fn saturation_grows_and_dryness_shrinks_the_budget() {
         let ctl = Controller::new(SwitchlessConfig {
             batch_budget: 8,
-            max_budget: 32,
             epoch_cycles: 1_000,
             ..SwitchlessConfig::adaptive()
         });
@@ -538,7 +532,7 @@ mod tests {
             }
             let _ = ctl.tick(epoch * 1_000);
         }
-        assert_eq!(ctl.budget_for(hot), 32);
+        assert_eq!(ctl.budget_for(hot), MAX_BUDGET);
         assert_eq!(ctl.budget_for(cold), 2);
         // Stable at the rails → the history tail is converged.
         assert!(converged(&ctl.history(), 3));

@@ -12,17 +12,16 @@
 //!    path a worker takes, so a watchdog-on run is cycle-exact with a
 //!    watchdog-off run (pinned by the parity tests and the `slo` bench).
 //! 2. **Virtual-time windows.** Samples are stamped with worker virtual
-//!    clocks and bucketed into fixed-width *epochs* of
-//!    [`WatchdogConfig::epoch_cycles`]. An epoch is evaluated exactly
-//!    once, and only when it can no longer receive samples: every live
+//!    clocks and bucketed into fixed-width *epochs* of [`EPOCH_CYCLES`]
+//!    (100 000 cycles). An epoch is evaluated exactly once, and only
+//!    when it can no longer receive samples: every live
 //!    worker's published clock has passed the epoch's end (workers park
 //!    their clock at `u64::MAX` on exit, so drained pools settle every
 //!    epoch). That makes evaluation order deterministic in virtual time
 //!    even though the host threads race.
 //! 3. **No static thresholds.** Like the switchless controller, the
-//!    watchdog learns its baselines from the first
-//!    [`WatchdogConfig::baseline_epochs`] evaluated epochs of the run
-//!    itself; objectives fire on *burn rate* — observed value over
+//!    watchdog learns its baselines from the first `BASELINE_EPOCHS` (4)
+//!    evaluated epochs of the run itself; objectives fire on *burn rate* — observed value over
 //!    learned baseline — not on absolute numbers. The only fixed
 //!    quantities are resolution floors (a baseline below the floor is
 //!    clamped up to it) so a clean run's zero-valued baselines cannot
@@ -30,10 +29,10 @@
 //!
 //! Detection uses the classic multi-window rule: an objective breaches
 //! when the *short* window (the epoch under evaluation) burns at ≥
-//! [`WatchdogConfig::hi_burn_x100`] **and** the *long* window (the last
-//! [`WatchdogConfig::long_epochs`] epochs averaged) burns at ≥
-//! [`WatchdogConfig::lo_burn_x100`]. The short window gives bounded
-//! detection latency; the long window suppresses one-epoch noise.
+//! `HI_BURN_X100` (3× baseline) **and** the *long* window (the last
+//! `LONG_EPOCHS` = 3 epochs averaged) burns at ≥ `LO_BURN_X100` (1.5×).
+//! The short window gives bounded detection latency; the long window
+//! suppresses one-epoch noise.
 //!
 //! Incidents are two-phase. Detection (at a worker batch boundary)
 //! records the skeleton — objective, epoch window, burn rates, observed
@@ -67,65 +66,26 @@ pub enum WatchdogMode {
     On,
 }
 
-/// Watchdog tuning. `Default` is `Off`; [`WatchdogConfig::on`] gives the
-/// standard armed configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Armed or structurally inert.
-    pub mode: WatchdogMode,
-    /// Width of one evaluation epoch in virtual cycles.
-    pub epoch_cycles: u64,
-    /// Evaluated epochs used to learn baselines before judging begins.
-    pub baseline_epochs: u64,
-    /// Long-window length in epochs (the short window is one epoch).
-    pub long_epochs: u64,
-    /// Short-window burn-rate trigger, ×100 (300 = 3× baseline).
-    pub hi_burn_x100: u64,
-    /// Long-window burn-rate trigger, ×100 (150 = 1.5× baseline).
-    pub lo_burn_x100: u64,
-    /// Minimum latency samples in an epoch before its p99 is judged
-    /// (thin epochs are skipped, not extrapolated).
-    pub min_samples: u64,
-    /// Resolution floor for learned shed-rate baselines, in basis
-    /// points of decided submissions (100 = 1%).
-    pub shed_floor_bp: u64,
-    /// Resolution floor for learned per-epoch dead-letter baselines.
-    pub dead_letter_floor: u64,
-    /// Maximum flight-recorder events frozen into one incident.
-    pub snapshot_events: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            mode: WatchdogMode::Off,
-            epoch_cycles: 200_000,
-            baseline_epochs: 4,
-            long_epochs: 3,
-            hi_burn_x100: 300,
-            lo_burn_x100: 150,
-            min_samples: 8,
-            shed_floor_bp: 500,
-            dead_letter_floor: 2,
-            snapshot_events: 64,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// The standard armed configuration.
-    pub fn on() -> WatchdogConfig {
-        WatchdogConfig {
-            mode: WatchdogMode::On,
-            ..WatchdogConfig::default()
-        }
-    }
-
-    /// Whether the plane is armed.
-    pub fn enabled(&self) -> bool {
-        self.mode == WatchdogMode::On
-    }
-}
+/// Width of one evaluation epoch in virtual cycles.
+pub const EPOCH_CYCLES: u64 = 100_000;
+/// Evaluated epochs used to learn baselines before judging begins.
+pub(crate) const BASELINE_EPOCHS: u64 = 4;
+/// Long-window length in epochs (the short window is one epoch).
+pub(crate) const LONG_EPOCHS: u64 = 3;
+/// Short-window burn-rate trigger, ×100 (300 = 3× baseline).
+pub(crate) const HI_BURN_X100: u64 = 300;
+/// Long-window burn-rate trigger, ×100 (150 = 1.5× baseline).
+pub(crate) const LO_BURN_X100: u64 = 150;
+/// Minimum latency samples in an epoch before its p99 is judged (thin
+/// epochs are skipped, not extrapolated).
+pub(crate) const MIN_SAMPLES: u64 = 8;
+/// Resolution floor for learned shed-rate baselines, in basis points of
+/// decided submissions (100 = 1%).
+pub(crate) const SHED_FLOOR_BP: u64 = 500;
+/// Resolution floor for learned per-epoch dead-letter baselines.
+pub(crate) const DEAD_LETTER_FLOOR: u64 = 2;
+/// Maximum flight-recorder events frozen into one incident.
+pub(crate) const SNAPSHOT_EVENTS: usize = 64;
 
 /// One service-level objective the watchdog evaluates per epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +151,7 @@ pub struct Contributor {
 pub struct Incident {
     /// The burning objective.
     pub objective: Objective,
-    /// The breached epoch's index (`window_start / epoch_cycles`).
+    /// The breached epoch's index (`window_start / EPOCH_CYCLES`).
     pub epoch: u64,
     /// Breached window start, virtual cycles (inclusive).
     pub window_start: u64,
@@ -217,7 +177,7 @@ pub struct Incident {
     /// [`Watchdog::finalize`], or when the run was not recorded).
     pub contributors: Vec<Contributor>,
     /// Frozen flight-recorder events around the breach (bounded by
-    /// [`WatchdogConfig::snapshot_events`]; empty without a recording).
+    /// `SNAPSHOT_EVENTS`; empty without a recording).
     pub snapshot: Vec<Event>,
 }
 
@@ -298,7 +258,6 @@ struct State {
 /// from host-side bookkeeping paths.
 #[derive(Debug)]
 pub struct Watchdog {
-    config: WatchdogConfig,
     /// The pool's published per-worker virtual clocks (the same vector
     /// submissions are stamped from). The minimum live clock bounds
     /// which epochs can still receive samples.
@@ -308,17 +267,11 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// A watchdog over the given worker clocks.
-    pub fn new(config: WatchdogConfig, clocks: Arc<Vec<AtomicU64>>) -> Watchdog {
+    pub fn new(clocks: Arc<Vec<AtomicU64>>) -> Watchdog {
         Watchdog {
-            config,
             clocks,
             state: Mutex::new(State::default()),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -329,7 +282,7 @@ impl Watchdog {
     /// already-evaluated epochs (counted as late) so evaluation never
     /// misses a sample.
     fn epoch_of(&self, state: &mut State, at: u64) -> u64 {
-        let e = at / self.config.epoch_cycles;
+        let e = at / EPOCH_CYCLES;
         if e < state.next_eval {
             state.late_samples += 1;
             state.next_eval
@@ -399,11 +352,7 @@ impl Watchdog {
             .map(|c| c.load(Ordering::Acquire))
             .min()
             .unwrap_or(u64::MAX);
-        self.evaluate_through(
-            min_clock / self.config.epoch_cycles,
-            degrade_level,
-            min_clock,
-        );
+        self.evaluate_through(min_clock / EPOCH_CYCLES, degrade_level, min_clock);
     }
 
     fn evaluate_through(&self, settled: u64, degrade_level: u8, now: u64) {
@@ -412,8 +361,8 @@ impl Watchdog {
             let epoch = state.next_eval;
             let agg = state.open.remove(&epoch).unwrap_or_default();
             let summary = summarize(agg);
-            if state.baseline.epochs_learned < self.config.baseline_epochs {
-                learn(&mut state.baseline, &summary, self.config.min_samples);
+            if state.baseline.epochs_learned < BASELINE_EPOCHS {
+                learn(&mut state.baseline, &summary);
             } else {
                 self.judge(&mut state, epoch, &summary, degrade_level, now);
             }
@@ -421,7 +370,7 @@ impl Watchdog {
             // retained history, so the history holds one epoch fewer
             // than the window length.
             state.history.push_back((epoch, summary));
-            while state.history.len() >= self.config.long_epochs.max(1) as usize {
+            while state.history.len() >= LONG_EPOCHS as usize {
                 state.history.pop_front();
             }
             state.next_eval = epoch + 1;
@@ -438,17 +387,16 @@ impl Watchdog {
         degrade_level: u8,
         now: u64,
     ) {
-        let cfg = &self.config;
         let mut raise = |objective: Objective, observed: u64, long_avg: u64, baseline: u64| {
             let baseline = baseline.max(1);
             let burn_short = observed.saturating_mul(100) / baseline;
             let burn_long = long_avg.saturating_mul(100) / baseline;
-            if burn_short >= cfg.hi_burn_x100 && burn_long >= cfg.lo_burn_x100 {
+            if burn_short >= HI_BURN_X100 && burn_long >= LO_BURN_X100 {
                 state.incidents.push(Incident {
                     objective,
                     epoch,
-                    window_start: epoch * cfg.epoch_cycles,
-                    window_end: (epoch + 1) * cfg.epoch_cycles,
+                    window_start: epoch * EPOCH_CYCLES,
+                    window_end: (epoch + 1) * EPOCH_CYCLES,
                     burn_short_x100: burn_short,
                     burn_long_x100: burn_long,
                     baseline,
@@ -464,7 +412,7 @@ impl Watchdog {
         // baseline (a callee first seen after learning has nothing to
         // burn against) and only on epochs thick enough to carry a p99.
         for (&callee, &(p99, samples)) in &summary.latency_p99 {
-            if samples < cfg.min_samples {
+            if samples < MIN_SAMPLES {
                 continue;
             }
             let Some(&base) = state.baseline.latency_p99.get(&callee) else {
@@ -473,7 +421,7 @@ impl Watchdog {
             let long_avg = window_avg(&state.history, summary, |s| {
                 s.latency_p99
                     .get(&callee)
-                    .map(|&(v, n)| (v, n >= cfg.min_samples))
+                    .map(|&(v, n)| (v, n >= MIN_SAMPLES))
             });
             raise(Objective::LatencyP99 { callee }, p99, long_avg, base);
         }
@@ -482,7 +430,7 @@ impl Watchdog {
         // so a clean run's zero baseline cannot make the first stray
         // shed a 100× burn.
         for (&tenant, &(bp, decided)) in &summary.shed_bp {
-            if decided < cfg.min_samples {
+            if decided < MIN_SAMPLES {
                 continue;
             }
             let base = state
@@ -491,11 +439,9 @@ impl Watchdog {
                 .get(&tenant)
                 .copied()
                 .unwrap_or(0)
-                .max(cfg.shed_floor_bp);
+                .max(SHED_FLOOR_BP);
             let long_avg = window_avg(&state.history, summary, |s| {
-                s.shed_bp
-                    .get(&tenant)
-                    .map(|&(v, n)| (v, n >= cfg.min_samples))
+                s.shed_bp.get(&tenant).map(|&(v, n)| (v, n >= MIN_SAMPLES))
             });
             raise(Objective::ShedRate { tenant }, bp, long_avg, base);
         }
@@ -508,7 +454,7 @@ impl Watchdog {
                 .get(&tenant)
                 .copied()
                 .unwrap_or(0)
-                .max(cfg.dead_letter_floor);
+                .max(DEAD_LETTER_FLOOR);
             let long_avg = window_avg(&state.history, summary, |s| {
                 Some((s.dead_letters.get(&tenant).copied().unwrap_or(0), true))
             });
@@ -519,12 +465,6 @@ impl Watchdog {
                 base,
             );
         }
-    }
-
-    /// Incidents raised so far (skeletons until finalize). Benches poll
-    /// this to assert detection latency while the pool still runs.
-    pub fn incident_count(&self) -> usize {
-        self.lock().incidents.len()
     }
 
     /// Drain-time settlement: evaluates every remaining epoch (all
@@ -544,7 +484,7 @@ impl Watchdog {
             .next_back()
             .map(|&e| e + 1)
             .unwrap_or(0);
-        let now = horizon * self.config.epoch_cycles;
+        let now = horizon * EPOCH_CYCLES;
         self.evaluate_through(horizon, degrade_level, now);
         let mut state = self.lock();
         if let Some(events) = events {
@@ -563,13 +503,11 @@ impl Watchdog {
                 // The frozen snapshot spans one epoch of lead-in so the
                 // events that *caused* the breach (often just before
                 // the window) are captured alongside the breach itself.
-                let from = incident
-                    .window_start
-                    .saturating_sub(self.config.epoch_cycles);
+                let from = incident.window_start.saturating_sub(EPOCH_CYCLES);
                 incident.snapshot = events
                     .iter()
                     .filter(|e| e.ts >= from && e.ts < incident.window_end)
-                    .take(self.config.snapshot_events)
+                    .take(SNAPSHOT_EVENTS)
                     .copied()
                     .collect();
             }
@@ -577,7 +515,7 @@ impl Watchdog {
         WatchdogSummary {
             incidents: state.incidents.clone(),
             epochs_evaluated: state.epochs_evaluated,
-            baseline_ready: state.baseline.epochs_learned >= self.config.baseline_epochs,
+            baseline_ready: state.baseline.epochs_learned >= BASELINE_EPOCHS,
             late_samples: state.late_samples,
         }
     }
@@ -680,9 +618,9 @@ fn summarize(agg: EpochAgg) -> EpochSummary {
 
 /// Folds one learning epoch into the baselines (maxima, so the learned
 /// normal is the *worst* clean epoch — generous against noise).
-fn learn(base: &mut Baseline, summary: &EpochSummary, min_samples: u64) {
+fn learn(base: &mut Baseline, summary: &EpochSummary) {
     for (&callee, &(v, n)) in &summary.latency_p99 {
-        if n >= min_samples {
+        if n >= MIN_SAMPLES {
             let slot = base.latency_p99.entry(callee).or_insert(0);
             *slot = (*slot).max(v);
         }
@@ -771,26 +709,11 @@ mod tests {
     use crate::router::{CallRequest, CallVerdict};
     use crossover::world::Wid;
 
-    const EPOCH: u64 = 1_000;
+    const EPOCH: u64 = EPOCH_CYCLES;
 
-    fn config() -> WatchdogConfig {
-        WatchdogConfig {
-            mode: WatchdogMode::On,
-            epoch_cycles: EPOCH,
-            baseline_epochs: 2,
-            long_epochs: 2,
-            hi_burn_x100: 300,
-            lo_burn_x100: 150,
-            min_samples: 4,
-            shed_floor_bp: 500,
-            dead_letter_floor: 2,
-            snapshot_events: 8,
-        }
-    }
-
-    fn watchdog(cfg: WatchdogConfig) -> Watchdog {
+    fn watchdog() -> Watchdog {
         // One live "worker" clock the test advances by hand.
-        Watchdog::new(cfg, Arc::new(vec![AtomicU64::new(0)]))
+        Watchdog::new(Arc::new(vec![AtomicU64::new(0)]))
     }
 
     fn outcome(callee: u64, tenant: u32, latency: u64, verdict: CallVerdict) -> CallOutcome {
@@ -821,7 +744,7 @@ mod tests {
 
     #[test]
     fn clean_run_raises_no_incidents() {
-        let wd = watchdog(config());
+        let wd = watchdog();
         for e in 0..8 {
             feed_epoch(&wd, e, 100, 8);
             advance(&wd, (e + 1) * EPOCH);
@@ -835,86 +758,89 @@ mod tests {
 
     #[test]
     fn latency_burn_fires_after_learning() {
-        let wd = watchdog(config());
-        // Two learning epochs at p99=100, one clean judged epoch, then
+        let wd = watchdog();
+        // Four learning epochs at p99=100, one clean judged epoch, then
         // a sustained 5x regression.
-        for e in 0..3 {
+        for e in 0..5 {
             feed_epoch(&wd, e, 100, 8);
         }
-        for e in 3..5 {
+        for e in 5..7 {
             feed_epoch(&wd, e, 500, 8);
         }
-        advance(&wd, 5 * EPOCH);
+        advance(&wd, 7 * EPOCH);
         let summary = wd.finalize(None, 0);
         assert!(summary.baseline_ready);
-        // Epoch 3: short burn 500% fires, long window (epochs 2,3)
-        // averages (100+500)/2 = 300% >= 150%. Epoch 4 sustains.
+        // Epoch 5: short burn 500% fires, long window (epochs 3..=5)
+        // averages (100+100+500)/3 = 233% >= 150%. Epoch 6 sustains.
         assert_eq!(summary.incidents.len(), 2);
         let first = &summary.incidents[0];
         assert_eq!(first.objective, Objective::LatencyP99 { callee: 7 });
-        assert_eq!(first.epoch, 3);
+        assert_eq!(first.epoch, 5);
         assert_eq!(first.burn_short_x100, 500);
-        assert_eq!(first.burn_long_x100, 300);
+        assert_eq!(first.burn_long_x100, 233);
         assert_eq!(first.baseline, 100);
         assert_eq!(first.observed, 500);
-        assert_eq!(first.window_start, 3 * EPOCH);
-        assert_eq!(first.window_end, 4 * EPOCH);
+        assert_eq!(first.window_start, 5 * EPOCH);
+        assert_eq!(first.window_end, 6 * EPOCH);
     }
 
     #[test]
     fn single_epoch_spike_needs_the_long_window() {
-        let mut cfg = config();
-        cfg.long_epochs = 4;
-        let wd = watchdog(cfg);
+        let wd = watchdog();
+        // The learned baseline is the worst learning epoch (200); the
+        // judged epochs then run at half of it.
         for e in 0..4 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&wd, e, if e == 3 { 200 } else { 100 }, 8);
         }
-        // One 4x epoch amid clean ones: short fires but the long
-        // window (100,100,100,400)/4 = 175 >= 150 — fires. Make the
-        // spike milder so the long window vetoes it.
-        feed_epoch(&wd, 4, 320, 8);
-        for e in 5..8 {
-            feed_epoch(&wd, e, 100, 8);
-        }
-        advance(&wd, 8 * EPOCH);
+        feed_epoch(&wd, 4, 100, 8);
+        feed_epoch(&wd, 5, 100, 8);
+        // A lone 3.1x spike: the short window fires, but the long
+        // window (100+100+620)/3 = 273 is only 136% of the baseline.
+        feed_epoch(&wd, 6, 620, 8);
+        // A second spike epoch tips the long window over:
+        // (100+620+620)/3 = 446, 223% of the baseline.
+        feed_epoch(&wd, 7, 620, 8);
+        feed_epoch(&wd, 8, 100, 8);
+        advance(&wd, 9 * EPOCH);
         let summary = wd.finalize(None, 0);
-        // Long window over epochs 1..=4: (100+100+100+320)/4 = 155 —
-        // still above lo. Tighten: the spike epoch's own veto needs
-        // history; what we pin here is that *subsequent* clean epochs
-        // never fire (no incident after epoch 4).
-        assert!(summary.incidents.iter().all(|i| i.epoch == 4));
+        assert_eq!(summary.incidents.len(), 1);
+        let inc = &summary.incidents[0];
+        assert_eq!(inc.epoch, 7, "the lone spike epoch is vetoed");
+        assert_eq!(inc.baseline, 200);
+        assert_eq!(inc.burn_short_x100, 310);
+        assert_eq!(inc.burn_long_x100, 223);
     }
 
     #[test]
     fn thin_epochs_are_skipped_not_extrapolated() {
-        let wd = watchdog(config());
-        for e in 0..3 {
+        let wd = watchdog();
+        for e in 0..5 {
             feed_epoch(&wd, e, 100, 8);
         }
         // A 10x epoch with too few samples to judge.
-        feed_epoch(&wd, 3, 1_000, 2);
-        advance(&wd, 4 * EPOCH);
+        feed_epoch(&wd, 5, 1_000, 2);
+        advance(&wd, 6 * EPOCH);
         let summary = wd.finalize(None, 0);
         assert_eq!(summary.incidents.len(), 0);
     }
 
     #[test]
     fn shed_storm_fires_the_shed_rate_objective() {
-        let wd = watchdog(config());
+        let wd = watchdog();
         // Learning + clean epochs: all admitted.
-        for e in 0..3u64 {
+        for e in 0..5u64 {
             for _ in 0..8 {
                 wd.note_admission(1, true, e * EPOCH + 10);
             }
         }
         // Storm: 6/8 shed = 7500bp against the 500bp floor baseline.
         for _ in 0..2 {
-            wd.note_admission(1, true, 3 * EPOCH + 10);
+            wd.note_admission(1, true, 5 * EPOCH + 10);
         }
         for _ in 0..6 {
-            wd.note_admission(1, false, 3 * EPOCH + 10);
+            wd.note_admission(1, false, 5 * EPOCH + 10);
         }
-        advance(&wd, 4 * EPOCH);
+        advance(&wd, 6 * EPOCH);
         let summary = wd.finalize(None, 0);
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
@@ -926,11 +852,11 @@ mod tests {
 
     #[test]
     fn dead_letter_burst_fires_the_budget_objective() {
-        let wd = watchdog(config());
-        for e in 0..3 {
+        let wd = watchdog();
+        for e in 0..5 {
             feed_epoch(&wd, e, 100, 8);
         }
-        let burst: Vec<CallOutcome> = (0..10)
+        let burst: Vec<CallOutcome> = (0..12)
             .map(|_| {
                 outcome(
                     7,
@@ -943,20 +869,20 @@ mod tests {
                 )
             })
             .collect();
-        wd.ingest(&burst, 3 * EPOCH + 10);
-        advance(&wd, 4 * EPOCH);
+        wd.ingest(&burst, 5 * EPOCH + 10);
+        advance(&wd, 6 * EPOCH);
         let summary = wd.finalize(None, 0);
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
         assert_eq!(inc.objective, Objective::DeadLetterBudget { tenant: 2 });
-        assert_eq!(inc.observed, 10);
+        assert_eq!(inc.observed, 12);
         assert_eq!(inc.baseline, 2, "floor-clamped learned baseline");
-        assert_eq!(inc.burn_short_x100, 500);
+        assert_eq!(inc.burn_short_x100, 600);
     }
 
     #[test]
     fn epochs_settle_only_behind_the_minimum_clock() {
-        let wd = watchdog(config());
+        let wd = watchdog();
         feed_epoch(&wd, 0, 100, 8);
         // Clock still inside epoch 0: nothing settles.
         wd.clocks[0].store(EPOCH - 1, Ordering::Relaxed);
@@ -970,7 +896,7 @@ mod tests {
 
     #[test]
     fn late_samples_fold_forward_and_are_counted() {
-        let wd = watchdog(config());
+        let wd = watchdog();
         advance(&wd, 2 * EPOCH); // epochs 0 and 1 settled
         wd.note_admission(1, false, 10); // stamped inside settled epoch 0
         let state = wd.lock();
@@ -980,14 +906,14 @@ mod tests {
 
     #[test]
     fn incident_json_and_events_round_trip_the_fields() {
-        let wd = watchdog(config());
-        for e in 0..3 {
+        let wd = watchdog();
+        for e in 0..5 {
             feed_epoch(&wd, e, 100, 8);
         }
-        feed_epoch(&wd, 3, 900, 8);
+        feed_epoch(&wd, 5, 900, 8);
         // The breach is judged at this evaluate call, so the degrade
         // rung recorded on the incident is the one passed here.
-        wd.clocks[0].store(4 * EPOCH, Ordering::Relaxed);
+        wd.clocks[0].store(6 * EPOCH, Ordering::Relaxed);
         wd.evaluate(1);
         let summary = wd.finalize(None, 1);
         assert_eq!(summary.incidents.len(), 1);
@@ -999,26 +925,27 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::SloIncident);
         assert_eq!(events[0].worker, obs::WATCHDOG_TRACK);
-        assert_eq!(events[0].ts, 3 * EPOCH);
+        assert_eq!(events[0].ts, 5 * EPOCH);
         assert_eq!(events[0].b, 0);
         assert_eq!(events[0].c, 900);
     }
 
     #[test]
     fn finalize_attaches_contributors_and_snapshot() {
-        let wd = watchdog(config());
-        for e in 0..3 {
+        let wd = watchdog();
+        for e in 0..5 {
             feed_epoch(&wd, e, 100, 8);
         }
-        feed_epoch(&wd, 3, 900, 8);
-        advance(&wd, 4 * EPOCH);
+        feed_epoch(&wd, 5, 900, 8);
+        advance(&wd, 6 * EPOCH);
         // A recorded classic call wholly inside the breached window:
-        // dispatch 3100 → call 3150 → return 3700 → verdict 3720.
+        // dispatch +100 → call +150 → return +700 → verdict +720.
+        let t = 5 * EPOCH;
         let events = vec![
-            Event::new(3_100, 0, EventKind::RequestDispatch, 1, 40, 7),
-            Event::new(3_150, 0, EventKind::WorldCall, 1, 7, 0),
-            Event::new(3_700, 0, EventKind::WorldReturn, 7, 1, 0),
-            Event::new(3_720, 0, EventKind::RequestVerdict, 1, 0, 0),
+            Event::new(t + 100, 0, EventKind::RequestDispatch, 1, 40, 7),
+            Event::new(t + 150, 0, EventKind::WorldCall, 1, 7, 0),
+            Event::new(t + 700, 0, EventKind::WorldReturn, 7, 1, 0),
+            Event::new(t + 720, 0, EventKind::RequestVerdict, 1, 0, 0),
         ];
         let summary = wd.finalize(Some(&events), 0);
         assert_eq!(summary.incidents.len(), 1);

@@ -64,11 +64,12 @@ use crate::authz::AuthzPolicy;
 use crate::epoch::EpochWorldTable;
 use crate::ring::RingSet;
 use crate::router::{CallError, CallOutcome, CallRequest, CallVerdict, Queued};
-use crate::service::{DeadlinePolicy, WorldMemory};
+use crate::service::WorldMemory;
 use crate::supervisor::{
-    DegradeLevel, HealthState, Supervisor, SupervisorConfig, SupervisorReport,
+    DegradeLevel, HealthState, Supervisor, SupervisorReport, CORRUPTION_ESCALATION_STRIKES,
+    LOOKUP_RETRIES, RESPAWN_CAP,
 };
-use crate::switchless::{Controller, SwitchlessConfig, SwitchlessWorkerStats};
+use crate::switchless::{Controller, SwitchlessConfig, SwitchlessWorkerStats, SPIN_CYCLES};
 use crate::watchdog::Watchdog;
 
 /// Everything a worker thread needs; built by the service at start.
@@ -82,21 +83,18 @@ pub(crate) struct WorkerContext {
     pub clocks: Arc<Vec<AtomicU64>>,
     /// Attached per-world working sets, keyed by raw WID.
     pub memory: Arc<HashMap<u64, WorldMemory>>,
-    /// Shape of this worker's private WT/IWT caches.
-    pub wtc_geometry: CacheGeometry,
     /// Switchless layer configuration.
     pub switchless: SwitchlessConfig,
     /// The shared budget controller (present when switchless is on).
     pub controller: Option<Arc<Controller>>,
     /// Attached per-callee channel segments, keyed by raw WID.
     pub segments: Arc<HashMap<u64, ChannelSegment>>,
-    /// What the per-call deadline bounds.
-    pub deadline_policy: DeadlinePolicy,
     /// Armed fault schedule (`None`, and an empty plan, are strict
     /// no-ops — the parity tests pin this).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Healing-policy tuning for this worker's supervisor.
-    pub supervisor: SupervisorConfig,
+    /// Whether a crash-respawn pre-fills the fresh WT/IWT caches from
+    /// recent call history.
+    pub prefetch_warm_on_respawn: bool,
     /// The pool-shared degradation ladder.
     pub health: Arc<HealthState>,
     /// Obs-plane configuration; `Off` keeps this worker's recorder a
@@ -271,8 +269,6 @@ struct Engine<'a> {
     memory: &'a HashMap<u64, WorldMemory>,
     clocks: &'a [AtomicU64],
     index: usize,
-    policy: DeadlinePolicy,
-    spin_cycles: u64,
     outcomes: Vec<CallOutcome>,
     queue_wait_cycles: u64,
     stats: SwitchlessWorkerStats,
@@ -291,9 +287,11 @@ struct Engine<'a> {
     /// Last published per-lane budgets, so epoch folds emit
     /// `BudgetMove` only for lanes whose budget actually changed.
     last_budgets: HashMap<usize, usize>,
+    /// Whether respawns warm the fresh unit from `call_history`.
+    warm_on_respawn: bool,
     /// Recently serviced worlds, most recent last (maintained only when
-    /// [`SupervisorConfig::prefetch_warm_on_respawn`] is on) — the
-    /// respawn path warms the fresh unit's WT/IWT from these.
+    /// `warm_on_respawn` is set) — the respawn path warms the fresh
+    /// unit's WT/IWT from these.
     call_history: VecDeque<Wid>,
     /// Set by a respawn; the next recorded outcome's latency becomes a
     /// post-respawn recovery sample (taken whether or not warming is
@@ -373,7 +371,7 @@ impl Engine<'_> {
                 .post_respawn_latency_samples
                 .push(outcome.latency_cycles);
         }
-        if self.supervisor.config().prefetch_warm_on_respawn {
+        if self.warm_on_respawn {
             self.note_history(&outcome.request);
         }
         self.outcomes.push(outcome);
@@ -422,20 +420,14 @@ impl Engine<'_> {
         now.saturating_sub(queued.stamped_at)
     }
 
-    /// The §3.4 deadline token for a call starting now. Under
-    /// [`DeadlinePolicy::IncludeQueueWait`] the token is back-dated by
-    /// the request's queue wait, so the budget bounds end-to-end
-    /// latency instead of on-CPU service time.
-    fn token(&self, req: &CallRequest, wait: u64) -> CallToken {
-        let now = self.now();
-        let started_at_cycles = match self.policy {
-            DeadlinePolicy::OnCpu => now,
-            DeadlinePolicy::IncludeQueueWait => now.saturating_sub(wait),
-        };
+    /// The §3.4 deadline token for a call starting now: the budget
+    /// bounds on-CPU service time, so queue wait never counts against
+    /// it.
+    fn token(&self, req: &CallRequest) -> CallToken {
         CallToken {
             caller: req.caller,
             callee: req.callee,
-            started_at_cycles,
+            started_at_cycles: self.now(),
             budget_cycles: req.budget_cycles,
         }
     }
@@ -494,7 +486,7 @@ impl Engine<'_> {
     /// save → caller state restore) is delimited by the caller's meter,
     /// mirroring `WorldManager::call`/`ret` but driven against the
     /// shared epoch table.
-    fn execute(&mut self, req: &CallRequest, wait: u64) -> (CallVerdict, u64) {
+    fn execute(&mut self, req: &CallRequest) -> (CallVerdict, u64) {
         let caller_entry = match self.lookup_with_retry(req.caller) {
             Ok(e) => e,
             Err(verdict) => return (verdict, 0),
@@ -554,7 +546,7 @@ impl Engine<'_> {
                 }
                 Ok(_) => {
                     self.emit(EventKind::WorldCall, req.caller.raw(), req.callee.raw(), 0);
-                    let token = self.token(req, wait);
+                    let token = self.token(req);
                     self.run_body(req);
                     if token.expired(self.platform) {
                         self.hypervisor_cancel(
@@ -626,7 +618,7 @@ impl Engine<'_> {
                     0,
                     0,
                 );
-                if attempts >= self.supervisor.config().lookup_retries {
+                if attempts >= LOOKUP_RETRIES {
                     self.supervisor.report.dead_lettered += 1;
                     return Err(CallVerdict::DeadLettered(CallError::LookupRace {
                         wid,
@@ -729,7 +721,7 @@ impl Engine<'_> {
         if was_stolen {
             self.emit(EventKind::RequestSteal, queued.seq, 0, 0);
         }
-        let (verdict, latency_cycles) = self.execute(&queued.req, wait);
+        let (verdict, latency_cycles) = self.execute(&queued.req);
         self.stats.classic_calls += 1;
         self.emit_verdict(queued.seq, &verdict, false);
         self.record_outcome(CallOutcome {
@@ -847,7 +839,7 @@ impl Engine<'_> {
             }
             self.emit(EventKind::DrainExtend, queued.seq, callee.raw(), 0);
             let slice_start = self.now();
-            let token = self.token(&queued.req, wait);
+            let token = self.token(&queued.req);
             let cursor = self.cursors.entry((callee.raw(), lane)).or_insert(0);
             let seq = *cursor;
             *cursor += 1;
@@ -974,9 +966,7 @@ impl Engine<'_> {
                 callee,
                 "restore caller state (channel fault)",
             );
-            if self.supervisor.total_strikes()
-                >= self.supervisor.config().corruption_escalation_strikes
-            {
+            if self.supervisor.total_strikes() >= CORRUPTION_ESCALATION_STRIKES {
                 let now = self.now();
                 self.health.escalate(DegradeLevel::ClassicOnly, now);
             }
@@ -1001,10 +991,10 @@ impl Engine<'_> {
             // itself is the cost; arrivals are decided by the next
             // batch).
             self.stats.drain.dry_exits += 1;
-            self.stats.drain.spin_cycles += self.spin_cycles;
+            self.stats.drain.spin_cycles += SPIN_CYCLES;
             self.platform
                 .cpu_mut()
-                .charge_work(self.spin_cycles, 0, "switchless dry spin");
+                .charge_work(SPIN_CYCLES, 0, "switchless dry spin");
         } else {
             self.stats.drain.saturated_exits += 1;
         }
@@ -1112,6 +1102,16 @@ fn split_by_caller(
     }
 }
 
+/// A worker's private call unit: default-shaped WT/IWT caches, plus the
+/// §5.1 Current-World-ID register when `prefetch_register` is set.
+fn fresh_unit(prefetch_register: bool) -> WorldCallUnit {
+    let mut unit = WorldCallUnit::with_geometry(CacheGeometry::default());
+    if prefetch_register {
+        unit.enable_prefetch();
+    }
+    unit
+}
+
 /// The worker thread body: pop destination-batched requests until the
 /// rings close and drain, pulling table retirements between batches.
 pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
@@ -1126,10 +1126,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         .cpu()
         .trace()
         .count(TransitionKind::WorldReturn);
-    let mut unit = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-    if ctx.switchless.prefetch_register {
-        unit.enable_prefetch();
-    }
+    let mut unit = fresh_unit(ctx.switchless.prefetch_register);
     let mut batches = 0u64;
     // Cursor into `engine.outcomes`: everything before it has already
     // been fed to the SLO watchdog at a previous batch boundary.
@@ -1162,17 +1159,16 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         memory: &ctx.memory,
         clocks: &ctx.clocks,
         index: ctx.index,
-        policy: ctx.deadline_policy,
-        spin_cycles: ctx.switchless.spin_cycles,
         outcomes: Vec::new(),
         queue_wait_cycles: 0,
         stats: SwitchlessWorkerStats::default(),
         cursors: HashMap::new(),
         faults: ctx.faults.clone(),
-        supervisor: Supervisor::new(ctx.supervisor, ctx.index),
+        supervisor: Supervisor::new(ctx.index),
         health: Arc::clone(&ctx.health),
         obs: Recorder::for_track(&ctx.obs, ctx.index as u32),
         last_budgets: HashMap::new(),
+        warm_on_respawn: ctx.prefetch_warm_on_respawn,
         call_history: VecDeque::new(),
         awaiting_post_respawn_sample: false,
         authz: ctx.authz.clone(),
@@ -1226,7 +1222,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                     0,
                     0,
                 );
-                if respawns > ctx.supervisor.respawn_cap as u64 {
+                if respawns > u64::from(RESPAWN_CAP) {
                     // Crash loop: respawning clearly isn't healing this
                     // worker. Dead-letter the batch (typed verdicts, not
                     // losses) and shed new load until a quiet window.
@@ -1264,13 +1260,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // turn, order preserved (ring/meter reconciliation —
                 // nothing serviced, nothing lost). The meter survives:
                 // it is the vCPU's clock, not the thread's.
-                *engine.unit = {
-                    let mut fresh = WorldCallUnit::with_geometry(ctx.wtc_geometry);
-                    if ctx.switchless.prefetch_register {
-                        fresh.enable_prefetch();
-                    }
-                    fresh
-                };
+                *engine.unit = fresh_unit(ctx.switchless.prefetch_register);
                 engine.cursors.clear();
                 // The fresh unit's caches are empty, so retirements
                 // logged before the crash have nothing left to purge:
@@ -1281,7 +1271,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // post-respawn calls skip the cold miss faults. The next
                 // recorded outcome samples the recovery latency either
                 // way, giving the before/after comparison.
-                if ctx.supervisor.prefetch_warm_on_respawn {
+                if engine.warm_on_respawn {
                     engine.warm_unit();
                 }
                 engine.awaiting_post_respawn_sample = true;

@@ -6,9 +6,9 @@
 //! 1. **Off and permissive are both free.** The default (`Off`) builds
 //!    no policy at all; a permissive enforcing policy checks everything
 //!    and denies nothing. Both must be bit-for-bit cycle-exact against
-//!    each other — verdicts, latencies, execution paths and meters —
-//!    because authz checks are host-side bookkeeping that charge zero
-//!    virtual cycles.
+//!    each other, because authz checks are host-side bookkeeping that
+//!    charge zero virtual cycles — pinned by the plane parity table
+//!    (`tests/parity.rs`).
 //! 2. **Default-closed policies deny ungranted callers as verdicts.**
 //!    Every refusal is a typed [`CallVerdict::Denied`] outcome that
 //!    participates in verdict conservation, lands in the per-tenant
@@ -23,124 +23,18 @@
 //!    mints a *new* WID (WIDs are never reused), and replays of the old
 //!    one are refused even under a default-open policy.
 
+mod common;
+
 use std::time::Duration;
 
-use crossover::world::Wid;
-use machine::rng::SplitMix64;
+use common::build_service;
 use xover_runtime::{
     trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, EventKind, ObsConfig,
     RateLimitConfig, RuntimeConfig, ServiceReport, WorldCallService,
 };
 
-const PARITY_CALLS: u64 = 600;
-const WORKING_SET_PAGES: u64 = 8;
-
-/// Two tenants × (user + kernel), all with working sets and channels —
-/// the fault-props topology, so denials are exercised on both execution
-/// paths. Returns `[user0, kernel0, user1, kernel1]`.
-fn build_service(config: RuntimeConfig) -> (WorldCallService, Vec<Wid>) {
-    let mut svc = WorldCallService::new(config);
-    let mut worlds = Vec::new();
-    for t in 0..2u64 {
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named(&format!("authz-{t}")))
-            .expect("create vm");
-        let user = svc
-            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
-            .expect("register user world");
-        let kernel = svc
-            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
-            .expect("register kernel world");
-        for &w in &[user, kernel] {
-            svc.attach_working_set(w, vm, WORKING_SET_PAGES)
-                .expect("attach working set");
-            svc.attach_channel(w, vm).expect("attach channel");
-        }
-        worlds.push(user);
-        worlds.push(kernel);
-    }
-    (svc, worlds)
-}
-
-/// The fault-props request mix (hot pair + uniform tail, touches, 5%
-/// abusive budgets) so the parity leg walks the same paths PR 8 did.
-fn draw_request(rng: &mut SplitMix64, worlds: &[Wid], tag: u64) -> CallRequest {
-    let (caller, callee) = loop {
-        let (a, b) = if rng.flip() {
-            (worlds[0], worlds[1])
-        } else {
-            (
-                worlds[rng.below(worlds.len() as u64) as usize],
-                worlds[rng.below(worlds.len() as u64) as usize],
-            )
-        };
-        if a != b {
-            break (a, b);
-        }
-    };
-    let work_cycles = 2_000 + rng.below(2_000);
-    let mut req = CallRequest::new(caller, callee, work_cycles, work_cycles / 3)
-        .with_touches(rng.below(2 * WORKING_SET_PAGES))
-        .with_tag(tag);
-    if rng.chance(0.05) {
-        req = req.with_budget(work_cycles / 4);
-    }
-    req
-}
-
-fn run_parity(authz: AuthzConfig) -> ServiceReport {
-    let (svc, worlds) = build_service(RuntimeConfig {
-        workers: 1,
-        queue_capacity: PARITY_CALLS as usize + 16,
-        batch_max: 32,
-        authz,
-        ..RuntimeConfig::default()
-    });
-    let mut rng = SplitMix64::new(0xA0_7421);
-    for tag in 0..PARITY_CALLS {
-        svc.submit(draw_request(&mut rng, &worlds, tag))
-            .expect("queue open");
-    }
-    let mut svc = svc;
-    svc.start();
-    svc.drain()
-}
-
 fn conserved(report: &ServiceReport) -> u64 {
     report.completed + report.timed_out + report.failed + report.dead_lettered + report.denied
-}
-
-/// Invariant 1: `Off` (no policy object) and a permissive enforcing
-/// policy (checks everything, denies nothing) are cycle-exact against
-/// each other. Single worker, so both runs zip index by index.
-#[test]
-fn authz_off_and_permissive_are_cycle_exact() {
-    let off = run_parity(AuthzConfig::off());
-    let open = run_parity(AuthzConfig::permissive());
-    assert_eq!(off.outcomes.len(), open.outcomes.len());
-    for (i, (a, b)) in off.outcomes.iter().zip(open.outcomes.iter()).enumerate() {
-        assert_eq!(a.request, b.request, "request order diverged at {i}");
-        assert_eq!(a.verdict, b.verdict, "verdict diverged at {i}");
-        assert_eq!(
-            a.latency_cycles, b.latency_cycles,
-            "service latency diverged at {i}"
-        );
-        assert_eq!(a.coalesced, b.coalesced, "execution path diverged at {i}");
-    }
-    assert_eq!(
-        off.smp.total_cycles(),
-        open.smp.total_cycles(),
-        "a policy that denies nothing must cost zero virtual cycles"
-    );
-    assert_eq!(off.smp.makespan_cycles(), open.smp.makespan_cycles());
-    assert!(!off.authz.enabled, "Off builds no policy");
-    assert!(open.authz.enabled);
-    assert_eq!(
-        open.authz.checks, PARITY_CALLS,
-        "every dispatched call is checked exactly once"
-    );
-    assert_eq!(open.authz.total_denied(), 0);
-    assert_eq!(open.denied, 0);
 }
 
 /// Invariant 2: under a default-closed policy, ungranted callers get

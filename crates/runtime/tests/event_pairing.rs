@@ -8,15 +8,20 @@
 //! crashes workers, drops invalidations and dead-letters crash-looped
 //! calls.
 
+mod common;
+
+use common::Stream;
+
 use std::collections::BTreeMap;
 
 use machine::fault::FaultPlan;
-use machine::rng::SplitMix64;
-use xover_runtime::{
-    CallRequest, EventKind, ObsConfig, RuntimeConfig, SwitchlessConfig, WorldCallService,
-};
+use xover_runtime::{EventKind, ObsConfig, RuntimeConfig, SwitchlessConfig};
 
 const CHAOS_CALLS: u64 = 400;
+/// Floor on the events that fire across all `CHAOS_SEEDS` (each plan
+/// schedules 32, 256 in total). Runs fire 41–44; a stream of shorter
+/// calls ends before much of the 3M-cycle horizon and fires ~33.
+const CHAOS_FIRED_FLOOR: u64 = 36;
 const CHAOS_SEEDS: [u64; 8] = [
     0x0001,
     0xBEEF,
@@ -27,55 +32,6 @@ const CHAOS_SEEDS: [u64; 8] = [
     0x0C0F_FEE0,
     0x41,
 ];
-const WORKING_SET_PAGES: u64 = 8;
-
-fn build_service(config: RuntimeConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
-    let mut svc = WorldCallService::new(config);
-    let mut worlds = Vec::new();
-    for t in 0..2u64 {
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named(&format!("pair-{t}")))
-            .expect("create vm");
-        let user = svc
-            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
-            .expect("register user world");
-        let kernel = svc
-            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
-            .expect("register kernel world");
-        for &w in &[user, kernel] {
-            svc.attach_working_set(w, vm, WORKING_SET_PAGES)
-                .expect("attach working set");
-            svc.attach_channel(w, vm).expect("attach channel");
-        }
-        worlds.push(user);
-        worlds.push(kernel);
-    }
-    (svc, worlds)
-}
-
-fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64) -> CallRequest {
-    let (caller, callee) = loop {
-        let (a, b) = if rng.flip() {
-            (worlds[0], worlds[1])
-        } else {
-            (
-                worlds[rng.below(worlds.len() as u64) as usize],
-                worlds[rng.below(worlds.len() as u64) as usize],
-            )
-        };
-        if a != b {
-            break (a, b);
-        }
-    };
-    let work_cycles = 2_000 + rng.below(2_000);
-    let mut req = CallRequest::new(caller, callee, work_cycles, work_cycles / 3)
-        .with_touches(rng.below(2 * WORKING_SET_PAGES))
-        .with_tag(tag);
-    if rng.chance(0.05) {
-        req = req.with_budget(work_cycles / 4);
-    }
-    req
-}
 
 /// Every `RequestEnqueue` pairs with exactly one `RequestVerdict`
 /// carrying the same sequence number, and no verdict appears for a
@@ -83,25 +39,28 @@ fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64
 /// schedule.
 #[test]
 fn every_enqueue_pairs_with_exactly_one_terminal_verdict() {
+    let mut fired_total = 0;
     for (i, &seed) in CHAOS_SEEDS.iter().enumerate() {
         let workers = 1 + (i % 4);
-        let (mut svc, worlds) = build_service(RuntimeConfig {
+        let config = RuntimeConfig {
             workers,
             queue_capacity: CHAOS_CALLS as usize + 16,
             batch_max: 32,
             switchless: SwitchlessConfig::fixed(8),
             obs: ObsConfig::ring_with_capacity(1 << 16),
             ..RuntimeConfig::default()
-        });
-        svc.set_fault_plan(FaultPlan::from_seed(seed, 3_000_000, 4));
-        let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9);
-        for tag in 0..CHAOS_CALLS {
-            svc.submit(draw_request(&mut rng, &worlds, tag))
-                .expect("queue open");
-        }
-        svc.start();
-        let report = svc.drain();
+        };
+        let plan = FaultPlan::from_seed(seed, 3_000_000, 4);
+        let (report, fired) = common::run_armed(
+            config,
+            Some(plan),
+            Stream::Chaos,
+            seed ^ 0x9E37_79B9,
+            CHAOS_CALLS,
+        );
         let label = format!("seed={seed:#x}/workers={workers}");
+        assert!(fired > 0, "{label}: no scheduled fault fired");
+        fired_total += fired;
 
         let recorded = report.obs.as_ref().expect("recording on");
         assert_eq!(recorded.dropped(), 0, "{label}: pairing needs lossless");
@@ -144,4 +103,8 @@ fn every_enqueue_pairs_with_exactly_one_terminal_verdict() {
             "{label}: one verdict event per outcome"
         );
     }
+    assert!(
+        fired_total >= CHAOS_FIRED_FLOOR,
+        "only {fired_total} scheduled faults fired (floor {CHAOS_FIRED_FLOOR})"
+    );
 }

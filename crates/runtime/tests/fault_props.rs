@@ -5,8 +5,8 @@
 //!
 //! 1. **Empty plan = no plan, bit for bit.** An installed-but-empty
 //!    [`FaultPlan`] must leave the runtime cycle-exact against a run
-//!    with no plan at all: same verdicts in the same order, same meters,
-//!    zero supervisor activity. The fault plane is free when silent.
+//!    with no plan at all, with zero supervisor activity — pinned by
+//!    the plane parity table (`tests/parity.rs`).
 //! 2. **Exactly one verdict per call, under every seeded schedule.**
 //!    Whatever a generated plan injects — stalls, crashes, IPI loss,
 //!    slot corruption, EPT denials, dropped invalidations, lookup races
@@ -23,16 +23,19 @@
 //! verdict ordering preserved — a completed prefix, then a failed
 //! suffix, with no interleaving.
 
+mod common;
+
 use std::time::Duration;
 
+use common::{build_service, Stream};
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
-use machine::rng::SplitMix64;
-use xover_runtime::{
-    CallRequest, CallVerdict, RuntimeConfig, ServiceReport, SwitchlessConfig, WorldCallService,
-};
+use xover_runtime::{CallRequest, CallVerdict, RuntimeConfig, SwitchlessConfig};
 
-const PARITY_CALLS: u64 = 600;
 const CHAOS_CALLS: u64 = 400;
+/// Floor on the events that fire across all `CHAOS_SEEDS` (each plan
+/// schedules 32, 256 in total). Runs fire 41–44; a stream of shorter
+/// calls ends before much of the 3M-cycle horizon and fires ~33.
+const CHAOS_FIRED_FLOOR: u64 = 36;
 const CHAOS_SEEDS: [u64; 8] = [
     0x0001,
     0xBEEF,
@@ -43,115 +46,6 @@ const CHAOS_SEEDS: [u64; 8] = [
     0x0C0F_FEE0,
     0x41,
 ];
-const WORKING_SET_PAGES: u64 = 8;
-
-/// Two tenants × (user + kernel), all with working sets and channels, so
-/// both execution paths and the memory path are exercised.
-fn build_service(config: RuntimeConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
-    let mut svc = WorldCallService::new(config);
-    let mut worlds = Vec::new();
-    for t in 0..2u64 {
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named(&format!("fault-{t}")))
-            .expect("create vm");
-        let user = svc
-            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
-            .expect("register user world");
-        let kernel = svc
-            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
-            .expect("register kernel world");
-        for &w in &[user, kernel] {
-            svc.attach_working_set(w, vm, WORKING_SET_PAGES)
-                .expect("attach working set");
-            svc.attach_channel(w, vm).expect("attach channel");
-        }
-        worlds.push(user);
-        worlds.push(kernel);
-    }
-    (svc, worlds)
-}
-
-/// Skewed draws with touches and a 5% abusive-budget fraction, tagged
-/// with their submission index for one-to-one verdict accounting.
-fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64) -> CallRequest {
-    let (caller, callee) = loop {
-        let (a, b) = if rng.flip() {
-            (worlds[0], worlds[1]) // hot pair reaches the coalescing gate
-        } else {
-            (
-                worlds[rng.below(worlds.len() as u64) as usize],
-                worlds[rng.below(worlds.len() as u64) as usize],
-            )
-        };
-        if a != b {
-            break (a, b);
-        }
-    };
-    let work_cycles = 2_000 + rng.below(2_000);
-    let mut req = CallRequest::new(caller, callee, work_cycles, work_cycles / 3)
-        .with_touches(rng.below(2 * WORKING_SET_PAGES))
-        .with_tag(tag);
-    if rng.chance(0.05) {
-        req = req.with_budget(work_cycles / 4);
-    }
-    req
-}
-
-fn run(plan: Option<FaultPlan>, workers: usize, calls: u64) -> ServiceReport {
-    let (mut svc, worlds) = build_service(RuntimeConfig {
-        workers,
-        queue_capacity: calls as usize + 16,
-        batch_max: 32,
-        switchless: SwitchlessConfig::fixed(8),
-        ..RuntimeConfig::default()
-    });
-    if let Some(plan) = plan {
-        svc.set_fault_plan(plan);
-    }
-    let mut rng = SplitMix64::new(0xFA_117);
-    for tag in 0..calls {
-        svc.submit(draw_request(&mut rng, &worlds, tag))
-            .expect("queue open");
-    }
-    svc.start();
-    svc.drain()
-}
-
-/// Invariant 1: an installed-but-empty plan is indistinguishable from no
-/// plan at all — outcome stream, meters and supervisor counters are all
-/// identical. Single worker, so both runs are fully deterministic in
-/// virtual time and can be zipped index by index.
-#[test]
-fn empty_fault_plan_is_cycle_exact_against_no_plan() {
-    let bare = run(None, 1, PARITY_CALLS);
-    let armed = run(Some(FaultPlan::new()), 1, PARITY_CALLS);
-    assert_eq!(bare.outcomes.len(), armed.outcomes.len());
-    for (i, (a, b)) in bare.outcomes.iter().zip(armed.outcomes.iter()).enumerate() {
-        assert_eq!(a.request, b.request, "request order diverged at {i}");
-        assert_eq!(a.verdict, b.verdict, "verdict diverged at {i}");
-        assert_eq!(
-            a.latency_cycles, b.latency_cycles,
-            "service latency diverged at {i}"
-        );
-        assert_eq!(a.coalesced, b.coalesced, "execution path diverged at {i}");
-    }
-    assert_eq!(
-        bare.smp.total_cycles(),
-        armed.smp.total_cycles(),
-        "an empty fault plan must cost zero cycles"
-    );
-    assert_eq!(
-        bare.smp.makespan_cycles(),
-        armed.smp.makespan_cycles(),
-        "an empty fault plan must not move the makespan"
-    );
-    assert_eq!(armed.dead_lettered, 0);
-    assert_eq!(armed.supervisor.totals.faults_observed(), 0);
-    assert_eq!(armed.supervisor.totals.respawns, 0);
-    assert_eq!(armed.supervisor.totals.backoff_cycles, 0);
-    assert_eq!(armed.supervisor.degrade_escalations, 0);
-    assert_eq!(armed.smp.total_ipi_dropped(), 0);
-}
 
 /// Invariant 2: exactly one verdict per submitted call, for every seeded
 /// fault schedule and worker count. Tags are unique, so a
@@ -159,11 +53,22 @@ fn empty_fault_plan_is_cycle_exact_against_no_plan() {
 /// are caught by the same multiset check.
 #[test]
 fn every_call_resolves_exactly_once_under_seeded_chaos() {
+    let mut fired_total = 0;
     for (i, seed) in CHAOS_SEEDS.into_iter().enumerate() {
         let workers = 1 + (i % 4);
         let plan = FaultPlan::from_seed(seed, 3_000_000, 4);
         assert!(!plan.is_empty(), "seeded plan must carry events");
-        let report = run(Some(plan), workers, CHAOS_CALLS);
+        let config = RuntimeConfig {
+            workers,
+            queue_capacity: CHAOS_CALLS as usize + 16,
+            batch_max: 32,
+            switchless: SwitchlessConfig::fixed(8),
+            ..RuntimeConfig::default()
+        };
+        let (report, fired) =
+            common::run_armed(config, Some(plan), Stream::Chaos, 0xFA_117, CHAOS_CALLS);
+        assert!(fired > 0, "seed {seed:#x}: no scheduled fault fired");
+        fired_total += fired;
 
         assert_eq!(
             report.outcomes.len() as u64,
@@ -190,6 +95,10 @@ fn every_call_resolves_exactly_once_under_seeded_chaos() {
             "seed {seed:#x}: injected faults must heal, not panic"
         );
     }
+    assert!(
+        fired_total >= CHAOS_FIRED_FLOOR,
+        "only {fired_total} scheduled faults fired (floor {CHAOS_FIRED_FLOOR})"
+    );
 }
 
 /// Invariant 3: an injected `InvalidationDrop` defers a pulled

@@ -1,13 +1,12 @@
 //! Observability-plane properties.
 //!
-//! The flight recorder's contract has three legs:
+//! That recording is cycle-invisible (obs on vs off) is pinned by the
+//! plane parity table (`tests/parity.rs`). This suite pins the rest of
+//! the flight recorder's contract:
 //!
-//! 1. **Off is free, on is cycle-invisible.** `ObsConfig::off()` (the
-//!    default) must be bit-for-bit identical to PR-4 behavior, and
-//!    because events charge zero virtual cycles, `ObsConfig::ring()`
-//!    must produce the *same* virtual-time numbers too — same verdicts,
-//!    same latencies, same meters, same cache statistics. Recording may
-//!    only cost host time, never simulated time.
+//! 1. **Recordings conserve.** Per-kind event counts equal the
+//!    machine-level transition counts, and every budget change names
+//!    its epoch fold.
 //! 2. **Overflow is head-anchored and exactly counted.** A ring that
 //!    fills keeps its oldest `capacity` events (the run's beginning is
 //!    what a flight recorder must preserve), drops the newest, and
@@ -19,145 +18,31 @@
 //! All runs here use a single worker: multi-worker stealing is
 //! host-scheduling-dependent, and these are determinism properties.
 
-use xover_runtime::{
-    build_spans, trace_doc, CallRequest, CallVerdict, EventKind, ObsConfig, RuntimeConfig,
-    ServiceReport, SwitchlessConfig, WorldCallService,
-};
+mod common;
 
-use machine::rng::SplitMix64;
+use common::{assert_cycle_exact, single_worker};
+use xover_runtime::{
+    build_spans, trace_doc, CallVerdict, EventKind, ObsConfig, RuntimeConfig, ServiceReport,
+    SwitchlessConfig,
+};
 
 const SEED: u64 = 0x0B5E_2BE5;
 const CALLS: u64 = 600;
-const WORKING_SET_PAGES: u64 = 8;
-
-/// Two tenants × (user + kernel) with working sets and switchless
-/// channels, so traced runs exercise the coalesced path, the TLB and
-/// both caches — the paths with emission sites.
-fn build_service(
-    obs: ObsConfig,
-    switchless: SwitchlessConfig,
-) -> (WorldCallService, Vec<crossover::world::Wid>) {
-    let mut svc = WorldCallService::new(RuntimeConfig {
-        workers: 1,
-        queue_capacity: CALLS as usize + 16,
-        batch_max: 32,
-        switchless,
-        obs,
-        ..RuntimeConfig::default()
-    });
-    let mut worlds = Vec::new();
-    for t in 0..2u64 {
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named(&format!("obs-{t}")))
-            .expect("create vm");
-        let user = svc
-            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
-            .expect("register user world");
-        let kernel = svc
-            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
-            .expect("register kernel world");
-        for &w in &[user, kernel] {
-            svc.attach_working_set(w, vm, WORKING_SET_PAGES)
-                .expect("attach working set");
-            svc.attach_channel(w, vm).expect("attach channel");
-        }
-        worlds.push(user);
-        worlds.push(kernel);
-    }
-    (svc, worlds)
-}
-
-/// Skewed request stream (half the draws hit a hot pair, so channels
-/// engage); 5% abusive so timeout verdicts appear in the span joins.
-/// Each request is tagged with its draw index for the span join test.
-fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], i: u64) -> CallRequest {
-    let (caller, callee) = loop {
-        let (a, b) = if rng.flip() {
-            (worlds[0], worlds[1])
-        } else {
-            (
-                worlds[rng.below(worlds.len() as u64) as usize],
-                worlds[rng.below(worlds.len() as u64) as usize],
-            )
-        };
-        if a != b {
-            break (a, b);
-        }
-    };
-    let work_cycles = 1_000 + rng.below(2_000);
-    let mut req = CallRequest::new(caller, callee, work_cycles, work_cycles / 3)
-        .with_touches(rng.below(WORKING_SET_PAGES))
-        .with_tag(i);
-    if rng.chance(0.05) {
-        req = req.with_budget(work_cycles / 4);
-    }
-    req
-}
 
 fn run(obs: ObsConfig) -> ServiceReport {
     run_with(obs, SwitchlessConfig::fixed(8))
 }
 
 fn run_with(obs: ObsConfig, switchless: SwitchlessConfig) -> ServiceReport {
-    let (mut svc, worlds) = build_service(obs, switchless);
-    let mut rng = SplitMix64::new(SEED);
-    for i in 0..CALLS {
-        svc.submit(draw_request(&mut rng, &worlds, i))
-            .expect("queue open");
-    }
-    svc.start();
-    svc.drain()
+    let config = RuntimeConfig {
+        switchless,
+        obs,
+        ..single_worker(CALLS)
+    };
+    common::run(config, None, SEED, CALLS)
 }
 
-/// Everything virtual-time-observable must match across obs off / on.
-fn assert_virtually_identical(a: &ServiceReport, b: &ServiceReport, label: &str) {
-    assert_eq!(a.outcomes, b.outcomes, "{label}: outcome streams diverge");
-    assert_eq!(
-        a.smp.total_cycles(),
-        b.smp.total_cycles(),
-        "{label}: total cycles diverge"
-    );
-    assert_eq!(
-        a.smp.makespan_cycles(),
-        b.smp.makespan_cycles(),
-        "{label}: makespan diverges"
-    );
-    assert_eq!(a.wt, b.wt, "{label}: WT stats diverge");
-    assert_eq!(a.iwt, b.iwt, "{label}: IWT stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{label}: TLB stats diverge");
-    assert_eq!(
-        a.queue_wait_cycles, b.queue_wait_cycles,
-        "{label}: queue wait diverges"
-    );
-    assert_eq!(
-        a.switchless.world_calls, b.switchless.world_calls,
-        "{label}: world_call counts diverge"
-    );
-    assert_eq!(
-        a.switchless.world_returns, b.switchless.world_returns,
-        "{label}: world_return counts diverge"
-    );
-}
-
-/// Leg 1: `Off` equals the default config (no behavioral knob leaked),
-/// and `Ring` is cycle-exact against `Off` — recording charges nothing.
-#[test]
-fn obs_off_and_on_are_virtually_identical() {
-    let default_cfg = run(ObsConfig::default());
-    let off = run(ObsConfig::off());
-    let on = run(ObsConfig::ring());
-
-    assert!(default_cfg.obs.is_none(), "default must not record");
-    assert!(off.obs.is_none(), "off must not record");
-    assert_virtually_identical(&default_cfg, &off, "default vs off");
-    assert_virtually_identical(&off, &on, "off vs ring");
-
-    let recorded = on.obs.as_ref().expect("ring mode must record");
-    assert_eq!(recorded.dropped(), 0, "default capacity must not drop");
-    assert!(recorded.total_events() > 0, "a traced run must have events");
-}
-
-/// Leg 1b: the recording's conservation invariant holds — per-kind obs
+/// Leg 1: the recording's conservation invariant holds — per-kind obs
 /// counts equal the machine-level transition counts, and the exporter's
 /// own `verify` agrees.
 #[test]
@@ -186,7 +71,7 @@ fn lossless_recording_conserves_transition_counts() {
     assert_eq!(round.counts, doc.counts);
 }
 
-/// Leg 1c: a recorded adaptive run moves real budgets, and `verify`'s
+/// Leg 1b: a recorded adaptive run moves real budgets, and `verify`'s
 /// budget-changes-vs-folds check (which synthetic unit events otherwise
 /// exercise alone) passes on it: every `BudgetGrow`/`BudgetShrink` the
 /// switchless controller's fold emits names a recorded epoch fold.
@@ -230,7 +115,7 @@ fn ring_overflow_is_head_anchored_and_exactly_counted() {
     let small = run(ObsConfig::ring_with_capacity(64));
 
     // Virtual behavior is capacity-independent.
-    assert_virtually_identical(&big, &small, "big vs small capacity");
+    assert_cycle_exact(&big, &small, "big vs small capacity");
 
     let big_obs = big.obs.as_ref().expect("recorded");
     let small_obs = small.obs.as_ref().expect("recorded");

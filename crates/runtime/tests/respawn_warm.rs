@@ -1,5 +1,5 @@
 //! Respawn warming: after a crash-respawn tears down a worker's private
-//! WT/IWT caches, [`SupervisorConfig::prefetch_warm_on_respawn`] pre-fills
+//! WT/IWT caches, [`RuntimeConfig::prefetch_warm_on_respawn`] pre-fills
 //! the fresh unit from recent call history via priced `manage_wtc` fills,
 //! so the first post-respawn calls hit instead of eating cold miss
 //! faults. The before/after recovery-latency sample lands in
@@ -7,9 +7,7 @@
 //! directly comparable.
 
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
-use xover_runtime::{
-    CallRequest, CallVerdict, RuntimeConfig, ServiceReport, SupervisorConfig, WorldCallService,
-};
+use xover_runtime::{CallRequest, CallVerdict, RuntimeConfig, ServiceReport, WorldCallService};
 
 const CALLS: u64 = 200;
 const CRASH_AT_CYCLES: u64 = 150_000;
@@ -20,10 +18,7 @@ fn run(warm: bool) -> ServiceReport {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
         queue_capacity: CALLS as usize + 16,
-        supervisor: SupervisorConfig {
-            prefetch_warm_on_respawn: warm,
-            ..SupervisorConfig::default()
-        },
+        prefetch_warm_on_respawn: warm,
         ..RuntimeConfig::default()
     });
     let vm1 = svc
@@ -116,10 +111,7 @@ fn warming_cuts_post_respawn_recovery_latency() {
 fn no_crash_means_no_samples_and_no_fills() {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
-        supervisor: SupervisorConfig {
-            prefetch_warm_on_respawn: true,
-            ..SupervisorConfig::default()
-        },
+        prefetch_warm_on_respawn: true,
         ..RuntimeConfig::default()
     });
     let vm1 = svc

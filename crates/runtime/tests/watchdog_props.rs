@@ -1,150 +1,45 @@
 //! SLO-watchdog and critical-path properties.
 //!
-//! The watchdog inherits the plane-wide contract every optional layer
-//! in this runtime carries:
+//! That an armed watchdog is cycle-invisible, on clean and faulted
+//! schedules, is pinned by the plane parity table (`tests/parity.rs`).
+//! This suite pins the rest:
 //!
-//! 1. **Off is structurally absent, on is cycle-invisible.** The
-//!    default config builds no watchdog object; arming it may only
-//!    cost host time — verdicts, latencies, meters and cache statistics
-//!    must be bit-for-bit identical with the unwatched runtime, on
-//!    clean *and* faulted schedules.
-//! 2. **Clean runs raise zero incidents.** Baselines are learned from
+//! 1. **Clean runs raise zero incidents.** Baselines are learned from
 //!    the run itself, so an undisturbed workload must never burn.
-//! 3. **The critical-path identity is exact.** Every request
+//! 2. **The critical-path identity is exact.** Every request
 //!    decomposed from a recorded event stream must have components
 //!    that sum to its measured service window to the cycle, under
 //!    clean and chaotic schedules alike — this is the
 //!    `critical-path` conservation check the trace verifier runs.
 //!
-//! All parity runs use a single worker: multi-worker stealing is
+//! All runs use a single worker: multi-worker stealing is
 //! host-scheduling-dependent, and these are determinism properties.
 
+mod common;
+
+use common::single_worker;
 use machine::fault::FaultPlan;
-use machine::rng::SplitMix64;
 use obs::causal::check_exact;
-use xover_runtime::{
-    CallRequest, ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WatchdogConfig,
-    WorldCallService,
-};
+use xover_runtime::{ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WatchdogMode};
 
 const CALLS: u64 = 600;
-const WORKING_SET_PAGES: u64 = 8;
 const SEED: u64 = 0x51_0D06;
 
-fn build_service(config: RuntimeConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
-    let mut svc = WorldCallService::new(config);
-    let mut worlds = Vec::new();
-    for t in 0..2u64 {
-        let vm = svc
-            .create_vm(hypervisor::vm::VmConfig::named(&format!("wd-{t}")))
-            .expect("create vm");
-        let user = svc
-            .register_guest_user(vm, 0x1000 * (t + 1), 0x40_0000)
-            .expect("register user world");
-        let kernel = svc
-            .register_guest_kernel(vm, 0x10_0000 * (t + 1), 0xFFFF_8000)
-            .expect("register kernel world");
-        for &w in &[user, kernel] {
-            svc.attach_working_set(w, vm, WORKING_SET_PAGES)
-                .expect("attach working set");
-            svc.attach_channel(w, vm).expect("attach channel");
-        }
-        worlds.push(user);
-        worlds.push(kernel);
-    }
-    (svc, worlds)
-}
-
-fn draw_request(rng: &mut SplitMix64, worlds: &[crossover::world::Wid], tag: u64) -> CallRequest {
-    let (caller, callee) = loop {
-        let (a, b) = if rng.flip() {
-            (worlds[0], worlds[1])
-        } else {
-            (
-                worlds[rng.below(worlds.len() as u64) as usize],
-                worlds[rng.below(worlds.len() as u64) as usize],
-            )
-        };
-        if a != b {
-            break (a, b);
-        }
-    };
-    let work_cycles = 1_000 + rng.below(2_000);
-    let mut req = CallRequest::new(caller, callee, work_cycles, work_cycles / 3)
-        .with_touches(rng.below(WORKING_SET_PAGES))
-        .with_tenant((tag % 3) as u32)
-        .with_tag(tag);
-    if rng.chance(0.05) {
-        req = req.with_budget(work_cycles / 4);
-    }
-    req
-}
-
-fn run(watchdog: WatchdogConfig, obs: ObsConfig, plan: Option<FaultPlan>) -> ServiceReport {
-    let (mut svc, worlds) = build_service(RuntimeConfig {
-        workers: 1,
-        queue_capacity: CALLS as usize + 16,
-        batch_max: 32,
+fn run(watchdog: WatchdogMode, obs: ObsConfig, plan: Option<FaultPlan>) -> ServiceReport {
+    let config = RuntimeConfig {
         switchless: SwitchlessConfig::fixed(8),
         watchdog,
         obs,
-        ..RuntimeConfig::default()
-    });
-    if let Some(plan) = plan {
-        svc.set_fault_plan(plan);
-    }
-    let mut rng = SplitMix64::new(SEED);
-    for tag in 0..CALLS {
-        svc.submit(draw_request(&mut rng, &worlds, tag))
-            .expect("queue open");
-    }
-    svc.start();
-    svc.drain()
+        ..single_worker(CALLS)
+    };
+    common::run(config, plan, SEED, CALLS)
 }
 
-fn assert_virtually_identical(a: &ServiceReport, b: &ServiceReport, label: &str) {
-    assert_eq!(a.outcomes, b.outcomes, "{label}: outcome streams diverge");
-    assert_eq!(
-        a.smp.total_cycles(),
-        b.smp.total_cycles(),
-        "{label}: total cycles diverge"
-    );
-    assert_eq!(
-        a.smp.makespan_cycles(),
-        b.smp.makespan_cycles(),
-        "{label}: makespan diverges"
-    );
-    assert_eq!(a.wt, b.wt, "{label}: WT stats diverge");
-    assert_eq!(a.iwt, b.iwt, "{label}: IWT stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{label}: TLB stats diverge");
-    assert_eq!(
-        a.queue_wait_cycles, b.queue_wait_cycles,
-        "{label}: queue wait diverges"
-    );
-}
-
-/// Leg 1: watchdog-on is cycle-exact with watchdog-off — on a clean
-/// schedule and on a seeded chaotic one (where detection actually has
-/// something to chew on).
-#[test]
-fn watchdog_on_and_off_are_virtually_identical() {
-    let off = run(WatchdogConfig::default(), ObsConfig::off(), None);
-    let on = run(WatchdogConfig::on(), ObsConfig::off(), None);
-    assert!(off.watchdog.is_none(), "default must not watch");
-    assert_virtually_identical(&off, &on, "clean off vs on");
-    assert!(on.watchdog.is_some(), "armed watchdog must report");
-
-    let plan = || Some(FaultPlan::from_seed(0xD06_FA117, 3_000_000, 4));
-    let off_chaos = run(WatchdogConfig::default(), ObsConfig::off(), plan());
-    let on_chaos = run(WatchdogConfig::on(), ObsConfig::off(), plan());
-    assert_virtually_identical(&off_chaos, &on_chaos, "chaos off vs on");
-}
-
-/// Leg 2: an undisturbed workload burns nothing — the learned
+/// Leg 1: an undisturbed workload burns nothing — the learned
 /// baselines fit the run they were learned from.
 #[test]
 fn clean_run_raises_zero_incidents() {
-    let report = run(WatchdogConfig::on(), ObsConfig::ring(), None);
+    let report = run(WatchdogMode::On, ObsConfig::ring(), None);
     let wd = report.watchdog.as_ref().expect("armed watchdog reports");
     assert!(wd.baseline_ready, "run long enough to finish learning");
     assert!(wd.epochs_evaluated > 0);
@@ -156,11 +51,11 @@ fn clean_run_raises_zero_incidents() {
     );
 }
 
-/// Leg 2b: per-tenant latency digests partition the completed stream
+/// Leg 1b: per-tenant latency digests partition the completed stream
 /// and carry sane percentiles.
 #[test]
 fn tenant_latency_digests_partition_completions() {
-    let report = run(WatchdogConfig::default(), ObsConfig::off(), None);
+    let report = run(WatchdogMode::Off, ObsConfig::off(), None);
     assert!(!report.tenant_latency.is_empty());
     let total: u64 = report.tenant_latency.iter().map(|t| t.hist.count()).sum();
     assert_eq!(total, report.completed, "per-tenant histograms partition");
@@ -175,7 +70,7 @@ fn tenant_latency_digests_partition_completions() {
     }
 }
 
-/// Leg 3: the critical-path identity — components sum to the measured
+/// Leg 2: the critical-path identity — components sum to the measured
 /// window for *every* request — holds on a clean recorded run, and
 /// under every seeded fault schedule (retries, respawns, quarantines
 /// all decompose exactly).
@@ -184,7 +79,7 @@ fn critical_path_identity_is_cycle_exact() {
     for plan in [None, Some(FaultPlan::from_seed(0xC41_1DA7, 3_000_000, 4))] {
         let label = if plan.is_some() { "chaos" } else { "clean" };
         let report = run(
-            WatchdogConfig::default(),
+            WatchdogMode::Off,
             ObsConfig::ring_with_capacity(1 << 16),
             plan,
         );
@@ -215,7 +110,7 @@ fn critical_path_identity_is_cycle_exact() {
 /// its `(ts, submit-first)` order or its conservation checks.
 #[test]
 fn annotated_trace_stays_well_ordered() {
-    let report = run(WatchdogConfig::on(), ObsConfig::ring(), None);
+    let report = run(WatchdogMode::On, ObsConfig::ring(), None);
     let mut doc = xover_runtime::trace_doc("watchdog_props", &report, 3.4).expect("obs on");
     let wd = report.watchdog.as_ref().expect("armed");
     xover_runtime::annotate_trace(&mut doc, wd);
