@@ -23,14 +23,19 @@ use systems::proxos::Proxos;
 use systems::shadowcontext::ShadowContext;
 use systems::tahoma::Tahoma;
 
-fn dump(env: &mut CrossVmEnv, label: &str) {
+/// Prints the events recorded since `record_events`; an empty window is
+/// an error, so a call path that stopped recording cannot pass silently.
+fn dump(env: &CrossVmEnv, label: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let trace = env.platform.cpu().trace();
+    if trace.events().is_empty() {
+        return Err(format!("{label}: no transition events were recorded").into());
+    }
     println!("{label}: NULL syscall transition trace\n");
     let mut cycles = 0u64;
-    for e in env.platform.cpu().trace().events() {
+    for e in trace.events() {
         cycles += e.cycles;
         println!("  {e}   [+{} cy]", e.cycles);
     }
-    let trace = env.platform.cpu().trace();
     println!(
         "\n  {} transitions, {} ring crossings, {} hypervisor interventions",
         trace.len(),
@@ -42,6 +47,7 @@ fn dump(env: &mut CrossVmEnv, label: &str) {
         cycles,
         machine::cost::Cycles(cycles).as_micros(Frequency::GHZ_3_4)
     );
+    Ok(())
 }
 
 fn run(which: &str) -> Result<(), Box<dyn std::error::Error>> {
@@ -50,18 +56,18 @@ fn run(which: &str) -> Result<(), Box<dyn std::error::Error>> {
             let mut env = CrossVmEnv::new("vm1", "vm2")?;
             env.k1.syscall(&mut env.platform, Syscall::Null)?;
             env.settle_in_vm1()?;
-            env.clear_trace();
+            env.platform.cpu_mut().record_events();
             env.k1.syscall(&mut env.platform, Syscall::Null)?;
-            dump(&mut env, "native");
+            dump(&env, "native")?;
         }
         "crossover" => {
             let mut env = CrossVmEnv::new("vm1", "vm2")?;
             let mut ch = CrossOverChannel::setup(&mut env)?;
             crossover_cross_vm_syscall(&mut env, &mut ch, &Syscall::Null)?;
             env.settle_in_vm1()?;
-            env.clear_trace();
+            env.platform.cpu_mut().record_events();
             crossover_cross_vm_syscall(&mut env, &mut ch, &Syscall::Null)?;
-            dump(&mut env, "crossover world_call");
+            dump(&env, "crossover world_call")?;
         }
         sys => {
             let (name, mode) = sys
@@ -81,9 +87,9 @@ fn run(which: &str) -> Result<(), Box<dyn std::error::Error>> {
                     };
                     s.$call(&Syscall::Null)?;
                     s.env.settle_in_vm1()?;
-                    s.env.clear_trace();
+                    s.env.platform.cpu_mut().record_events();
                     s.$call(&Syscall::Null)?;
-                    dump(&mut s.env, sys);
+                    dump(&s.env, sys)?;
                 }};
             }
             match name {

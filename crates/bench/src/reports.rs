@@ -390,7 +390,7 @@ pub fn figure2() -> String {
     let _ = p.redirected_syscall(&Syscall::Null);
     p.env.settle_in_vm1().expect("settle");
     out += &trace_of("(a) Proxos: syscall redirection", || {
-        p.env.clear_trace();
+        p.env.platform.cpu_mut().record_events();
         let _ = p.redirected_syscall(&Syscall::Null);
         p.env.platform.cpu().trace().events().to_vec()
     });
@@ -399,7 +399,7 @@ pub fn figure2() -> String {
     let _ = h.reverse_syscall(&Syscall::Null);
     h.env.settle_in_vm1().expect("settle");
     out += &trace_of("(b) HyperShell: reverse syscall execution", || {
-        h.env.clear_trace();
+        h.env.platform.cpu_mut().record_events();
         let _ = h.reverse_syscall(&Syscall::Null);
         h.env.platform.cpu().trace().events().to_vec()
     });
@@ -408,7 +408,7 @@ pub fn figure2() -> String {
     let _ = t.browser_call(&Syscall::Null);
     t.env.settle_in_vm1().expect("settle");
     out += &trace_of("(c) Tahoma: browser-call over TCP RPC", || {
-        t.env.clear_trace();
+        t.env.platform.cpu_mut().record_events();
         let _ = t.browser_call(&Syscall::Null);
         t.env.platform.cpu().trace().events().to_vec()
     });
@@ -417,7 +417,7 @@ pub fn figure2() -> String {
     let _ = s.introspect_syscall(&Syscall::Null);
     s.env.settle_in_vm1().expect("settle");
     out += &trace_of("(d) ShadowContext: introspection syscall", || {
-        s.env.clear_trace();
+        s.env.platform.cpu_mut().record_events();
         let _ = s.introspect_syscall(&Syscall::Null);
         s.env.platform.cpu().trace().events().to_vec()
     });
@@ -429,7 +429,7 @@ pub fn figure2() -> String {
     out += &trace_of(
         "(contrast) Proxos optimized: the same redirected syscall via VMFUNC",
         || {
-            p.env.clear_trace();
+            p.env.platform.cpu_mut().record_events();
             let _ = p.redirected_syscall(&Syscall::Null);
             p.env.platform.cpu().trace().events().to_vec()
         },
@@ -459,7 +459,7 @@ pub fn figure3() -> String {
         .expect("register callee");
     p.vmentry(vm1).expect("vmentry");
     p.cpu_mut().force_cr3(0x1000);
-    p.cpu_mut().clear_trace();
+    p.cpu_mut().record_events();
     let token = mgr.call(&mut p, caller, callee).expect("call");
     p.cpu_mut().charge_work(626, 200, "callee service");
     mgr.ret(&mut p, token).expect("ret");
@@ -484,7 +484,7 @@ pub fn figure4() -> String {
     let mut env = CrossVmEnv::new("VM-1", "VM-2").expect("env");
     let _ = vmfunc_cross_vm_syscall(&mut env, &Syscall::Null);
     env.settle_in_vm1().expect("settle");
-    env.clear_trace();
+    env.platform.cpu_mut().record_events();
     let _ = vmfunc_cross_vm_syscall(&mut env, &Syscall::Null).expect("cross-vm syscall");
     let mut out = String::new();
     let _ = writeln!(

@@ -91,7 +91,8 @@ pub struct Cpu {
 
 impl Cpu {
     /// Creates a CPU with the given id and cost model, starting in guest
-    /// user mode with a full event trace.
+    /// user mode with a counting-only trace: transition counts and ring
+    /// crossings, but no per-event records (see [`Cpu::record_events`]).
     pub fn new(id: u32, cost: CostModel) -> Cpu {
         Cpu {
             id,
@@ -104,16 +105,8 @@ impl Cpu {
             interrupts_enabled: true,
             cost,
             meter: Meter::new(),
-            trace: Trace::new(),
+            trace: Trace::counting_only(),
         }
-    }
-
-    /// Like [`Cpu::new`] but with a statistics-only trace, for long
-    /// benchmark runs.
-    pub fn new_counting_only(id: u32, cost: CostModel) -> Cpu {
-        let mut cpu = Cpu::new(id, cost);
-        cpu.trace = Trace::counting_only();
-        cpu
     }
 
     /// This CPU's id.
@@ -184,6 +177,15 @@ impl Cpu {
     /// Clears the transition trace (meter is unaffected).
     pub fn clear_trace(&mut self) {
         self.trace.clear();
+    }
+
+    /// Clears the transition trace and starts keeping every [`Event`] from
+    /// here on, for callers that print the events of the operation that
+    /// follows (meter is unaffected).
+    ///
+    /// [`Event`]: crate::trace::Event
+    pub fn record_events(&mut self) {
+        self.trace = Trace::new();
     }
 
     /// Performs a transition of `kind` into `to` mode, charging its price
@@ -388,9 +390,32 @@ mod tests {
 
     #[test]
     fn counting_only_cpu_keeps_stats() {
-        let mut c = Cpu::new_counting_only(1, CostModel::uniform(10));
+        let mut c = Cpu::new(1, CostModel::uniform(10));
         c.transition(TransitionKind::Vmfunc, CpuMode::GUEST_USER);
         assert!(c.trace().events().is_empty());
         assert_eq!(c.trace().count(TransitionKind::Vmfunc), 1);
+    }
+
+    #[test]
+    fn record_events_clears_then_records() {
+        let mut c = cpu();
+        c.transition(TransitionKind::SyscallEnter, CpuMode::GUEST_KERNEL);
+        c.record_events();
+        assert!(c.trace().is_empty());
+        c.transition(TransitionKind::SyscallExit, CpuMode::GUEST_USER);
+        let events = c.trace().events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].seq, events[0].kind),
+            (0, TransitionKind::SyscallExit)
+        );
+        // Clearing keeps recording on.
+        c.clear_trace();
+        c.transition(TransitionKind::SyscallEnter, CpuMode::GUEST_KERNEL);
+        assert_eq!(c.trace().events().len(), 1);
+        // The meter saw every transition.
+        let price = |k| c.cost_model().price(k).cycles;
+        let expected = 2 * price(TransitionKind::SyscallEnter) + price(TransitionKind::SyscallExit);
+        assert_eq!(c.meter().cycles(), expected);
     }
 }

@@ -12,8 +12,9 @@
 //!   i7-4770 @ 3.4 GHz preset matching the paper's evaluation platform.
 //! * [`account`] — cycle/instruction meters ([`account::Meter`]) that the
 //!   rest of the stack charges work against.
-//! * [`trace`] — an event trace of every transition, from which ring-crossing
-//!   counts (Table 1, Figure 2) are derived rather than assumed.
+//! * [`trace`] — counts of every transition (and, once a caller opts in,
+//!   the events themselves), from which ring-crossing counts (Table 1,
+//!   Figure 2) are derived rather than assumed.
 //! * [`cpu`] — the virtual CPU: register file, control registers, current
 //!   mode, and checked mode-transition helpers.
 //!

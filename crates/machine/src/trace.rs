@@ -1,10 +1,17 @@
 //! Transition event tracing.
 //!
-//! Every world transition the simulated CPU performs is appended to a
+//! Every world transition the simulated CPU performs is counted by a
 //! [`Trace`]. The paper's Table 1 and Figure 2 count *ring crossings and
 //! context switches* along each system's call path; in this reproduction
 //! those counts are **derived from the trace of an actual execution**, not
 //! hardcoded, which is what makes the reproduction falsifiable.
+//!
+//! Counting is all a [`crate::cpu::Cpu`] does by default: per-kind counts,
+//! ring crossings and the sequence number cost a fixed few words however
+//! long the run. Keeping each [`Event`] as well is opt-in, through
+//! [`crate::cpu::Cpu::record_events`], which the callers that print event
+//! lines use just before the operation they print: the Figure 2–4
+//! reports, the `trace` binary and the quickstart example.
 
 use std::fmt;
 
@@ -181,7 +188,9 @@ impl fmt::Display for Event {
     }
 }
 
-/// An append-only log of [`Event`]s with derived statistics.
+/// Transition statistics, plus an append-only log of [`Event`]s when
+/// created with [`Trace::new`] (a [`Trace::counting_only`] trace keeps
+/// only the statistics).
 ///
 /// # Example
 ///
@@ -216,8 +225,8 @@ impl Trace {
     }
 
     /// Creates a trace that keeps statistics but discards per-event
-    /// records. Use for long benchmark runs where storing every event would
-    /// dominate memory.
+    /// records, so its size stays fixed however many transitions it
+    /// counts. Every [`crate::cpu::Cpu`] starts with one.
     pub fn counting_only() -> Trace {
         Trace {
             enabled: false,

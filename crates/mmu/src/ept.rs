@@ -241,6 +241,17 @@ mod tests {
     }
 
     #[test]
+    fn unmap_huge_frees_the_nodes_it_empties() {
+        let mut ept = Ept::new(0);
+        let baseline = ept.table.node_count();
+        ept.map_huge(Gpa(HUGE_PAGE_SIZE), Hpa(0), Perms::rwx())
+            .unwrap();
+        assert_eq!(ept.table.node_count(), baseline + 2);
+        assert!(ept.unmap_huge(Gpa(HUGE_PAGE_SIZE)).is_some());
+        assert_eq!(ept.table.node_count(), baseline);
+    }
+
+    #[test]
     fn huge_ept_backing_translates_across_the_region() {
         use crate::pagetable::HUGE_PAGE_SIZE;
         let mut ept = Ept::new(1);

@@ -262,6 +262,17 @@ mod tests {
     }
 
     #[test]
+    fn unmap_huge_frees_the_nodes_it_empties() {
+        let mut pt = PageTable::new(0);
+        let baseline = pt.table.node_count();
+        pt.map_huge(Gva(HUGE_PAGE_SIZE), Gpa(0), Perms::rw())
+            .unwrap();
+        assert_eq!(pt.table.node_count(), baseline + 2);
+        assert!(pt.unmap_huge(Gva(HUGE_PAGE_SIZE)).is_some());
+        assert_eq!(pt.table.node_count(), baseline);
+    }
+
+    #[test]
     fn misaligned_huge_map_rejected() {
         let mut pt = PageTable::new(0);
         assert!(pt

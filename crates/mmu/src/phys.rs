@@ -3,9 +3,11 @@
 //! Host frames back everything in the simulated machine: guest RAM, shared
 //! parameter-passing pages, and the cross-ring code page. Frames are
 //! allocated lazily and stored sparsely, so "32 GB" machines cost only what
-//! they touch. Clones share their frames copy-on-write: every simulated
-//! core sees the same host RAM, and a clone pays for a private copy only
-//! when it first allocates or writes.
+//! they touch: a frame is backed (reads and writes to it succeed) from its
+//! allocation, but holds no bytes until its first write, and reads of an
+//! unwritten frame return zeros. Clones share their frames copy-on-write:
+//! every simulated core sees the same host RAM, and a clone pays for a
+//! private copy only when it first allocates or writes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,8 +15,8 @@ use std::sync::Arc;
 use crate::addr::{Hpa, PAGE_SIZE};
 use crate::MmuError;
 
-/// Simulated host physical memory: a sparse set of 4 KiB frames plus a
-/// bump allocator for new frames. Cloning is one reference-count
+/// Simulated host physical memory: a sparse set of 4 KiB frames, each
+/// zero until first written, plus a bump allocator for new frames. Cloning is one reference-count
 /// increment; the first mutation on either side of a shared clone copies
 /// the frame set, so the other side's bytes never change.
 ///
@@ -33,7 +35,8 @@ use crate::MmuError;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
-    frames: Arc<HashMap<u64, Box<[u8]>>>,
+    /// Backed frames; `None` until the frame's first write.
+    frames: Arc<HashMap<u64, Option<Box<[u8]>>>>,
     next_frame: u64,
 }
 
@@ -47,11 +50,12 @@ impl PhysMemory {
         }
     }
 
-    /// Allocates a fresh zeroed frame and returns its base address.
+    /// Backs a fresh frame and returns its base address. The frame reads
+    /// as zeros and holds no host bytes until its first write.
     pub fn alloc_frame(&mut self) -> Hpa {
         let n = self.next_frame;
         self.next_frame += 1;
-        Arc::make_mut(&mut self.frames).insert(n, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        Arc::make_mut(&mut self.frames).insert(n, None);
         Hpa::from_frame(n)
     }
 
@@ -108,7 +112,11 @@ impl PhysMemory {
                 .ok_or(MmuError::BadPhysAddr { hpa: addr })?;
             let off = addr.page_offset() as usize;
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            buf[done..done + n].copy_from_slice(&frame[off..off + n]);
+            let dst = &mut buf[done..done + n];
+            match frame {
+                Some(bytes) => dst.copy_from_slice(&bytes[off..off + n]),
+                None => dst.fill(0),
+            }
             done += n;
             addr = addr.page_base() + PAGE_SIZE;
         }
@@ -140,7 +148,8 @@ impl PhysMemory {
         while done < data.len() {
             let frame = frames
                 .get_mut(&addr.frame_number())
-                .expect("validated above");
+                .expect("validated above")
+                .get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
             let off = addr.page_offset() as usize;
             let n = (data.len() - done).min(PAGE_SIZE as usize - off);
             frame[off..off + n].copy_from_slice(&data[done..done + n]);
@@ -185,6 +194,24 @@ mod tests {
         m.read(a, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 16]);
         assert_eq!(m.frame_count(), 2);
+    }
+
+    #[test]
+    fn only_written_frames_hold_bytes() {
+        let mut m = PhysMemory::new();
+        let first = m.alloc_frames(3);
+        let materialized = |m: &PhysMemory| m.frames.values().filter(|f| f.is_some()).count();
+        assert_eq!(materialized(&m), 0);
+        // A write spanning into the second frame's first byte materialises
+        // the first two frames, and nothing else.
+        m.write(first + (PAGE_SIZE - 1), &[7, 8]).unwrap();
+        assert_eq!(materialized(&m), 2);
+        let mut buf = [0xffu8; 4];
+        m.read(first + 2 * PAGE_SIZE, &mut buf).unwrap();
+        assert_eq!(buf, [0; 4], "an unwritten frame reads as zeros");
+        m.read(first + (PAGE_SIZE - 2), &mut buf).unwrap();
+        assert_eq!(buf, [0, 7, 8, 0]);
+        assert_eq!((m.frame_count(), materialized(&m)), (3, 2));
     }
 
     #[test]

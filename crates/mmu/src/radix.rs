@@ -7,8 +7,15 @@
 //! page tables store ([`crate::addr::Gpa`], [`crate::perms::Perms`]) leaves
 //! and EPTs store ([`crate::addr::Hpa`], [`crate::perms::Perms`]) leaves.
 //! Intermediate nodes are allocated from an internal arena, so a `Radix`
-//! behaves like real hardware tables: sparse, hierarchical, and walkable
-//! level by level (the walk depth is observable for cost accounting).
+//! behaves like real hardware tables: hierarchical, and walkable level by
+//! level (the walk depth is observable for cost accounting).
+//!
+//! Nodes are sparse on the host: each keeps only its occupied slots, as a
+//! list sorted by slot index, so an absent index is an empty slot. A world
+//! that maps a couple of pages pays for a few short lists rather than four
+//! 512-slot arrays. The modelled table is unchanged: the same indices
+//! resolve at the same levels, so walk depths and the cycles charged for
+//! them are exactly those of a dense table.
 
 /// Bits resolved per level.
 const LEVEL_BITS: u32 = 9;
@@ -25,25 +32,46 @@ type NodeId = u32;
 
 #[derive(Debug, Clone)]
 enum Slot<T> {
-    Empty,
     Table(NodeId),
     Leaf(T),
 }
 
+/// One table node: its occupied slots, sorted by index (`< FANOUT`).
 #[derive(Debug, Clone)]
 struct Node<T> {
-    slots: Vec<Slot<T>>,
-    /// Number of non-empty slots, to allow freeing empty intermediate
-    /// nodes on unmap.
-    used: u16,
+    slots: Vec<(u16, Slot<T>)>,
 }
 
 impl<T> Node<T> {
     fn new() -> Node<T> {
-        Node {
-            slots: (0..FANOUT).map(|_| Slot::Empty).collect(),
-            used: 0,
+        Node { slots: Vec::new() }
+    }
+
+    fn position(&self, i: usize) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&(i as u16), |&(k, _)| k)
+    }
+
+    fn get(&self, i: usize) -> Option<&Slot<T>> {
+        self.position(i).ok().map(|p| &self.slots[p].1)
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut Slot<T>> {
+        self.position(i).ok().map(|p| &mut self.slots[p].1)
+    }
+
+    /// Puts `slot` at index `i`, returning the slot it replaced.
+    fn put(&mut self, i: usize, slot: Slot<T>) -> Option<Slot<T>> {
+        match self.position(i) {
+            Ok(p) => Some(std::mem::replace(&mut self.slots[p].1, slot)),
+            Err(p) => {
+                self.slots.insert(p, (i as u16, slot));
+                None
+            }
         }
+    }
+
+    fn take(&mut self, i: usize) -> Option<Slot<T>> {
+        self.position(i).ok().map(|p| self.slots.remove(p).1)
     }
 }
 
@@ -80,9 +108,8 @@ pub struct Radix<T> {
 impl<T> Radix<T> {
     /// Creates an empty table.
     pub fn new() -> Radix<T> {
-        let root_node = Node::new();
         Radix {
-            arena: vec![root_node],
+            arena: vec![Node::new()],
             root: 0,
             len: 0,
             free: Vec::new(),
@@ -116,14 +143,42 @@ impl<T> Radix<T> {
         }
     }
 
+    /// Takes a node from the free list (freed nodes are empty) or grows
+    /// the arena.
     fn alloc_node(&mut self) -> NodeId {
         if let Some(id) = self.free.pop() {
-            self.arena[id as usize] = Node::new();
             id
         } else {
             self.arena.push(Node::new());
             (self.arena.len() - 1) as NodeId
         }
+    }
+
+    /// Walks from the root along `frame`'s indices `idx` to the node at
+    /// `leaf_level`, allocating missing intermediate nodes.
+    ///
+    /// # Errors
+    ///
+    /// [`HugeError::Overlap`] if a leaf above `leaf_level` covers `frame`.
+    fn descend_or_create(
+        &mut self,
+        frame: u64,
+        idx: &[usize; LEVELS],
+        leaf_level: usize,
+    ) -> Result<NodeId, HugeError> {
+        let mut node = self.root;
+        for &i in idx.iter().take(leaf_level) {
+            node = match self.arena[node as usize].get(i) {
+                Some(Slot::Table(child)) => *child,
+                Some(Slot::Leaf(_)) => return Err(HugeError::Overlap { frame }),
+                None => {
+                    let child = self.alloc_node();
+                    self.arena[node as usize].put(i, Slot::Table(child));
+                    child
+                }
+            };
+        }
+        Ok(node)
     }
 
     /// Inserts a 4 KiB leaf for `frame`, replacing and returning any
@@ -138,61 +193,22 @@ impl<T> Radix<T> {
             return Err(HugeError::OutOfRange { frame });
         }
         let idx = Self::indices(frame);
-        let mut node = self.root;
-        for &i in idx.iter().take(LEVELS - 1) {
-            node = match &self.arena[node as usize].slots[i] {
-                Slot::Table(child) => *child,
-                Slot::Empty => {
-                    let child = self.alloc_node();
-                    let n = &mut self.arena[node as usize];
-                    n.slots[i] = Slot::Table(child);
-                    n.used += 1;
-                    child
-                }
-                Slot::Leaf(_) => return Err(HugeError::Overlap { frame }),
-            };
-        }
-        let last = idx[LEVELS - 1];
-        let n = &mut self.arena[node as usize];
-        let prev = std::mem::replace(&mut n.slots[last], Slot::Leaf(value));
-        match prev {
-            Slot::Leaf(old) => Ok(Some(old)),
-            Slot::Empty => {
-                n.used += 1;
+        let node = self.descend_or_create(frame, &idx, LEVELS - 1)?;
+        match self.arena[node as usize].put(idx[LEVELS - 1], Slot::Leaf(value)) {
+            Some(Slot::Leaf(old)) => Ok(Some(old)),
+            None => {
                 self.len += 1;
                 Ok(None)
             }
-            Slot::Table(_) => unreachable!("tables never sit at the last level"),
+            Some(Slot::Table(_)) => unreachable!("tables never sit at the last level"),
         }
     }
 
-    /// Removes a huge leaf installed with [`Radix::insert_huge`].
+    /// Removes a huge leaf installed with [`Radix::insert_huge`], freeing
+    /// any intermediate nodes that become empty.
     pub fn remove_huge(&mut self, frame: u64, huge_levels: u32) -> Option<T> {
-        if Self::check_frame(frame).is_err() {
-            return None;
-        }
-        let idx = Self::indices(frame);
         let leaf_level = LEVELS.checked_sub(1 + huge_levels as usize)?;
-        let mut node = self.root;
-        for &i in idx.iter().take(leaf_level) {
-            match &self.arena[node as usize].slots[i] {
-                Slot::Table(child) => node = *child,
-                _ => return None,
-            }
-        }
-        let slot_i = idx[leaf_level];
-        let n = &mut self.arena[node as usize];
-        match std::mem::replace(&mut n.slots[slot_i], Slot::Empty) {
-            Slot::Leaf(v) => {
-                n.used -= 1;
-                self.len -= 1;
-                Some(v)
-            }
-            other => {
-                n.slots[slot_i] = other;
-                None
-            }
-        }
+        self.remove_at(frame, leaf_level)
     }
 
     /// Looks up the leaf for `frame`.
@@ -218,8 +234,7 @@ impl<T> Radix<T> {
         let idx = Self::indices(frame);
         let mut node = self.root;
         for (level, &i) in idx.iter().enumerate() {
-            match &self.arena[node as usize].slots[i] {
-                Slot::Empty => return None,
+            match self.arena[node as usize].get(i)? {
                 Slot::Table(child) => node = *child,
                 Slot::Leaf(v) => {
                     let covered = LEVEL_BITS * (LEVELS - 1 - level) as u32;
@@ -249,33 +264,16 @@ impl<T> Radix<T> {
         if frame & ((1 << covered) - 1) != 0 {
             return Err(HugeError::Misaligned { frame });
         }
-        let idx = Self::indices(frame);
         let leaf_level = LEVELS - 1 - huge_levels as usize;
-        let mut node = self.root;
-        for &i in idx.iter().take(leaf_level) {
-            node = match &self.arena[node as usize].slots[i] {
-                Slot::Table(child) => *child,
-                Slot::Empty => {
-                    let child = self.alloc_node();
-                    let n = &mut self.arena[node as usize];
-                    n.slots[i] = Slot::Table(child);
-                    n.used += 1;
-                    child
-                }
-                Slot::Leaf(_) => return Err(HugeError::Overlap { frame }),
-            };
-        }
-        let slot_i = idx[leaf_level];
+        let idx = Self::indices(frame);
+        let node = self.descend_or_create(frame, &idx, leaf_level)?;
         let n = &mut self.arena[node as usize];
-        match &n.slots[slot_i] {
-            Slot::Empty => {
-                n.slots[slot_i] = Slot::Leaf(value);
-                n.used += 1;
-                self.len += 1;
-                Ok(())
-            }
-            _ => Err(HugeError::Overlap { frame }),
+        if n.get(idx[leaf_level]).is_some() {
+            return Err(HugeError::Overlap { frame });
         }
+        n.put(idx[leaf_level], Slot::Leaf(value));
+        self.len += 1;
+        Ok(())
     }
 
     /// Mutable lookup.
@@ -286,62 +284,54 @@ impl<T> Radix<T> {
         let idx = Self::indices(frame);
         let mut node = self.root;
         for &i in idx.iter().take(LEVELS - 1) {
-            match &self.arena[node as usize].slots[i] {
+            match self.arena[node as usize].get(i)? {
                 Slot::Table(child) => node = *child,
-                _ => return None,
+                Slot::Leaf(_) => return None,
             }
         }
-        match &mut self.arena[node as usize].slots[idx[LEVELS - 1]] {
+        match self.arena[node as usize].get_mut(idx[LEVELS - 1])? {
             Slot::Leaf(v) => Some(v),
-            _ => None,
+            Slot::Table(_) => None,
         }
     }
 
     /// Removes and returns the leaf for `frame`, freeing any intermediate
     /// nodes that become empty.
     pub fn remove(&mut self, frame: u64) -> Option<T> {
+        self.remove_at(frame, LEVELS - 1)
+    }
+
+    /// Removes the leaf sitting at `leaf_level` on `frame`'s path, then
+    /// frees the nodes it leaves empty bottom-up (never the root).
+    fn remove_at(&mut self, frame: u64, leaf_level: usize) -> Option<T> {
         if Self::check_frame(frame).is_err() {
             return None;
         }
         let idx = Self::indices(frame);
         let mut path = [self.root; LEVELS];
-        let mut node = self.root;
-        for (level, &i) in idx.iter().take(LEVELS - 1).enumerate() {
-            match &self.arena[node as usize].slots[i] {
-                Slot::Table(child) => {
-                    node = *child;
-                    path[level + 1] = node;
-                }
-                _ => return None,
+        for level in 0..leaf_level {
+            match self.arena[path[level] as usize].get(idx[level])? {
+                Slot::Table(child) => path[level + 1] = *child,
+                Slot::Leaf(_) => return None,
             }
         }
-        let last = idx[LEVELS - 1];
-        let n = &mut self.arena[node as usize];
-        let prev = std::mem::replace(&mut n.slots[last], Slot::Empty);
-        let value = match prev {
-            Slot::Leaf(v) => {
-                n.used -= 1;
-                self.len -= 1;
-                v
-            }
-            other => {
+        let n = &mut self.arena[path[leaf_level] as usize];
+        let value = match n.take(idx[leaf_level])? {
+            Slot::Leaf(v) => v,
+            table => {
                 // Not a leaf: restore and bail.
-                n.slots[last] = other;
+                n.put(idx[leaf_level], table);
                 return None;
             }
         };
-        // Free now-empty intermediate nodes bottom-up (never the root).
-        for level in (1..LEVELS).rev() {
+        self.len -= 1;
+        for level in (1..=leaf_level).rev() {
             let id = path[level];
-            if self.arena[id as usize].used == 0 {
-                self.free.push(id);
-                let parent = path[level - 1];
-                let pi = idx[level - 1];
-                self.arena[parent as usize].slots[pi] = Slot::Empty;
-                self.arena[parent as usize].used -= 1;
-            } else {
+            if !self.arena[id as usize].slots.is_empty() {
                 break;
             }
+            self.free.push(id);
+            self.arena[path[level - 1] as usize].take(idx[level - 1]);
         }
         Some(value)
     }
@@ -349,24 +339,20 @@ impl<T> Radix<T> {
     /// Iterates over `(base frame, &value)` pairs in ascending frame
     /// order. Huge leaves yield the base frame of their covered range.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+        // (node, frame prefix, next position in its slot list, depth)
         let mut stack: Vec<(NodeId, u64, usize, usize)> = vec![(self.root, 0, 0, 0)];
         std::iter::from_fn(move || loop {
-            let (node, prefix, start, depth) = stack.pop()?;
-            let slots = &self.arena[node as usize].slots;
-            for (i, slot) in slots.iter().enumerate().take(FANOUT).skip(start) {
-                match slot {
-                    Slot::Empty => continue,
-                    Slot::Table(child) => {
-                        stack.push((node, prefix, i + 1, depth));
-                        stack.push((*child, (prefix << LEVEL_BITS) | i as u64, 0, depth + 1));
-                        break;
-                    }
-                    Slot::Leaf(v) => {
-                        stack.push((node, prefix, i + 1, depth));
-                        let raw = (prefix << LEVEL_BITS) | i as u64;
-                        let shift = LEVEL_BITS * (LEVELS - 1 - depth) as u32;
-                        return Some((raw << shift, v));
-                    }
+            let (node, prefix, pos, depth) = stack.pop()?;
+            let Some((i, slot)) = self.arena[node as usize].slots.get(pos) else {
+                continue;
+            };
+            stack.push((node, prefix, pos + 1, depth));
+            let raw = (prefix << LEVEL_BITS) | u64::from(*i);
+            match slot {
+                Slot::Table(child) => stack.push((*child, raw, 0, depth + 1)),
+                Slot::Leaf(v) => {
+                    let shift = LEVEL_BITS * (LEVELS - 1 - depth) as u32;
+                    return Some((raw << shift, v));
                 }
             }
         })
@@ -573,6 +559,137 @@ mod tests {
         // And the reverse: a 4 KiB insert under a huge leaf.
         r.insert_huge(1024, 1, 2).unwrap();
         assert_eq!(r.insert(1100, 9), Err(HugeError::Overlap { frame: 1100 }));
+    }
+
+    /// The oracle for `matches_a_btreemap_reference_model`: leaves by
+    /// base frame, each with its height above 4 KiB (0, 1 or 2) and value.
+    type Model = std::collections::BTreeMap<u64, (u32, u64)>;
+
+    /// The leaf covering `frame`, as (base, height, value). Leaves never
+    /// overlap, so only the nearest base at or below `frame` can cover it.
+    fn covering(model: &Model, frame: u64) -> Option<(u64, u32, u64)> {
+        let (&base, &(height, value)) = model.range(..=frame).next_back()?;
+        (frame < base + (1 << (LEVEL_BITS * height))).then_some((base, height, value))
+    }
+
+    #[test]
+    fn matches_a_btreemap_reference_model() {
+        use machine::rng::SplitMix64;
+        /// Frames one 1 GiB leaf covers.
+        const GIB: u64 = 1 << (2 * LEVEL_BITS);
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut r: Radix<u64> = Radix::new();
+            let mut model = Model::new();
+            // Frames crowd into three 1 GiB regions (a dozen 4 KiB frames in
+            // three 2 MiB slots each) so that leaves of every size collide;
+            // one draw in 32 is out of range.
+            let draw = |rng: &mut SplitMix64| {
+                if rng.below(32) == 0 {
+                    return (1 << FRAME_BITS) + rng.below(4);
+                }
+                rng.below(3) * GIB + rng.below(3) * FANOUT as u64 + rng.below(4)
+            };
+            for step in 0..400u64 {
+                let frame = draw(&mut rng);
+                let in_range = frame >> FRAME_BITS == 0;
+                match rng.below(8) {
+                    0 | 1 => {
+                        let want = if !in_range {
+                            Err(HugeError::OutOfRange { frame })
+                        } else if matches!(covering(&model, frame), Some((_, h, _)) if h > 0) {
+                            Err(HugeError::Overlap { frame })
+                        } else {
+                            Ok(model.insert(frame, (0, step)).map(|(_, v)| v))
+                        };
+                        assert_eq!(r.insert(frame, step), want, "seed {seed} insert {frame:#x}");
+                    }
+                    2 | 3 => {
+                        // Mostly 2 MiB, sometimes 1 GiB; one in four
+                        // misaligned by a frame.
+                        let height = if rng.below(4) == 0 { 2 } else { 1 };
+                        let span = 1u64 << (LEVEL_BITS * height);
+                        let base = (frame & !(span - 1)) + u64::from(rng.below(4) == 0);
+                        let want = if base >> FRAME_BITS != 0 {
+                            Err(HugeError::OutOfRange { frame: base })
+                        } else if !base.is_multiple_of(span) {
+                            Err(HugeError::Misaligned { frame: base })
+                        } else if covering(&model, base).is_some()
+                            || model.range(base..base + span).next().is_some()
+                        {
+                            Err(HugeError::Overlap { frame: base })
+                        } else {
+                            model.insert(base, (height, step));
+                            Ok(())
+                        };
+                        let got = r.insert_huge(base, height, step);
+                        assert_eq!(got, want, "seed {seed} insert_huge {base:#x}/{height}");
+                    }
+                    4 => {
+                        let want = match model.get(&frame) {
+                            Some(&(0, v)) => model.remove(&frame).map(|_| v),
+                            _ => None,
+                        };
+                        assert_eq!(r.remove(frame), want, "seed {seed} remove {frame:#x}");
+                    }
+                    5 => {
+                        let height = 1 + rng.below(2) as u32;
+                        let base = frame & !((1u64 << (LEVEL_BITS * height)) - 1);
+                        let want = match model.get(&base) {
+                            Some(&(h, v)) if h == height && in_range => {
+                                model.remove(&base);
+                                Some(v)
+                            }
+                            _ => None,
+                        };
+                        let got = r.remove_huge(frame, height);
+                        assert_eq!(got, want, "seed {seed} remove_huge {frame:#x}/{height}");
+                    }
+                    6 => {
+                        let got = r.lookup_mut(frame).map(|v| {
+                            *v += 1_000_000;
+                            *v
+                        });
+                        let want = match model.get_mut(&frame) {
+                            Some((0, v)) => {
+                                *v += 1_000_000;
+                                Some(*v)
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(got, want, "seed {seed} lookup_mut {frame:#x}");
+                    }
+                    _ => {
+                        // A 4 KiB leaf is found at level 4, a 2 MiB leaf at
+                        // level 3, a 1 GiB leaf at level 2: the depth the
+                        // TLB prices a walk by.
+                        let want = covering(&model, frame)
+                            .filter(|_| in_range)
+                            .map(|(_, h, v)| (v, 4 - h, LEVEL_BITS * h));
+                        let got = r.walk_with_coverage(frame).map(|(v, l, c)| (*v, l, c));
+                        assert_eq!(got, want, "seed {seed} walk {frame:#x}");
+                    }
+                }
+                assert_eq!(r.len(), model.len() as u64, "seed {seed} step {step}");
+                if model.is_empty() {
+                    assert_eq!(r.node_count(), 1, "seed {seed} step {step}: empty table");
+                }
+            }
+            let got: Vec<(u64, u64)> = r.iter().map(|(f, v)| (f, *v)).collect();
+            let want: Vec<(u64, u64)> = model.iter().map(|(&f, &(_, v))| (f, v)).collect();
+            assert_eq!(got, want, "seed {seed}: iter order");
+            // Emptying the table frees every node but the root.
+            for (&base, &(height, v)) in &model {
+                let got = if height == 0 {
+                    r.remove(base)
+                } else {
+                    r.remove_huge(base, height)
+                };
+                assert_eq!(got, Some(v));
+            }
+            assert!(r.is_empty());
+            assert_eq!(r.node_count(), 1, "seed {seed}: nodes left after emptying");
+        }
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl CrossVmEnv {
         Ok((value, delta))
     }
 
-    /// Clears the transition trace (for per-operation Figure 2 captures).
-    pub fn clear_trace(&mut self) {
-        self.platform.cpu_mut().clear_trace();
-    }
-
     /// Restores the CPU to "VM-1 app running in user mode" — the resting
     /// state between benchmark iterations.
     ///

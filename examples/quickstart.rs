@@ -31,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Enter the caller's world.
     platform.vmentry(vm1)?;
     platform.cpu_mut().force_cr3(0x1000);
-    platform.cpu_mut().clear_trace();
+    // Keep every transition's event from here on, to print them below.
+    platform.cpu_mut().record_events();
 
     // The cross-world call: one hardware transition each way.
     let snap = platform.cpu().meter().snapshot();
@@ -55,5 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         platform.cpu().trace().hypervisor_interventions()
     );
     assert_eq!(platform.cpu().trace().hypervisor_interventions(), 0);
+    // Every counted transition was also recorded as an event.
+    let trace = platform.cpu().trace();
+    assert_eq!(trace.events().len() as u64, trace.len());
     Ok(())
 }

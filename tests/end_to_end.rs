@@ -122,7 +122,7 @@ fn baselines_match_their_figure2_world_switch_counts() {
     let mut p = Proxos::baseline().unwrap();
     p.redirected_syscall(&Syscall::Null).unwrap();
     p.env.settle_in_vm1().unwrap();
-    p.env.clear_trace();
+    p.env.platform.cpu_mut().clear_trace();
     p.redirected_syscall(&Syscall::Null).unwrap();
     let crossings = p.env.platform.cpu().trace().ring_crossings();
     assert!(
@@ -133,7 +133,7 @@ fn baselines_match_their_figure2_world_switch_counts() {
     let mut s = ShadowContext::baseline().unwrap();
     s.introspect_syscall(&Syscall::Null).unwrap();
     s.env.settle_in_vm1().unwrap();
-    s.env.clear_trace();
+    s.env.platform.cpu_mut().clear_trace();
     s.introspect_syscall(&Syscall::Null).unwrap();
     let crossings = s.env.platform.cpu().trace().ring_crossings();
     assert!(
