@@ -111,19 +111,6 @@ impl ServiceRegistry {
         self.refused
     }
 
-    /// Whether a call from `caller` *would* be served at some tier, without
-    /// consuming a throttle slot or touching the served/refused counters.
-    ///
-    /// The switchless layer uses this as a channel-admission check: a
-    /// caller the callee would refuse outright gets no shared ring (it
-    /// must use the classic path, where [`ServiceRegistry::dispatch`]
-    /// refuses it per call). Throttled callers are still admitted — the
-    /// window bounds *served calls*, which the per-call dispatch keeps
-    /// accounting for; admission itself is not a served call.
-    pub fn would_serve(&self, caller: Wid) -> bool {
-        self.tiers.contains_key(&caller.raw()) || self.default_tier.is_some()
-    }
-
     /// Decides one incoming call from the hardware-authenticated `caller`.
     pub fn dispatch(&mut self, caller: Wid) -> Dispatch {
         let tier = match self.tiers.get(&caller.raw()).copied() {
@@ -203,26 +190,6 @@ mod tests {
         assert_eq!(r.dispatch(a), Dispatch::Throttle);
         r.reset_window();
         assert!(matches!(r.dispatch(a), Dispatch::Serve(_)));
-    }
-
-    #[test]
-    fn would_serve_is_side_effect_free() {
-        let (a, b) = test_wids();
-        let mut r = ServiceRegistry::new();
-        r.grant(
-            a,
-            ServiceTier::Throttled {
-                calls_per_window: 1,
-            },
-        );
-        assert!(r.would_serve(a));
-        assert!(!r.would_serve(b));
-        // No counters or throttle slots consumed by the check.
-        assert_eq!(r.served(), 0);
-        assert_eq!(r.refused(), 0);
-        assert!(matches!(r.dispatch(a), Dispatch::Serve(_)));
-        r.set_default(ServiceTier::ReadOnly);
-        assert!(r.would_serve(b));
     }
 
     #[test]

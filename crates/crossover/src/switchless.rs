@@ -20,11 +20,7 @@
 //! Layout: one segment per callee world, one *lane* (page) per caller
 //! hash, so each (caller-world, callee-world) pair owns a private ring
 //! of [`SLOTS_PER_LANE`] cache-line-sized slots and two pairs never
-//! false-share a line. Channel admission is the callee's business, as
-//! all CrossOver authorization is (§3.4): a segment can carry a
-//! [`crate::service::ServiceRegistry`] and callers it would refuse are
-//! simply denied a channel — they fall back to the classic per-call
-//! path, they are not refused service.
+//! false-share a line.
 //!
 //! The *dispatcher policy* — how long a worker stays resident in the
 //! callee world, when it spins versus returns — lives in the runtime
@@ -41,7 +37,6 @@ use mmu::pagetable::PageTable;
 use mmu::perms::Perms;
 
 use crate::manager::{RESTORE_STATE_CYCLES, SAVE_STATE_CYCLES};
-use crate::service::ServiceRegistry;
 use crate::world::Wid;
 
 /// Bytes per ring slot: one cache line carries the marshalled request
@@ -74,7 +69,6 @@ pub struct ChannelSegment {
     pt: PageTable,
     base: Gva,
     lanes: u64,
-    grants: Option<ServiceRegistry>,
 }
 
 impl ChannelSegment {
@@ -89,19 +83,7 @@ impl ChannelSegment {
     /// Panics if `lanes` is zero.
     pub fn new(pt: PageTable, base: Gva, lanes: u64) -> ChannelSegment {
         assert!(lanes > 0, "a channel segment needs at least one lane");
-        ChannelSegment {
-            pt,
-            base,
-            lanes,
-            grants: None,
-        }
-    }
-
-    /// Attaches a callee-side admission policy: callers the registry
-    /// would refuse get no channel (and must use the classic path).
-    pub fn with_grants(mut self, grants: ServiceRegistry) -> ChannelSegment {
-        self.grants = Some(grants);
-        self
+        ChannelSegment { pt, base, lanes }
     }
 
     /// Number of lanes (pages) in the segment.
@@ -117,18 +99,6 @@ impl ChannelSegment {
     /// The lane `caller`'s requests ride in.
     pub fn lane_of(&self, caller: Wid) -> u64 {
         mix64(caller.raw()) % self.lanes
-    }
-
-    /// Whether `caller` is granted a channel. Without an attached
-    /// registry every caller is admitted; with one, only callers the
-    /// registry would serve (at any tier) are. The check is
-    /// side-effect-free — the throttle window is the *service*'s
-    /// accounting, not the channel's.
-    pub fn admits(&self, caller: Wid) -> bool {
-        match &self.grants {
-            None => true,
-            Some(r) => r.would_serve(caller),
-        }
     }
 
     /// Guest-virtual address of slot `seq` in `lane`.
@@ -323,7 +293,6 @@ impl DrainStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceTier;
     use hypervisor::vm::VmConfig;
 
     fn mapped_segment(platform: &mut Platform, lanes: u64) -> (ChannelSegment, u64) {
@@ -379,23 +348,6 @@ mod tests {
             seen.insert(lane);
         }
         assert!(seen.len() > 4, "mixer should use most lanes, got {seen:?}");
-    }
-
-    #[test]
-    fn grants_gate_channel_admission_without_side_effects() {
-        let (a, b) = crate::binding::test_wids();
-        let mut reg = ServiceRegistry::new();
-        reg.grant(a, ServiceTier::Full);
-        let seg = ChannelSegment::new(PageTable::new(0x1000), Gva(0x9000_0000), 1)
-            .with_grants(reg.clone());
-        assert!(seg.admits(a));
-        assert!(!seg.admits(b), "unknown caller gets no channel");
-        // Ungated segments admit everyone.
-        let open = ChannelSegment::new(PageTable::new(0x1000), Gva(0x9000_0000), 1);
-        assert!(open.admits(b));
-        // Admission checks must not consume served/refused counters.
-        assert_eq!(reg.served(), 0);
-        assert_eq!(reg.refused(), 0);
     }
 
     #[test]

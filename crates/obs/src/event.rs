@@ -55,8 +55,8 @@ pub enum EventKind {
     /// Controller moved a lane budget. a=lane, b=new budget.
     BudgetMove = 20,
     /// Request reached a verdict. a=seq, b=verdict code
-    /// (0=completed, 1=timed-out, 2=failed, 3=dead-lettered), c=1 if the
-    /// request was serviced by a resident drain.
+    /// (0=completed, 1=timed-out, 2=failed, 3=dead-lettered, 4=denied),
+    /// c=1 if the request was serviced by a resident drain.
     RequestVerdict = 21,
     /// Supervisor charged a stall to a worker. a=stall cycles.
     Stall = 22,
@@ -64,7 +64,8 @@ pub enum EventKind {
     /// c=callee.
     GatewayAdmit = 23,
     /// Gateway shed a submission without servicing it. a=token, b=tenant,
-    /// c=reason (0=ring-full, 1=health-shedding, 2=service-busy).
+    /// c=reason (0=ring-full, 1=health-shedding, 2=service-busy,
+    /// 3=denied).
     GatewayShed = 24,
     /// Gateway delivered a batch of completions to a tenant's completion
     /// ring. a=batch size, b=tenant.

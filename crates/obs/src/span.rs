@@ -32,7 +32,8 @@ pub struct Span {
     pub queue_wait: u64,
     /// Worker-clock time the verdict was recorded.
     pub ended_at: u64,
-    /// Verdict code: 0=completed, 1=timed-out, 2=failed, 3=dead-lettered.
+    /// Verdict code: 0=completed, 1=timed-out, 2=failed, 3=dead-lettered,
+    /// 4=denied.
     pub verdict: u8,
     /// Whether a resident drain serviced the request.
     pub coalesced: bool,
@@ -65,6 +66,7 @@ pub fn verdict_name(code: u8) -> &'static str {
         1 => "timed-out",
         2 => "failed",
         3 => "dead-lettered",
+        4 => "denied",
         _ => "unknown",
     }
 }
@@ -210,9 +212,11 @@ mod tests {
             enq(12, 1, 1, 3),
             disp(50, 1, 1, 38, 3),
             verdict(300, 1, 1, 1, 1),
+            disp(60, 0, 2, 0, 2),
+            verdict(60, 0, 2, 4, 0),
         ];
         let spans = build_spans(&events);
-        assert_eq!(spans.len(), 2);
+        assert_eq!(spans.len(), 3);
         let s0 = &spans[0];
         assert_eq!((s0.seq, s0.caller, s0.callee), (0, 1, 2));
         assert_eq!(s0.enqueued_at, Some(10));
@@ -223,6 +227,10 @@ mod tests {
         let s1 = &spans[1];
         assert!(s1.coalesced);
         assert_eq!(s1.verdict_name(), "timed-out");
+        // A policy denial resolves at dispatch with zero service time.
+        let s2 = &spans[2];
+        assert_eq!(s2.service_cycles(), 0);
+        assert_eq!(s2.verdict_name(), "denied");
     }
 
     #[test]

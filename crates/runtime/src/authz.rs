@@ -17,9 +17,11 @@
 //!   batch boundary, so in-flight batches and switchless-resident work
 //!   stop authorizing within one batch — the same staleness bound the
 //!   epoch table's retire log gives deletions.
-//! * **Token-bucket rate limits priced in virtual time.** Buckets
-//!   refill from the executing worker's virtual clock, so a throttled
-//!   caller is throttled in simulated cycles, not host wall time.
+//! * **Token-bucket rate limits priced in virtual time.** A grant can
+//!   carry its own rate ([`AuthzPolicy::set_rate`]); its bucket refills
+//!   from the executing worker's virtual clock, so a throttled caller
+//!   is throttled in simulated cycles, not host wall time. A caller
+//!   without a rate is never throttled.
 //! * **Chain provenance.** A request carries the worlds it was
 //!   re-issued through ([`crate::router::Provenance`]); the policy
 //!   requires every recorded hop to hold the same grant as the
@@ -30,8 +32,12 @@
 //! Everything here is host-side bookkeeping: checks charge **zero
 //! virtual cycles**, so a policy that denies nothing is invisible in
 //! the cycle accounting — `AuthzConfig::off()` (the default) and a
-//! permissive policy are both bit-for-bit cycle-exact against PR 8
-//! (asserted by `tests/authz_props.rs` and the `authz` bench).
+//! permissive policy are both bit-for-bit cycle-exact with the
+//! unenforced runtime (asserted by `tests/parity.rs` and the `authz`
+//! bench).
+//!
+//! This is the runtime's only authorization check: one per dispatched
+//! call, before the worker picks the classic or the switchless path.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,9 +81,6 @@ pub struct AuthzConfig {
     /// Maximum provenance chain depth admitted; deeper chains are
     /// refused with [`CallError::ChainTooDeep`].
     pub max_chain_depth: u8,
-    /// Pool-wide default rate limit applied to callers whose grant does
-    /// not carry its own; `None` disables rate limiting for them.
-    pub rate: Option<RateLimitConfig>,
 }
 
 impl AuthzConfig {
@@ -87,25 +90,23 @@ impl AuthzConfig {
     }
 
     /// Enforcing, default-closed (ungranted callers are denied), with a
-    /// chain-depth bound and no rate limit.
+    /// chain-depth bound.
     pub fn enforcing() -> AuthzConfig {
         AuthzConfig {
             mode: AuthzMode::Enforce,
             default_allow: false,
             max_chain_depth: 2,
-            rate: None,
         }
     }
 
-    /// Enforcing but admitting everything: no grants required, no rate
-    /// limits, chain depth unbounded. Denies nothing — the parity
-    /// configuration the cycle-exactness claims are asserted against.
+    /// Enforcing but admitting everything: no grants required, chain
+    /// depth unbounded. Denies nothing — the parity configuration the
+    /// cycle-exactness claims are asserted against.
     pub fn permissive() -> AuthzConfig {
         AuthzConfig {
             mode: AuthzMode::Enforce,
             default_allow: true,
             max_chain_depth: u8::MAX,
-            rate: None,
         }
     }
 
@@ -121,7 +122,6 @@ impl Default for AuthzConfig {
             mode: AuthzMode::Off,
             default_allow: false,
             max_chain_depth: 2,
-            rate: None,
         }
     }
 }
@@ -136,7 +136,8 @@ struct Grant {
     /// revocation published. A revoked grant is kept (not removed) so
     /// [`CallError::Revoked`] is distinguishable from never-granted.
     revoked_at: Option<u64>,
-    /// Per-caller rate override (else [`AuthzConfig::rate`] applies).
+    /// The caller's token-bucket rate ([`AuthzPolicy::set_rate`]);
+    /// `None` means the caller is never rate-limited.
     rate: Option<RateLimitConfig>,
 }
 
@@ -363,11 +364,7 @@ impl AuthzPolicy {
         }
         // Rate-limit the immediate caller only: hops lend authority,
         // they don't spend their own budget on relayed traffic.
-        let rate = inner
-            .grants
-            .get(&req.caller.raw())
-            .and_then(|g| g.rate)
-            .or(self.config.rate);
+        let rate = inner.grants.get(&req.caller.raw()).and_then(|g| g.rate);
         if let Some(rate) = rate {
             let bucket = inner
                 .buckets
@@ -544,12 +541,12 @@ mod tests {
 
     #[test]
     fn token_bucket_refills_in_virtual_time() {
-        let mut cfg = AuthzConfig::permissive();
-        cfg.rate = Some(RateLimitConfig {
+        let rate = RateLimitConfig {
             burst: 2,
             refill_per_mcycle: 1, // 1 token per 10^6 cycles
-        });
-        let p = AuthzPolicy::new(cfg);
+        };
+        let p = AuthzPolicy::new(AuthzConfig::permissive());
+        p.set_rate(wid(1), rate);
         // Burst of 2 admitted at t=0, third throttled.
         assert!(p.check(&req(1, 2), 0).is_ok());
         assert!(p.check(&req(1, 2), 0).is_ok());
@@ -571,8 +568,20 @@ mod tests {
             Err(CallError::RateLimited { .. })
         ));
         assert_eq!(p.summary().rate_limited, 3);
-        // Another caller has its own bucket.
-        assert!(p.check(&req(5, 2), 0).is_ok());
+        // A second caller with its own rate has an independent bucket:
+        // caller 1's is empty at this instant, caller 5's starts full.
+        p.set_rate(wid(5), rate);
+        assert!(p.check(&req(5, 2), 100_000_000).is_ok());
+        assert!(p.check(&req(5, 2), 100_000_000).is_ok());
+        assert!(matches!(
+            p.check(&req(5, 2), 100_000_000),
+            Err(CallError::RateLimited { .. })
+        ));
+        // A caller without a per-grant rate is never limited.
+        for _ in 0..100 {
+            assert!(p.check(&req(6, 2), 0).is_ok());
+        }
+        assert_eq!(p.summary().rate_limited, 4);
     }
 
     #[test]

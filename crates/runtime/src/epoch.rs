@@ -12,7 +12,7 @@
 //! # Read path
 //!
 //! The table is published as a two-level radix: an atomically-swapped
-//! root [`TableArray`] holding a power-of-two array of bucket pointers,
+//! root `TableArray` holding a power-of-two array of bucket pointers,
 //! each bucket an immutable sorted slice of entries. A reader pins its
 //! per-worker epoch slot, loads the root, loads one bucket, binary
 //! searches, and unpins — no locks, no CAS loops, no allocation:

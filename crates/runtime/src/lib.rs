@@ -51,18 +51,17 @@
 //!   each virtual-time epoch from dry/saturated residency exits and
 //!   ring occupancy, shrinking idle channels back to the classic
 //!   per-call path ([`switchless::SwitchlessMode::Off`] keeps PR-2
-//!   behavior bit for bit). The layer's one other switch,
-//!   [`switchless::SwitchlessConfig::prefetch_register`], wires
-//!   the §5.1 Current-World-ID register into each worker's call unit;
-//!   its counters land in [`switchless::SwitchlessSummary`].
+//!   behavior bit for bit). A channel serves every caller the authz
+//!   plane admitted; it makes no admission decision of its own.
 //! * [`authz`] — the callee-side authorization the paper's §3 defers
 //!   to software: capability grants with generation-stamped revocation
 //!   (`delete_world` auto-revokes, so a stale WID never authorizes as
-//!   its predecessor), per-caller token buckets priced in virtual
-//!   time, and bounded call-chain provenance. Enforced at worker
-//!   dispatch before path selection; checks charge zero virtual
-//!   cycles, so [`AuthzConfig::off`] (the default) is bit-for-bit
-//!   cycle-exact with the unenforced runtime.
+//!   its predecessor), per-grant token buckets priced in virtual time
+//!   ([`AuthzPolicy::set_rate`]), and bounded call-chain provenance.
+//!   It is the runtime's one authorization check: once per call at
+//!   worker dispatch, before path selection.
+//!   Checks charge zero virtual cycles, so [`AuthzConfig::off`] (the
+//!   default) is bit-for-bit cycle-exact with the unenforced runtime.
 //!
 //! [`RuntimeConfig`] documents which values are settable and why; the
 //! rest are constants in the modules that use them ([`supervisor`],
@@ -86,7 +85,6 @@ pub mod watchdog;
 mod worker;
 
 pub use authz::{AuthzConfig, AuthzMode, AuthzPolicy, AuthzSummary, RateLimitConfig};
-pub use crossover::prefetch::PrefetchStats;
 pub use epoch::{EpochWorldTable, MaintainOutcome, TableHealth};
 pub use obs::{
     build_spans, top_slowest, verify, ConservationReport, Event, EventKind, EventRing,

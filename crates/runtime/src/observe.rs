@@ -103,33 +103,6 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
         reg.counter_set("xover_obs_events", recorded.total_events() as u64);
         reg.counter_set("xover_obs_dropped", recorded.dropped());
     }
-    // §5.1 Current-World-ID register gauges, exported whenever the
-    // register was wired (`SwitchlessConfig::prefetch_register`): the
-    // hit/miss and walk counters are its benefit side, the walk cycles
-    // its cost side.
-    let sw = &report.switchless;
-    if sw.prefetch_register {
-        reg.counter_set(
-            "xover_switchless_prefetch_useful_walks",
-            sw.prefetch.useful_walks,
-        );
-        reg.counter_set(
-            "xover_switchless_prefetch_useless_walks",
-            sw.prefetch.useless_walks,
-        );
-        reg.counter_set(
-            "xover_switchless_prefetch_register_hits",
-            sw.prefetch.register_hits,
-        );
-        reg.counter_set(
-            "xover_switchless_prefetch_register_misses",
-            sw.prefetch.register_misses,
-        );
-        reg.counter_set(
-            "xover_switchless_prefetch_walk_cycles",
-            sw.register_walk_cycles,
-        );
-    }
     // Authz-plane gauges, exported whenever the plane was live. The
     // per-family deny counters partition `xover_authz_denied_total`;
     // the generation gauge is the revocation clock dashboards line the
@@ -209,66 +182,4 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
         reg.histogram_set(&format!("xover_tenant{id}_latency_cycles"), t.hist.clone());
     }
     reg
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::router::CallRequest;
-    use crate::service::{RuntimeConfig, WorldCallService};
-    use crate::switchless::SwitchlessConfig;
-    use hypervisor::vm::VmConfig;
-
-    const REGISTER_GAUGES: [&str; 5] = [
-        "xover_switchless_prefetch_useful_walks",
-        "xover_switchless_prefetch_useless_walks",
-        "xover_switchless_prefetch_register_hits",
-        "xover_switchless_prefetch_register_misses",
-        "xover_switchless_prefetch_walk_cycles",
-    ];
-
-    fn drained_registry(prefetch_register: bool) -> Registry {
-        let mut svc = WorldCallService::new(RuntimeConfig {
-            workers: 1,
-            switchless: SwitchlessConfig {
-                prefetch_register,
-                ..SwitchlessConfig::default()
-            },
-            ..RuntimeConfig::default()
-        });
-        let vm1 = svc.create_vm(VmConfig::named("tenant-a")).unwrap();
-        let vm2 = svc.create_vm(VmConfig::named("tenant-b")).unwrap();
-        let caller = svc.register_guest_user(vm1, 0x1000, 0x40_0000).unwrap();
-        let callee = svc.register_guest_kernel(vm2, 0x2000, 0xFFFF_8000).unwrap();
-        for _ in 0..16 {
-            svc.submit(CallRequest::new(caller, callee, 500, 100))
-                .unwrap();
-        }
-        svc.start();
-        let report = svc.drain();
-        assert_eq!(report.completed, 16);
-        metrics_registry(&report)
-    }
-
-    #[test]
-    fn register_gauges_export_exactly_when_the_register_is_wired() {
-        // Switchless mode stays Off: the register's own switch is all it
-        // takes for its counters to reach the registry.
-        let reg = drained_registry(true);
-        for name in REGISTER_GAUGES {
-            assert!(reg.counter(name).is_some(), "{name} missing");
-        }
-        let counter = |name| reg.counter(name).unwrap();
-        assert!(
-            counter("xover_switchless_prefetch_register_hits")
-                + counter("xover_switchless_prefetch_register_misses")
-                > 0,
-            "a wired register sees every world_call"
-        );
-        assert!(counter("xover_switchless_prefetch_walk_cycles") > 0);
-        let reg = drained_registry(false);
-        for name in REGISTER_GAUGES {
-            assert!(reg.counter(name).is_none(), "{name} exported");
-        }
-    }
 }

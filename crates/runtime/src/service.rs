@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crossover::service::ServiceRegistry;
 use crossover::switchless::ChannelSegment;
 use crossover::table::DEFAULT_WORLD_QUOTA;
 use crossover::world::{Wid, WorldDescriptor};
@@ -46,18 +45,17 @@ use crate::watchdog::{Watchdog, WatchdogMode, WatchdogSummary};
 use crate::worker::{self, WorkerContext, WorkerReport};
 
 /// Pool and table sizing, plus one switch per optional plane
-/// (switchless, respawn warming, obs, authz, watchdog). Every plane's
-/// default is its off or inert mode, so `RuntimeConfig::default()` is
-/// the classic per-call runtime. A value lives here only when callers
-/// outside the tests need it at two settings; everything else is a
-/// constant next to the code that uses it (the healing policy's in
-/// [`crate::supervisor`], the watchdog's in [`crate::watchdog`], the
-/// switchless budget rails in [`crate::switchless`]). Three settings
-/// do not meet that rule yet and await a decision (ROADMAP item 2):
-/// only tests set [`SwitchlessConfig::prefetch_register`],
-/// [`RuntimeConfig::prefetch_warm_on_respawn`] or the pool-wide
-/// [`AuthzConfig::rate`] to a second value. Worker
-/// WT/IWT caches take [`crossover::wtc::CacheGeometry::default`], and a
+/// (switchless, obs, authz, watchdog). Every plane's default is its off
+/// or inert mode, so `RuntimeConfig::default()` is the classic per-call
+/// runtime. A value lives here only when callers outside the tests need
+/// it at two settings; everything else is a constant next to the code
+/// that uses it (the healing policy's in [`crate::supervisor`], the
+/// watchdog's in [`crate::watchdog`], the switchless budget rails in
+/// [`crate::switchless`]). Worker WT/IWT caches take
+/// [`crossover::wtc::CacheGeometry::default`] without the §5.1
+/// Current-World-ID register, a crash-respawned worker starts with
+/// cold caches, and token-bucket rates are per grant
+/// ([`AuthzPolicy::set_rate`]). A
 /// call's budget bounds its on-CPU service time (the §3.4 timer arms
 /// when the callee starts running, so a timeout verdict never depends
 /// on queue depth).
@@ -76,16 +74,8 @@ pub struct RuntimeConfig {
     /// models hardware whose world switch flushes translations).
     pub unified_tlb: bool,
     /// Switchless fast path (off by default: classic per-call behavior,
-    /// bit for bit). [`SwitchlessConfig::prefetch_register`] also wires
-    /// the §5.1 Current-World-ID register, in any mode.
+    /// bit for bit).
     pub switchless: SwitchlessConfig,
-    /// After a crash-respawn, pre-fill the fresh worker's WT/IWT caches
-    /// (`manage_wtc` fills, priced) from its recent call history instead
-    /// of letting the first post-respawn calls eat cold-cache miss
-    /// faults. Off by default: the fills charge virtual cycles. The
-    /// rest of the healing policy (backoff, quarantine, respawn caps)
-    /// is inert until faults actually occur.
-    pub prefetch_warm_on_respawn: bool,
     /// Observability plane: `Off` (the default) records nothing and is
     /// bit-for-bit identical to a build without obs wiring (pinned by
     /// the parity suite); `Ring` attaches per-worker flight-recorder
@@ -117,7 +107,6 @@ impl Default for RuntimeConfig {
             batch_max: 16,
             unified_tlb: true,
             switchless: SwitchlessConfig::default(),
-            prefetch_warm_on_respawn: false,
             obs: ObsConfig::default(),
             authz: AuthzConfig::default(),
             watchdog: WatchdogMode::default(),
@@ -665,27 +654,6 @@ impl WorldCallService {
         Ok(())
     }
 
-    /// Replaces the channel admission policy of `wid`'s segment with
-    /// `grants` (see [`ChannelSegment::admits`]): callers the registry
-    /// would refuse fall back to the classic path. Without this call,
-    /// an attached channel admits every caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool already started or `wid` has no attached
-    /// channel.
-    pub fn set_channel_grants(&mut self, wid: Wid, grants: ServiceRegistry) {
-        assert!(
-            self.handles.is_empty(),
-            "set channel grants before starting the pool"
-        );
-        let segments = unshared(&mut self.segments);
-        let seg = segments
-            .remove(&wid.raw())
-            .expect("set_channel_grants requires an attached channel");
-        segments.insert(wid.raw(), seg.with_grants(grants));
-    }
-
     /// The attached channel segment of `wid`, if any.
     pub fn channel(&self, wid: Wid) -> Option<&ChannelSegment> {
         self.segments.get(&wid.raw())
@@ -713,7 +681,6 @@ impl WorldCallService {
                 controller: self.controller.clone(),
                 segments: Arc::clone(&self.segments),
                 faults: self.faults.clone(),
-                prefetch_warm_on_respawn: self.config.prefetch_warm_on_respawn,
                 health: Arc::clone(&self.health),
                 obs: self.config.obs,
                 authz: self.authz.clone(),
@@ -872,10 +839,7 @@ impl WorldCallService {
         let mut iwt = CacheStats::default();
         let mut tlb = TlbStats::default();
         let mut stolen = 0;
-        let mut switchless = SwitchlessSummary {
-            prefetch_register: self.config.switchless.prefetch_register,
-            ..SwitchlessSummary::default()
-        };
+        let mut switchless = SwitchlessSummary::default();
         let mut supervisor = SupervisorSummary {
             worker_panics,
             degrade_escalations: self.health.escalations(),
@@ -899,11 +863,6 @@ impl WorldCallService {
             switchless.classic_calls += r.switchless.classic_calls;
             switchless.world_calls += r.world_calls;
             switchless.world_returns += r.world_returns;
-            switchless.prefetch.useful_walks += r.prefetch.useful_walks;
-            switchless.prefetch.useless_walks += r.prefetch.useless_walks;
-            switchless.prefetch.register_hits += r.prefetch.register_hits;
-            switchless.prefetch.register_misses += r.prefetch.register_misses;
-            switchless.register_walk_cycles += r.prefetch_walk_cycles;
             for (&callee, &(coalesced, pairs)) in &r.switchless.per_callee {
                 let slot = per_callee.entry(callee).or_insert((0, 0));
                 slot.0 += coalesced;
@@ -1043,8 +1002,6 @@ impl WorldCallService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossover::prefetch::PrefetchStats;
-    use crossover::service::ServiceTier;
 
     /// A service with a guest-user caller in one VM and a guest-kernel
     /// callee in another; not started.
@@ -1397,26 +1354,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_grants_gate_coalescing_back_to_classic() {
-        let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::fixed(16));
-        // A registry that serves some *other* world only: our caller is
-        // denied a channel, not denied service.
-        let mut grants = ServiceRegistry::new();
-        grants.grant(Wid::from_raw(0xDEAD), ServiceTier::Full);
-        svc.set_channel_grants(callee, grants);
-        for _ in 0..32 {
-            svc.submit(CallRequest::new(caller, callee, 500, 100))
-                .unwrap();
-        }
-        svc.start();
-        let report = svc.drain();
-        assert_eq!(report.completed, 32, "denied a channel, still served");
-        assert_eq!(report.switchless.drain.coalesced_calls, 0);
-        assert_eq!(report.switchless.classic_calls, 32);
-        assert!(report.outcomes.iter().all(|o| !o.coalesced));
-    }
-
-    #[test]
     fn timeout_aborts_residency_and_rest_of_chunk_goes_classic() {
         let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::fixed(16));
         // Two sane calls, one budget-buster, then more sane calls — all
@@ -1563,39 +1500,6 @@ mod tests {
             report.mean_queue_wait_cycles(),
             makespan
         );
-    }
-
-    #[test]
-    fn prefetch_register_is_opt_in_and_functional() {
-        for wired in [true, false] {
-            let (mut svc, caller, callee) = switchless_service(
-                1,
-                SwitchlessConfig {
-                    prefetch_register: wired,
-                    ..SwitchlessConfig::fixed(8)
-                },
-            );
-            for _ in 0..32 {
-                svc.submit(CallRequest::new(caller, callee, 500, 100))
-                    .unwrap();
-            }
-            svc.start();
-            let report = svc.drain();
-            assert_eq!(report.completed, 32);
-            let sw = &report.switchless;
-            assert_eq!(sw.prefetch_register, wired);
-            if wired {
-                assert!(
-                    sw.prefetch.register_hits + sw.prefetch.register_misses > 0,
-                    "a wired register sees every world_call: {:?}",
-                    sw.prefetch
-                );
-                assert!(sw.register_walk_cycles > 0);
-            } else {
-                assert_eq!(sw.prefetch, PrefetchStats::default());
-                assert_eq!(sw.register_walk_cycles, 0);
-            }
-        }
     }
 
     #[test]

@@ -235,14 +235,6 @@ pub struct SupervisorReport {
     /// call, one sample per fault episode (the recovery latency the
     /// bench reports).
     pub recovery_samples: Vec<u64>,
-    /// WT/IWT entries pre-filled after crash-respawns (nonzero only with
-    /// [`crate::RuntimeConfig::prefetch_warm_on_respawn`]).
-    pub warm_fills: u64,
-    /// On-CPU latency (cycles) of the first call each respawned worker
-    /// serviced — the before/after comparison for respawn warming: with
-    /// warming off these pay cold WT/IWT miss faults, with warming on
-    /// they hit the pre-filled entries.
-    pub post_respawn_latency_samples: Vec<u64>,
 }
 
 impl SupervisorReport {
@@ -262,19 +254,6 @@ impl SupervisorReport {
         self.working_set_faults += other.working_set_faults;
         self.recovery_samples
             .extend_from_slice(&other.recovery_samples);
-        self.warm_fills += other.warm_fills;
-        self.post_respawn_latency_samples
-            .extend_from_slice(&other.post_respawn_latency_samples);
-    }
-
-    /// Mean on-CPU latency of first-after-respawn calls, `NAN` with no
-    /// samples (no crashes, or the pool dead-lettered instead).
-    pub fn mean_post_respawn_latency_cycles(&self) -> f64 {
-        if self.post_respawn_latency_samples.is_empty() {
-            return f64::NAN;
-        }
-        self.post_respawn_latency_samples.iter().sum::<u64>() as f64
-            / self.post_respawn_latency_samples.len() as f64
     }
 
     /// Mean virtual-time recovery latency (fault observed → next

@@ -33,7 +33,6 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crossover::prefetch::PrefetchStats;
 use crossover::switchless::DrainStats;
 use crossover::world::Wid;
 
@@ -82,12 +81,6 @@ pub struct SwitchlessConfig {
     /// Virtual-time epoch length (cycles) between controller
     /// adjustments.
     pub epoch_cycles: u64,
-    /// Opt-in wiring of the §5.1 Current-World-ID prefetch register in
-    /// each worker's call unit. Off by default: the speculative walk
-    /// costs [`crossover::prefetch::SPECULATIVE_WALK_CYCLES`] per
-    /// context switch, which loses to a warm IWT hit — the register
-    /// only pays when IWT pressure is real.
-    pub prefetch_register: bool,
 }
 
 impl Default for SwitchlessConfig {
@@ -96,7 +89,6 @@ impl Default for SwitchlessConfig {
             mode: SwitchlessMode::default(),
             batch_budget: 16,
             epoch_cycles: 250_000,
-            prefetch_register: false,
         }
     }
 }
@@ -455,16 +447,6 @@ pub struct SwitchlessSummary {
     pub per_callee: Vec<PairTraffic>,
     /// The controller's epoch history (empty when switchless is off).
     pub epochs: Vec<EpochSnapshot>,
-    /// Whether the §5.1 Current-World-ID register was wired into the
-    /// workers' call units ([`SwitchlessConfig::prefetch_register`]).
-    pub prefetch_register: bool,
-    /// Merged §5.1 register counters (all zero unless it was wired).
-    pub prefetch: PrefetchStats,
-    /// Merged cycles the register spent on speculative table walks
-    /// ([`crossover::prefetch::CurrentWidRegister::walk_cycles_spent`])
-    /// — the cost side of the §5.1 trade-off, next to the hit counters
-    /// that are its benefit side.
-    pub register_walk_cycles: u64,
 }
 
 impl SwitchlessSummary {

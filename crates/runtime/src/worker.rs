@@ -44,7 +44,6 @@ use crossover::manager::{
     CallToken, RESTORE_STATE_CYCLES, RESTORE_STATE_INSTRUCTIONS, SAVE_STATE_CYCLES,
     SAVE_STATE_INSTRUCTIONS,
 };
-use crossover::prefetch::PrefetchStats;
 use crossover::switchless::ChannelSegment;
 use crossover::table::WorldLookup;
 use crossover::world::{Wid, WorldContext, WorldEntry};
@@ -92,9 +91,6 @@ pub(crate) struct WorkerContext {
     /// Armed fault schedule (`None`, and an empty plan, are strict
     /// no-ops — the parity tests pin this).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Whether a crash-respawn pre-fills the fresh WT/IWT caches from
-    /// recent call history.
-    pub prefetch_warm_on_respawn: bool,
     /// The pool-shared degradation ladder.
     pub health: Arc<HealthState>,
     /// Obs-plane configuration; `Off` keeps this worker's recorder a
@@ -131,12 +127,6 @@ fn fault_site_code(site: FaultSite) -> u64 {
 /// worth: enough to keep the pace gate off the common path, small
 /// against any realistic per-worker load.
 const PACE_SLACK_CYCLES: u64 = 64_000;
-
-/// Distinct worlds remembered for respawn warming (most recent last).
-/// Two hot (caller, callee) pairs' worth: enough to cover what a fresh
-/// unit's first few calls will touch, small enough that the priced
-/// `manage_wtc` fills stay a fraction of one call's cost.
-const WARM_HISTORY_DEPTH: usize = 8;
 
 /// Virtual-time gate. The simulated machine's cores advance in parallel
 /// virtual time, but the host may multiplex the worker threads onto
@@ -196,12 +186,6 @@ pub struct WorkerReport {
     pub world_calls: u64,
     /// `world_return` transitions this worker's vCPU executed.
     pub world_returns: u64,
-    /// §5.1 Current-World-ID register counters (all zero unless the
-    /// register was wired into this worker's call unit).
-    pub prefetch: PrefetchStats,
-    /// Cycles this worker's register spent on speculative table walks
-    /// (the §5.1 trade-off's cost side, next to the hit counters).
-    pub prefetch_walk_cycles: u64,
     /// Healing counters from this worker's supervisor (all zero without
     /// an armed fault plan).
     pub supervisor: SupervisorReport,
@@ -287,16 +271,6 @@ struct Engine<'a> {
     /// Last published per-lane budgets, so epoch folds emit
     /// `BudgetMove` only for lanes whose budget actually changed.
     last_budgets: HashMap<usize, usize>,
-    /// Whether respawns warm the fresh unit from `call_history`.
-    warm_on_respawn: bool,
-    /// Recently serviced worlds, most recent last (maintained only when
-    /// `warm_on_respawn` is set) — the respawn path warms the fresh
-    /// unit's WT/IWT from these.
-    call_history: VecDeque<Wid>,
-    /// Set by a respawn; the next recorded outcome's latency becomes a
-    /// post-respawn recovery sample (taken whether or not warming is
-    /// on, so the two configurations are directly comparable).
-    awaiting_post_respawn_sample: bool,
     /// Shared callee-side authz policy. `None` (the plane off) makes
     /// enforcement a single branch per group — no checks, no events —
     /// so the off configuration stays cycle-exact with the pre-authz
@@ -364,49 +338,7 @@ impl Engine<'_> {
             let now = self.now();
             self.supervisor.note_healthy(now);
         }
-        if self.awaiting_post_respawn_sample {
-            self.awaiting_post_respawn_sample = false;
-            self.supervisor
-                .report
-                .post_respawn_latency_samples
-                .push(outcome.latency_cycles);
-        }
-        if self.warm_on_respawn {
-            self.note_history(&outcome.request);
-        }
         self.outcomes.push(outcome);
-    }
-
-    /// Remembers the worlds a serviced request touched (move-to-back,
-    /// bounded at [`WARM_HISTORY_DEPTH`]). Host-side bookkeeping only.
-    fn note_history(&mut self, req: &CallRequest) {
-        for wid in [req.caller, req.callee] {
-            if let Some(pos) = self.call_history.iter().position(|&w| w == wid) {
-                self.call_history.remove(pos);
-            }
-            self.call_history.push_back(wid);
-            if self.call_history.len() > WARM_HISTORY_DEPTH {
-                self.call_history.pop_front();
-            }
-        }
-    }
-
-    /// Warms a freshly respawned unit: priced `manage_wtc` fills (WT and
-    /// IWT both) for every world in the recent call history, so the first
-    /// post-respawn calls hit instead of eating cold miss faults. Worlds
-    /// deleted since they were serviced fail their fill and are skipped —
-    /// the regular invalidation path owns those.
-    fn warm_unit(&mut self) {
-        for i in 0..self.call_history.len() {
-            let wid = self.call_history[i];
-            if self
-                .unit
-                .manage_wtc_fill(self.platform, &self.table, wid)
-                .is_ok()
-            {
-                self.supervisor.report.warm_fills += 1;
-            }
-        }
     }
 
     /// Publishes this worker's clock and computes the request's queue
@@ -675,8 +607,7 @@ impl Engine<'_> {
     /// stream keeps its dispatch-per-verdict pairing), the `AuthzDeny`
     /// audit event fires, and the request resolves with exactly one
     /// `Denied` verdict at zero service latency — the callee body never
-    /// ran and no world was touched, so the outcome bypasses the
-    /// call-history warmers.
+    /// ran and no world was touched.
     fn deny(&mut self, queued: &Queued, was_stolen: bool, err: CallError) {
         let wait = self.stamp_wait(queued);
         self.queue_wait_cycles += wait;
@@ -1102,14 +1033,9 @@ fn split_by_caller(
     }
 }
 
-/// A worker's private call unit: default-shaped WT/IWT caches, plus the
-/// §5.1 Current-World-ID register when `prefetch_register` is set.
-fn fresh_unit(prefetch_register: bool) -> WorldCallUnit {
-    let mut unit = WorldCallUnit::with_geometry(CacheGeometry::default());
-    if prefetch_register {
-        unit.enable_prefetch();
-    }
-    unit
+/// A worker's private call unit: default-shaped WT/IWT caches.
+fn fresh_unit() -> WorldCallUnit {
+    WorldCallUnit::with_geometry(CacheGeometry::default())
 }
 
 /// The worker thread body: pop destination-batched requests until the
@@ -1126,7 +1052,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         .cpu()
         .trace()
         .count(TransitionKind::WorldReturn);
-    let mut unit = fresh_unit(ctx.switchless.prefetch_register);
+    let mut unit = fresh_unit();
     let mut batches = 0u64;
     // Cursor into `engine.outcomes`: everything before it has already
     // been fed to the SLO watchdog at a previous batch boundary.
@@ -1168,9 +1094,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         health: Arc::clone(&ctx.health),
         obs: Recorder::for_track(&ctx.obs, ctx.index as u32),
         last_budgets: HashMap::new(),
-        warm_on_respawn: ctx.prefetch_warm_on_respawn,
-        call_history: VecDeque::new(),
-        awaiting_post_respawn_sample: false,
         authz: ctx.authz.clone(),
         authz_gen_seen: ctx.authz.as_ref().map(|p| p.generation()).unwrap_or(0),
     };
@@ -1260,21 +1183,12 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 // turn, order preserved (ring/meter reconciliation —
                 // nothing serviced, nothing lost). The meter survives:
                 // it is the vCPU's clock, not the thread's.
-                *engine.unit = fresh_unit(ctx.switchless.prefetch_register);
+                *engine.unit = fresh_unit();
                 engine.cursors.clear();
                 // The fresh unit's caches are empty, so retirements
                 // logged before the crash have nothing left to purge:
                 // fast-forward past them instead of replaying the log.
                 retire_cursor = ctx.table.retired_len();
-                // Respawn warming: pre-fill the fresh caches from recent
-                // call history (priced manage_wtc fills) so the first
-                // post-respawn calls skip the cold miss faults. The next
-                // recorded outcome samples the recovery latency either
-                // way, giving the before/after comparison.
-                if engine.warm_on_respawn {
-                    engine.warm_unit();
-                }
-                engine.awaiting_post_respawn_sample = true;
                 engine.emit(EventKind::Respawn, respawns, 0, 0);
                 requeued = true;
                 continue;
@@ -1365,7 +1279,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 continue;
             }
             match segment {
-                Some(seg) if seg.admits(caller) && group.len() >= 2 => {
+                Some(seg) if group.len() >= 2 => {
                     for chunk in group.chunks(budget) {
                         // The residency ends with the ring (well, run)
                         // dry unless it used its whole budget.
@@ -1470,8 +1384,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         queue_wait_cycles,
         stolen,
         switchless,
-        prefetch: unit.prefetch().map(|r| r.stats()).unwrap_or_default(),
-        prefetch_walk_cycles: unit.prefetch().map(|r| r.walk_cycles_spent()).unwrap_or(0),
         world_calls: ctx.platform.cpu().trace().count(TransitionKind::WorldCall) - calls_before,
         world_returns: ctx
             .platform

@@ -30,7 +30,7 @@ use std::time::Duration;
 use common::build_service;
 use xover_runtime::{
     trace_doc, AuthzConfig, CallError, CallRequest, CallVerdict, EventKind, ObsConfig,
-    RateLimitConfig, RuntimeConfig, ServiceReport, WorldCallService,
+    RateLimitConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WorldCallService,
 };
 
 fn conserved(report: &ServiceReport) -> u64 {
@@ -39,89 +39,103 @@ fn conserved(report: &ServiceReport) -> u64 {
 
 /// Invariant 2: under a default-closed policy, ungranted callers get
 /// `Denied` verdicts that conserve, bill to the right tenant, and pair
-/// one-to-one with `AuthzDeny` events in the recording.
+/// one-to-one with `AuthzDeny` events in the recording. The policy is
+/// the only check and runs once per call before any path is picked, so
+/// with switchless on (every world has a channel) a denial never rides
+/// a channel while the granted pair still coalesces.
 #[test]
 fn ungranted_callers_are_denied_with_paired_events() {
     const CALLS: u64 = 120;
-    let (svc, worlds) = build_service(RuntimeConfig {
-        workers: 2,
-        queue_capacity: CALLS as usize + 16,
-        authz: AuthzConfig::enforcing(),
-        obs: ObsConfig::ring(),
-        ..RuntimeConfig::default()
-    });
-    let policy = svc.authz().expect("enforcing builds a policy").clone();
-    policy.grant_all(worlds[0]); // tenant 1's user world may call anyone
-    for tag in 0..CALLS {
-        // Even tags: granted caller (tenant 1). Odd: ungranted (tenant 2).
-        let (caller, callee, tenant) = if tag % 2 == 0 {
-            (worlds[0], worlds[1], 1)
-        } else {
-            (worlds[2], worlds[3], 2)
-        };
-        svc.submit(
-            CallRequest::new(caller, callee, 1_000, 300)
-                .with_tag(tag)
-                .with_tenant(tenant),
-        )
-        .expect("queue open");
-    }
-    let mut svc = svc;
-    svc.start();
-    let report = svc.drain();
-
-    assert_eq!(report.outcomes.len() as u64, CALLS);
-    assert_eq!(conserved(&report), CALLS, "denied must conserve");
-    assert_eq!(report.denied, CALLS / 2);
-    assert_eq!(report.completed, CALLS / 2);
-    for o in &report.outcomes {
-        match &o.verdict {
-            CallVerdict::Completed => assert_eq!(o.request.caller, worlds[0]),
-            CallVerdict::Denied(CallError::Denied { caller, .. }) => {
-                assert_eq!(*caller, worlds[2]);
-                assert_eq!(o.latency_cycles, 0, "a denial executes nothing");
-            }
-            other => panic!("unexpected verdict {other:?}"),
+    for switchless in [SwitchlessConfig::default(), SwitchlessConfig::fixed(8)] {
+        let (svc, worlds) = build_service(RuntimeConfig {
+            workers: 2,
+            queue_capacity: CALLS as usize + 16,
+            switchless,
+            authz: AuthzConfig::enforcing(),
+            obs: ObsConfig::ring(),
+            ..RuntimeConfig::default()
+        });
+        let label = format!("{:?}", switchless.mode);
+        let policy = svc.authz().expect("enforcing builds a policy").clone();
+        policy.grant_all(worlds[0]); // tenant 1's user world may call anyone
+        for tag in 0..CALLS {
+            // Even tags: granted caller (tenant 1). Odd: ungranted (tenant 2).
+            let (caller, callee, tenant) = if tag % 2 == 0 {
+                (worlds[0], worlds[1], 1)
+            } else {
+                (worlds[2], worlds[3], 2)
+            };
+            svc.submit(
+                CallRequest::new(caller, callee, 1_000, 300)
+                    .with_tag(tag)
+                    .with_tenant(tenant),
+            )
+            .expect("queue open");
         }
-    }
-    let tenant = |id: u32| {
-        report
-            .per_tenant
-            .iter()
-            .find(|t| t.tenant == id)
-            .unwrap_or_else(|| panic!("tenant {id} billed"))
-    };
-    assert_eq!(
-        tenant(2).denied,
-        CALLS / 2,
-        "denials bill to the denied tenant"
-    );
-    assert_eq!(tenant(1).denied, 0);
-    assert_eq!(report.authz.denied, CALLS / 2);
-    assert_eq!(report.authz.checks, CALLS);
+        let mut svc = svc;
+        svc.start();
+        let report = svc.drain();
 
-    // Recording: one AuthzDeny per denial, and the exporter's own
-    // deny-vs-verdict pairing check agrees.
-    let doc = trace_doc("authz_props", &report, 3.4).expect("obs enabled");
-    let denies = doc
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::AuthzDeny)
-        .count() as u64;
-    assert_eq!(denies, report.denied);
-    let conservation = xover_runtime::verify(&doc);
-    assert!(
-        conservation.ok(),
-        "conservation checks failed: {:?}",
-        conservation.failures()
-    );
-    assert!(
-        conservation
-            .checks
+        assert_eq!(report.outcomes.len() as u64, CALLS, "{label}");
+        assert_eq!(conserved(&report), CALLS, "{label}: denied must conserve");
+        assert_eq!(report.denied, CALLS / 2, "{label}");
+        assert_eq!(report.completed, CALLS / 2, "{label}");
+        for o in &report.outcomes {
+            match &o.verdict {
+                CallVerdict::Completed => assert_eq!(o.request.caller, worlds[0], "{label}"),
+                CallVerdict::Denied(CallError::Denied { caller, .. }) => {
+                    assert_eq!(*caller, worlds[2], "{label}");
+                    assert_eq!(o.latency_cycles, 0, "{label}: a denial executes nothing");
+                    assert!(!o.coalesced, "{label}: a denial never rides a channel");
+                }
+                other => panic!("{label}: unexpected verdict {other:?}"),
+            }
+        }
+        if switchless.enabled() {
+            assert!(
+                report.switchless.drain.coalesced_calls > 0,
+                "{label}: the granted pair still coalesces"
+            );
+        }
+        let tenant = |id: u32| {
+            report
+                .per_tenant
+                .iter()
+                .find(|t| t.tenant == id)
+                .unwrap_or_else(|| panic!("{label}: tenant {id} billed"))
+        };
+        assert_eq!(
+            tenant(2).denied,
+            CALLS / 2,
+            "{label}: denials bill to the denied tenant"
+        );
+        assert_eq!(tenant(1).denied, 0, "{label}");
+        assert_eq!(report.authz.denied, CALLS / 2, "{label}");
+        assert_eq!(report.authz.checks, CALLS, "{label}: one check per call");
+
+        // Recording: one AuthzDeny per denial, and the exporter's own
+        // deny-vs-verdict pairing check agrees.
+        let doc = trace_doc("authz_props", &report, 3.4).expect("obs enabled");
+        let denies = doc
+            .events
             .iter()
-            .any(|c| c.name == "authz-denies-vs-verdicts"),
-        "the deny-pairing check must have run on a denying trace"
-    );
+            .filter(|e| e.kind == EventKind::AuthzDeny)
+            .count() as u64;
+        assert_eq!(denies, report.denied, "{label}");
+        let conservation = xover_runtime::verify(&doc);
+        assert!(
+            conservation.ok(),
+            "{label}: conservation checks failed: {:?}",
+            conservation.failures()
+        );
+        assert!(
+            conservation
+                .checks
+                .iter()
+                .any(|c| c.name == "authz-denies-vs-verdicts"),
+            "{label}: the deny-pairing check must have run on a denying trace"
+        );
+    }
 }
 
 /// Invariant 3: revocation lands within one batch — calls submitted
