@@ -18,9 +18,6 @@
 //!   automatic switchless → classic degradation (classic-only vs
 //!   channels engaged, same stream), plus a corruption-storm run
 //!   showing the escalation actually trips.
-//! * **IPI faults** — `SmpMachine` under injected IPI loss/delay and
-//!   queue overflow: every send is either delivered or counted in
-//!   `ipi_dropped`, never silently gone.
 //!
 //! Usage: `faults [output-path] [--trace-out PATH]` (default
 //! `BENCH_faults.json`). With `--trace-out` one chaos run is repeated
@@ -29,9 +26,7 @@
 //! respawns show up as instant markers on the worker tracks.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use hypervisor::smp::{CoreId, SmpMachine, MAX_PENDING_IPIS};
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use runtime::{
@@ -397,42 +392,6 @@ fn main() {
         stormed.supervisor.degrade_escalations
     );
 
-    // ---- IPI faults: loss, delay and overflow are all accounted. -----
-    let mut smp = SmpMachine::new(2);
-    let plan = Arc::new(FaultPlan::new());
-    for _ in 0..32 {
-        plan.schedule(0, FaultSite::IpiLoss, FaultKind::Drop);
-        plan.schedule(0, FaultSite::IpiDelay, FaultKind::Delay { cycles: 700 });
-    }
-    smp.set_fault_plan(plan.clone());
-    let sent = 1_000u64;
-    let mut delivered = 0u64;
-    for _ in 0..sent {
-        smp.send_ipi(CoreId(0), CoreId(1), 0x2A).expect("send ipi");
-        if smp.take_ipi(CoreId(1)).expect("valid core").is_some() {
-            delivered += 1;
-        }
-    }
-    let injected_losses = smp.total_ipi_dropped();
-    assert_eq!(
-        delivered + injected_losses,
-        sent,
-        "every IPI is delivered or counted dropped"
-    );
-    assert_eq!(plan.pending_total(), 0, "the storm must exhaust the plan");
-    // Overflow backpressure: an unresponsive receiver bounds the queue;
-    // sends beyond the bound fail *and* count.
-    let mut wedged = SmpMachine::new(2);
-    let extra = 16u64;
-    for _ in 0..(MAX_PENDING_IPIS as u64 + extra) {
-        let _ = wedged.send_ipi(CoreId(0), CoreId(1), 0x2A);
-    }
-    assert_eq!(wedged.ipi_dropped(CoreId(1)).expect("valid core"), extra);
-    eprintln!(
-        "ipi: {sent} sent, {delivered} delivered, {injected_losses} injected losses, \
-         {extra} overflow-dropped"
-    );
-
     // ---- Emit the JSON document. -------------------------------------
     let mut out = String::new();
     let _ = write!(
@@ -467,17 +426,8 @@ fn main() {
          \x20   \"overhead_pct\": {degraded_overhead_pct:.1},\n\
          \x20   \"storm_corruptions_detected\": {storm_corruptions},\n\
          \x20   \"storm_escalations\": {}\n\
-         \x20 }},\n",
+         \x20 }},\n  \"chaos\": [\n",
         stormed.supervisor.degrade_escalations
-    );
-    let _ = write!(
-        out,
-        "  \"ipi\": {{\n\
-         \x20   \"sent\": {sent},\n\
-         \x20   \"delivered\": {delivered},\n\
-         \x20   \"injected_losses\": {injected_losses},\n\
-         \x20   \"overflow_dropped\": {extra}\n\
-         \x20 }},\n  \"chaos\": [\n"
     );
     for (i, r) in chaos.iter().enumerate() {
         let _ = write!(

@@ -107,7 +107,7 @@ impl ChannelSegment {
         self.base + lane * PAGE_SIZE + (seq % SLOTS_PER_LANE) * SLOT_BYTES
     }
 
-    /// The resident dispatcher reads one request slot: a priced guest
+    /// The resident dispatcher writes one response slot: a priced guest
     /// memory access through the platform's current (CR3, EPTP) tags —
     /// i.e. through the *callee's* mapping, since the dispatcher runs
     /// resident in the callee world. Returns the cycles charged (one on
@@ -117,21 +117,6 @@ impl ChannelSegment {
     ///
     /// [`HvError::Mmu`] if the segment does not translate (the service
     /// mapped it before start, so this indicates a torn-down EPT).
-    pub fn read_request(
-        &self,
-        platform: &mut Platform,
-        lane: u64,
-        seq: u64,
-    ) -> Result<u64, HvError> {
-        self.priced_access(platform, lane, seq)
-    }
-
-    /// The resident dispatcher writes one response slot (same pricing
-    /// as [`ChannelSegment::read_request`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::Mmu`] on translation failure.
     pub fn write_response(
         &self,
         platform: &mut Platform,
@@ -151,9 +136,9 @@ impl ChannelSegment {
         mix64(self.base.0 ^ lane.rotate_left(48) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// Reads one request slot *and* verifies its header: the priced
-    /// access of [`ChannelSegment::read_request`] plus a seqno/checksum
-    /// comparison against the expected tag. Verification reads only the
+    /// Reads one request slot *and* verifies its header: the same priced
+    /// slot access as [`ChannelSegment::write_response`] plus a
+    /// seqno/checksum comparison against the expected tag. Verification reads only the
     /// slot's own cache line, so it adds no cycles beyond the slot
     /// access itself. `corrupted` is the fault-injection hook: when set,
     /// the slot reads back as if a misbehaving caller scribbled on it.
@@ -316,12 +301,18 @@ mod tests {
         let (seg, _) = mapped_segment(&mut p, 2);
         // Cold slot: full two-stage walk. Warm slot in the same lane
         // (same page): one-cycle TLB hit.
-        let cold = seg.read_request(&mut p, 0, 0).unwrap();
+        let cold = seg
+            .read_request_verified(&mut p, 0, 0, false)
+            .unwrap()
+            .cycles;
         let warm = seg.write_response(&mut p, 0, 0).unwrap();
         assert!(cold > warm, "cold {cold} must out-cost warm {warm}");
         assert_eq!(warm, 1, "warm slot access is one cycle (TLB hit)");
         // A different lane is a different page: cold again.
-        let other = seg.read_request(&mut p, 1, 0).unwrap();
+        let other = seg
+            .read_request_verified(&mut p, 1, 0, false)
+            .unwrap()
+            .cycles;
         assert_eq!(other, cold, "each lane pays its own first walk");
     }
 
@@ -333,7 +324,7 @@ mod tests {
         assert_ne!(seg.slot_gva(0, 0), seg.slot_gva(0, 1));
         // Wrapping never leaves the mapped page.
         for seq in 0..3 * SLOTS_PER_LANE {
-            seg.read_request(&mut p, 0, seq).unwrap();
+            seg.read_request_verified(&mut p, 0, seq, false).unwrap();
         }
     }
 
@@ -354,7 +345,7 @@ mod tests {
     fn verified_reads_cost_the_same_as_plain_reads() {
         let mut p = Platform::new_default();
         let (seg, _) = mapped_segment(&mut p, 1);
-        let plain = seg.read_request(&mut p, 0, 0).unwrap();
+        let plain = seg.write_response(&mut p, 0, 0).unwrap();
         let mut q = Platform::new_default();
         let (seg2, _) = mapped_segment(&mut q, 1);
         let verified = seg2.read_request_verified(&mut q, 0, 0, false).unwrap();

@@ -16,8 +16,8 @@
 //!   studies) operate through `&mut Platform`.
 //! * [`sched`] — the VM/process scheduling-latency model that dominates
 //!   the baseline systems' worst cases (§7.1.1's "up to 35X" Proxos note).
-//! * [`smp`] — a multi-core substrate with per-core meters and IPIs, used
-//!   by the ablations of the §3.3 rejected designs.
+//! * [`smp`] — per-core meters, one core per runtime worker, merged when
+//!   the worker pool drains.
 //!
 //! # Example
 //!

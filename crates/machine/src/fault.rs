@@ -8,8 +8,7 @@
 //! plan at named [`FaultSite`]s with their own virtual clock (their
 //! meter's cycle count); an event whose timestamp has passed *fires*
 //! exactly once and the layer then misbehaves in the prescribed way —
-//! a worker stalls or crashes, an IPI is eaten or delayed, a channel
-//! slot reads back corrupt, an invalidation broadcast is dropped, a
+//! a worker stalls or crashes, a channel slot reads back corrupt, an invalidation broadcast is dropped, a
 //! world-table lookup transiently vanishes.
 //!
 //! Two properties the rest of the stack builds on:
@@ -41,11 +40,6 @@ pub enum FaultSite {
     /// A worker's drain loop dies mid-run; the supervisor must respawn
     /// it (fresh call unit, reconciled backlog) without losing requests.
     WorkerCrash,
-    /// An inter-processor interrupt is sent but never delivered.
-    IpiLoss,
-    /// An inter-processor interrupt is delivered late (extra receive
-    /// cycles on the target core).
-    IpiDelay,
     /// A switchless channel slot reads back with a bad seqno/checksum.
     ChannelCorruption,
     /// A channel page access faults at the EPT (permission revoked or
@@ -60,11 +54,9 @@ pub enum FaultSite {
 }
 
 /// Every site, in a fixed order (the per-site queue index).
-pub const FAULT_SITES: [FaultSite; 8] = [
+pub const FAULT_SITES: [FaultSite; 6] = [
     FaultSite::WorkerStall,
     FaultSite::WorkerCrash,
-    FaultSite::IpiLoss,
-    FaultSite::IpiDelay,
     FaultSite::ChannelCorruption,
     FaultSite::ChannelEptFault,
     FaultSite::InvalidationDrop,
@@ -77,12 +69,10 @@ impl FaultSite {
         match self {
             FaultSite::WorkerStall => 0,
             FaultSite::WorkerCrash => 1,
-            FaultSite::IpiLoss => 2,
-            FaultSite::IpiDelay => 3,
-            FaultSite::ChannelCorruption => 4,
-            FaultSite::ChannelEptFault => 5,
-            FaultSite::InvalidationDrop => 6,
-            FaultSite::WorldLookupRace => 7,
+            FaultSite::ChannelCorruption => 2,
+            FaultSite::ChannelEptFault => 3,
+            FaultSite::InvalidationDrop => 4,
+            FaultSite::WorldLookupRace => 5,
         }
     }
 
@@ -91,8 +81,6 @@ impl FaultSite {
         match self {
             FaultSite::WorkerStall => "worker-stall",
             FaultSite::WorkerCrash => "worker-crash",
-            FaultSite::IpiLoss => "ipi-loss",
-            FaultSite::IpiDelay => "ipi-delay",
             FaultSite::ChannelCorruption => "channel-corruption",
             FaultSite::ChannelEptFault => "channel-ept-fault",
             FaultSite::InvalidationDrop => "invalidation-drop",
@@ -113,11 +101,6 @@ pub enum FaultKind {
     Crash,
     /// Silently discard the message/broadcast in flight.
     Drop,
-    /// Deliver late: `cycles` extra on the receiving side.
-    Delay {
-        /// Extra delivery cycles.
-        cycles: u64,
-    },
     /// Flip bits: the payload reads back with a bad seqno/checksum.
     Corrupt,
     /// Refuse the access (EPT permission fault).
@@ -182,10 +165,6 @@ impl FaultPlan {
                         cycles: rng.range(2_000, 20_000),
                     },
                     FaultSite::WorkerCrash => FaultKind::Crash,
-                    FaultSite::IpiLoss => FaultKind::Drop,
-                    FaultSite::IpiDelay => FaultKind::Delay {
-                        cycles: rng.range(200, 2_000),
-                    },
                     FaultSite::ChannelCorruption => FaultKind::Corrupt,
                     FaultSite::ChannelEptFault => FaultKind::Deny,
                     FaultSite::InvalidationDrop => FaultKind::Drop,
@@ -288,10 +267,13 @@ mod tests {
 
     #[test]
     fn sites_are_independent() {
-        let plan = FaultPlan::new().with(0, FaultSite::IpiLoss, FaultKind::Drop);
-        assert_eq!(plan.fire(FaultSite::IpiDelay, 1_000), None);
-        assert_eq!(plan.pending(FaultSite::IpiLoss), 1);
-        assert_eq!(plan.fire(FaultSite::IpiLoss, 0), Some(FaultKind::Drop));
+        let plan = FaultPlan::new().with(0, FaultSite::InvalidationDrop, FaultKind::Drop);
+        assert_eq!(plan.fire(FaultSite::ChannelCorruption, 1_000), None);
+        assert_eq!(plan.pending(FaultSite::InvalidationDrop), 1);
+        assert_eq!(
+            plan.fire(FaultSite::InvalidationDrop, 0),
+            Some(FaultKind::Drop)
+        );
     }
 
     #[test]
@@ -318,8 +300,8 @@ mod tests {
             Some(FaultKind::Crash)
         ));
         assert!(matches!(
-            plan.fire(FaultSite::IpiDelay, u64::MAX),
-            Some(FaultKind::Delay { cycles } ) if (200..2_000).contains(&cycles)
+            plan.fire(FaultSite::WorkerStall, u64::MAX),
+            Some(FaultKind::Stall { cycles } ) if (2_000..20_000).contains(&cycles)
         ));
         assert!(matches!(
             plan.fire(FaultSite::ChannelCorruption, u64::MAX),

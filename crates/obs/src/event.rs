@@ -39,7 +39,8 @@ pub enum EventKind {
     /// Resident drain closed. a=callee, b=serviced, c=reason
     /// (0=dry, 1=saturated, 2=deadline-abort, 3=channel-fault).
     DrainClose = 13,
-    /// An injected fault fired. a=site code.
+    /// An injected fault fired. a=site index
+    /// (`machine::fault::FaultSite::index`).
     FaultObserved = 14,
     /// Supervisor backed a retry off. a=attempt, b=backoff cycles.
     RetryBackoff = 15,
@@ -52,56 +53,54 @@ pub enum EventKind {
     DeadLetter = 18,
     /// Controller folded an epoch. a=epoch index, b=lanes in snapshot.
     EpochFold = 19,
-    /// Controller moved a lane budget. a=lane, b=new budget.
-    BudgetMove = 20,
     /// Request reached a verdict. a=seq, b=verdict code
     /// (0=completed, 1=timed-out, 2=failed, 3=dead-lettered, 4=denied),
     /// c=1 if the request was serviced by a resident drain.
-    RequestVerdict = 21,
+    RequestVerdict = 20,
     /// Supervisor charged a stall to a worker. a=stall cycles.
-    Stall = 22,
+    Stall = 21,
     /// Gateway admitted a submission into the service. a=token, b=tenant,
     /// c=callee.
-    GatewayAdmit = 23,
+    GatewayAdmit = 22,
     /// Gateway shed a submission without servicing it. a=token, b=tenant,
     /// c=reason (0=ring-full, 1=health-shedding, 2=service-busy,
     /// 3=denied).
-    GatewayShed = 24,
+    GatewayShed = 23,
     /// Gateway delivered a batch of completions to a tenant's completion
     /// ring. a=batch size, b=tenant.
-    CompletionBatch = 25,
+    CompletionBatch = 24,
     /// Epoch table demoted cold worlds to the paged store. a=entries
     /// demoted in this maintenance pass.
-    WorldEvict = 26,
+    WorldEvict = 25,
     /// Cold worlds faulted back into the resident tree. a=refaults since
     /// the last maintenance pass.
-    WorldRefault = 27,
+    WorldRefault = 26,
     /// Retired table structures freed after their grace period.
     /// a=structures reclaimed in this maintenance pass.
-    GraceReclaim = 28,
+    GraceReclaim = 27,
     /// The switchless controller's epoch fold grew a lane budget.
     /// a=lane, b=new budget, c=epoch index of the fold that decided it.
-    BudgetGrow = 29,
+    BudgetGrow = 28,
     /// The switchless controller's epoch fold shrank a lane budget.
     /// a=lane, b=new budget, c=epoch index of the fold that decided it.
-    BudgetShrink = 30,
+    BudgetShrink = 29,
     /// The authz policy refused a call. a=seq, b=deny code (0=denied,
     /// 1=revoked, 2=rate-limited, 3=chain-too-deep), c=caller WID.
-    AuthzDeny = 31,
+    AuthzDeny = 30,
     /// A worker observed a policy-generation bump at a batch boundary
     /// (the revocation-visibility marker the one-batch bound is measured
     /// against). a=generation now visible, b=previous generation.
-    Revocation = 32,
+    Revocation = 31,
     /// The SLO watchdog raised an incident. Synthesized post-hoc on the
     /// [`WATCHDOG_TRACK`](crate::ring::WATCHDOG_TRACK) when a recorded
     /// trace is annotated — never emitted from a worker ring. a=epoch
     /// index of the breached window, b=objective code (0=latency-p99,
     /// 1=shed-rate, 2=dead-letter-budget), c=burn rate ×100.
-    SloIncident = 33,
+    SloIncident = 32,
 }
 
 impl EventKind {
-    pub const COUNT: usize = 34;
+    pub const COUNT: usize = 33;
 
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::RequestEnqueue,
@@ -124,7 +123,6 @@ impl EventKind {
         EventKind::Respawn,
         EventKind::DeadLetter,
         EventKind::EpochFold,
-        EventKind::BudgetMove,
         EventKind::RequestVerdict,
         EventKind::Stall,
         EventKind::GatewayAdmit,
@@ -168,7 +166,6 @@ impl EventKind {
             EventKind::Respawn => "respawn",
             EventKind::DeadLetter => "dead_letter",
             EventKind::EpochFold => "epoch_fold",
-            EventKind::BudgetMove => "budget_move",
             EventKind::RequestVerdict => "req_verdict",
             EventKind::Stall => "stall",
             EventKind::GatewayAdmit => "gw_admit",

@@ -202,7 +202,7 @@ impl TraceDoc {
                         e.b,
                     ));
                 }
-                EventKind::BudgetMove => {
+                EventKind::BudgetGrow | EventKind::BudgetShrink => {
                     emit(format!(
                         "{{\"name\": \"budget_lane_{}\", \"ph\": \"C\", \"ts\": {:.4}, \
                          \"pid\": 1, \"tid\": {}, \"args\": {{\"budget\": {}}}}}",
@@ -341,8 +341,8 @@ mod tests {
                 Event::new(31, 1, EventKind::WorldCall, 1, 3, 0),
                 Event::new(80, 1, EventKind::WorldReturn, 3, 1, 0),
                 Event::new(90, 1, EventKind::DrainClose, 3, 4, 0),
-                Event::new(95, 1, EventKind::FaultObserved, 7, 0, 0),
-                Event::new(96, 1, EventKind::BudgetMove, 2, 16, 0),
+                Event::new(95, 1, EventKind::FaultObserved, 5, 0, 0),
+                Event::new(96, 1, EventKind::BudgetGrow, 2, 16, 0),
             ],
             dropped: 0,
         }
@@ -380,6 +380,11 @@ mod tests {
         for required in ["M", "X", "s", "f", "i", "C"] {
             assert!(phases.contains(&required), "missing ph {required}");
         }
+        // The directional budget events drive the per-lane counter.
+        assert!(events.iter().any(|e| {
+            e.get("ph").and_then(Json::as_str) == Some("C")
+                && e.get("name").and_then(Json::as_str) == Some("budget_lane_2")
+        }));
     }
 
     #[test]

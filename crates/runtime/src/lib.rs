@@ -94,8 +94,7 @@ pub use observe::{annotate_trace, metrics_registry, trace_doc};
 pub use ring::{PushError, Ring, RingSet};
 pub use router::{CallError, CallOutcome, CallRequest, CallVerdict, Provenance, MAX_HOPS};
 pub use service::{
-    RuntimeConfig, ServiceReport, SubmitError, TenantCounts, TenantLatency, WorldCallService,
-    WorldMemory,
+    RuntimeConfig, ServiceReport, SubmitError, TenantCounts, WorldCallService, WorldMemory,
 };
 pub use supervisor::{DegradeLevel, HealthState, Supervisor, SupervisorReport, SupervisorSummary};
 pub use switchless::{

@@ -59,7 +59,7 @@ pub fn annotate_trace(doc: &mut TraceDoc, summary: &WatchdogSummary) {
 /// Flattens a drained run into a metrics registry (counters plus the
 /// log-bucketed latency and queue-wait histograms), ready for
 /// [`Registry::render_prometheus`]. Works with or without recording —
-/// the histograms are always built at drain.
+/// the histograms are built here from the report's outcomes.
 pub fn metrics_registry(report: &ServiceReport) -> Registry {
     let mut reg = Registry::new();
     reg.counter_set("xover_requests_completed", report.completed);
@@ -67,7 +67,6 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
     reg.counter_set("xover_requests_failed", report.failed);
     reg.counter_set("xover_requests_dead_lettered", report.dead_lettered);
     reg.counter_set("xover_requests_denied", report.denied);
-    reg.counter_set("xover_requests_rejected_busy", report.rejected_busy);
     reg.counter_set("xover_requests_submitted", report.submitted);
     reg.counter_set("xover_requests_admitted", report.admitted);
     reg.counter_set("xover_requests_shed", report.shed);
@@ -159,27 +158,36 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
             }
         }
     }
-    reg.histogram_set("xover_service_latency_cycles", report.latency_hist.clone());
-    reg.histogram_set("xover_queue_wait_cycles", report.queue_wait_hist.clone());
-    // Per-callee and per-tenant completed-call latency histograms
-    // (name-indexed like the per-incident gauges; each histogram
-    // renders its own quantile gauges, so per-callee and per-tenant
-    // p50/p99 come for free in the Prometheus dump).
+    // Service-wide latency and queue-wait histograms over every
+    // outcome, plus per-callee and per-tenant completed-call latency
+    // histograms (name-indexed like the per-incident gauges; each
+    // histogram renders its own quantile gauges, so per-callee and
+    // per-tenant p50/p99 come for free in the Prometheus dump).
+    let mut latency = LogHistogram::new();
+    let mut queue_wait = LogHistogram::new();
     let mut per_callee: BTreeMap<u64, LogHistogram> = BTreeMap::new();
+    let mut per_tenant: BTreeMap<u32, LogHistogram> = BTreeMap::new();
     for o in &report.outcomes {
+        latency.record(o.latency_cycles);
+        queue_wait.record(o.queue_wait_cycles);
         if o.verdict == CallVerdict::Completed {
             per_callee
                 .entry(o.request.callee.raw())
                 .or_default()
                 .record(o.latency_cycles);
+            per_tenant
+                .entry(o.request.tenant)
+                .or_default()
+                .record(o.latency_cycles);
         }
     }
+    reg.histogram_set("xover_service_latency_cycles", latency);
+    reg.histogram_set("xover_queue_wait_cycles", queue_wait);
     for (callee, hist) in per_callee {
         reg.histogram_set(&format!("xover_callee{callee}_latency_cycles"), hist);
     }
-    for t in &report.tenant_latency {
-        let id = t.tenant;
-        reg.histogram_set(&format!("xover_tenant{id}_latency_cycles"), t.hist.clone());
+    for (tenant, hist) in per_tenant {
+        reg.histogram_set(&format!("xover_tenant{tenant}_latency_cycles"), hist);
     }
     reg
 }

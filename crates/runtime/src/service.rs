@@ -31,7 +31,7 @@ use mmu::addr::{Gva, PAGE_SIZE};
 use mmu::pagetable::PageTable;
 use mmu::perms::Perms;
 use mmu::tlb::TlbStats;
-use obs::{Event, EventKind, EventRing, LogHistogram, ObsConfig, ObsReport, SUBMIT_TRACK};
+use obs::{Event, EventKind, EventRing, ObsConfig, ObsReport, SUBMIT_TRACK};
 
 use crate::authz::{AuthzConfig, AuthzPolicy, AuthzSummary};
 use crate::epoch::{EpochWorldTable, TableHealth};
@@ -156,21 +156,6 @@ pub struct TenantCounts {
     pub denied: u64,
 }
 
-/// Per-tenant completed-call latency digest (see
-/// [`ServiceReport::tenant_latency`]).
-#[derive(Debug, Clone)]
-pub struct TenantLatency {
-    /// The tenant (0 = untenanted traffic).
-    pub tenant: u32,
-    /// Log-bucketed on-CPU latency distribution of the tenant's
-    /// completed calls.
-    pub hist: LogHistogram,
-    /// Median on-CPU latency, cycles (log-bucket resolution).
-    pub p50_cycles: u64,
-    /// 99th-percentile on-CPU latency, cycles (log-bucket resolution).
-    pub p99_cycles: u64,
-}
-
 /// Submit-side admission ledger: every decided submission is either
 /// admitted or shed, so `submitted == admitted + shed` holds by
 /// construction — gateway conservation checks read these totals instead
@@ -219,8 +204,6 @@ pub struct ServiceReport {
     /// Calls the authz policy refused at dispatch (typed
     /// [`crate::CallError`] denial verdicts; zero with the plane off).
     pub denied: u64,
-    /// `try_submit` rejections over the service's lifetime.
-    pub rejected_busy: u64,
     /// Decided submissions over the service's lifetime (admitted + shed;
     /// `Closed` rejections are not counted — the service was draining).
     pub submitted: u64,
@@ -234,10 +217,6 @@ pub struct ServiceReport {
     /// Per-tenant breakdown of the three admission counters, sorted by
     /// tenant id (tenant 0 collects untenanted traffic).
     pub per_tenant: Vec<TenantCounts>,
-    /// Per-tenant completed-call latency histograms with p50/p99,
-    /// sorted by tenant id — the tenant-facing twin of the service-wide
-    /// [`ServiceReport::latency_hist`].
-    pub tenant_latency: Vec<TenantLatency>,
     /// Batches popped across all workers.
     pub batches: u64,
     /// Summed WT-cache statistics across workers.
@@ -268,12 +247,6 @@ pub struct ServiceReport {
     /// and the final revocation generation (all zero when the plane is
     /// off).
     pub authz: AuthzSummary,
-    /// Log-bucketed on-CPU service latency distribution (always built at
-    /// drain, O(n) — replaces the per-sweep-point sorted-Vec percentile
-    /// scan in the bench hot loops).
-    pub latency_hist: LogHistogram,
-    /// Log-bucketed per-request queue-wait distribution.
-    pub queue_wait_hist: LogHistogram,
     /// Flight-recorder rings from the run (`None` unless
     /// [`RuntimeConfig::obs`] enabled recording).
     pub obs: Option<ObsReport>,
@@ -347,7 +320,6 @@ pub struct WorldCallService {
     /// inert, cycle-exact with the unwatched runtime).
     watchdog: Option<Arc<Watchdog>>,
     handles: Vec<JoinHandle<WorkerReport>>,
-    rejected_busy: AtomicU64,
     /// Submit-side admission counters (host-side bookkeeping only; never
     /// charges virtual cycles, so the obs parity guarantees hold).
     admission: Mutex<AdmissionLedger>,
@@ -395,7 +367,6 @@ impl WorldCallService {
                 .then(|| Arc::new(Watchdog::new(Arc::clone(&clocks)))),
             clocks,
             handles: Vec::new(),
-            rejected_busy: AtomicU64::new(0),
             admission: Mutex::new(AdmissionLedger::default()),
             submit_obs: config
                 .obs
@@ -790,7 +761,6 @@ impl WorldCallService {
         // it would dead-letter. One relaxed load on the healthy path.
         if self.health.is_shedding() {
             self.health.note_shed();
-            self.rejected_busy.fetch_add(1, Ordering::Relaxed);
             self.note_decision(req.tenant, false);
             return Err(SubmitError::Busy(req));
         }
@@ -799,7 +769,6 @@ impl WorldCallService {
             .try_push(self.home_of(&req), queued)
             .map_err(|e| match e {
                 PushError::Busy(q) => {
-                    self.rejected_busy.fetch_add(1, Ordering::Relaxed);
                     self.note_decision(q.req.tenant, false);
                     SubmitError::Busy(q.req)
                 }
@@ -902,12 +871,6 @@ impl WorldCallService {
                 .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
                 .unwrap_or_default(),
         });
-        let mut latency_hist = LogHistogram::new();
-        let mut queue_wait_hist = LogHistogram::new();
-        for o in &outcomes {
-            latency_hist.record(o.latency_cycles);
-            queue_wait_hist.record(o.queue_wait_cycles);
-        }
         let completed = outcomes
             .iter()
             .filter(|o| o.verdict == CallVerdict::Completed)
@@ -941,25 +904,6 @@ impl WorldCallService {
         }
         let mut per_tenant: Vec<TenantCounts> = tenant_counts.into_values().collect();
         per_tenant.sort_unstable_by_key(|t| t.tenant);
-        let mut tenant_hists: HashMap<u32, LogHistogram> = HashMap::new();
-        for o in &outcomes {
-            if o.verdict == CallVerdict::Completed {
-                tenant_hists
-                    .entry(o.request.tenant)
-                    .or_default()
-                    .record(o.latency_cycles);
-            }
-        }
-        let mut tenant_latency: Vec<TenantLatency> = tenant_hists
-            .into_iter()
-            .map(|(tenant, hist)| TenantLatency {
-                tenant,
-                p50_cycles: hist.value_at_percentile(50.0),
-                p99_cycles: hist.value_at_percentile(99.0),
-                hist,
-            })
-            .collect();
-        tenant_latency.sort_unstable_by_key(|t| t.tenant);
         // The watchdog settles every remaining epoch (all clocks are
         // parked now) and, when the run was recorded, attaches each
         // incident's causal context from the merged event stream.
@@ -974,12 +918,10 @@ impl WorldCallService {
             failed,
             dead_lettered,
             denied,
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
             submitted: ledger.totals.submitted,
             admitted: ledger.totals.admitted,
             shed: ledger.totals.shed,
             per_tenant,
-            tenant_latency,
             batches,
             wt,
             iwt,
@@ -991,8 +933,6 @@ impl WorldCallService {
             supervisor,
             authz: self.authz.as_ref().map(|p| p.summary()).unwrap_or_default(),
             outcomes,
-            latency_hist,
-            queue_wait_hist,
             obs,
             watchdog,
         }
@@ -1087,7 +1027,7 @@ mod tests {
         assert!(matches!(svc.try_submit(req), Err(SubmitError::Busy(_))));
         svc.start();
         let report = svc.drain();
-        assert_eq!(report.rejected_busy, 2);
+        assert_eq!(report.shed, 2);
         assert_eq!(report.completed, 4);
     }
 

@@ -107,21 +107,6 @@ pub(crate) struct WorkerContext {
     pub watchdog: Option<Arc<Watchdog>>,
 }
 
-/// Stable numeric codes for [`FaultSite`] carried in `FaultObserved.a`
-/// (the machine enum itself is never serialized into recordings).
-fn fault_site_code(site: FaultSite) -> u64 {
-    match site {
-        FaultSite::WorkerStall => 0,
-        FaultSite::WorkerCrash => 1,
-        FaultSite::IpiLoss => 2,
-        FaultSite::IpiDelay => 3,
-        FaultSite::ChannelCorruption => 4,
-        FaultSite::ChannelEptFault => 5,
-        FaultSite::InvalidationDrop => 6,
-        FaultSite::WorldLookupRace => 7,
-    }
-}
-
 /// How far (in simulated cycles) a worker may run ahead of the slowest
 /// live worker before it defers pulling more work. One generous batch's
 /// worth: enough to keep the pace gate off the common path, small
@@ -269,7 +254,8 @@ struct Engine<'a> {
     /// charge zero virtual cycles, so obs-on runs stay cycle-exact).
     obs: Recorder,
     /// Last published per-lane budgets, so epoch folds emit
-    /// `BudgetMove` only for lanes whose budget actually changed.
+    /// `BudgetGrow`/`BudgetShrink` only for lanes whose budget actually
+    /// changed.
     last_budgets: HashMap<usize, usize>,
     /// Shared callee-side authz policy. `None` (the plane off) makes
     /// enforcement a single branch per group — no checks, no events —
@@ -546,7 +532,7 @@ impl Engine<'_> {
                 self.supervisor.note_fault(now);
                 self.emit(
                     EventKind::FaultObserved,
-                    fault_site_code(FaultSite::WorldLookupRace),
+                    FaultSite::WorldLookupRace.index() as u64,
                     0,
                     0,
                 );
@@ -789,7 +775,7 @@ impl Engine<'_> {
                 self.supervisor.record_channel_fault(callee.raw(), now);
                 self.emit(
                     EventKind::FaultObserved,
-                    fault_site_code(FaultSite::ChannelEptFault),
+                    FaultSite::ChannelEptFault.index() as u64,
                     0,
                     0,
                 );
@@ -804,7 +790,7 @@ impl Engine<'_> {
                             self.supervisor.record_corruption(callee.raw(), now);
                             self.emit(
                                 EventKind::FaultObserved,
-                                fault_site_code(FaultSite::ChannelCorruption),
+                                FaultSite::ChannelCorruption.index() as u64,
                                 0,
                                 0,
                             );
@@ -817,7 +803,7 @@ impl Engine<'_> {
                         self.supervisor.record_channel_fault(callee.raw(), now);
                         self.emit(
                             EventKind::FaultObserved,
-                            fault_site_code(FaultSite::ChannelEptFault),
+                            FaultSite::ChannelEptFault.index() as u64,
                             0,
                             0,
                         );
@@ -853,7 +839,7 @@ impl Engine<'_> {
                         self.supervisor.record_channel_fault(callee.raw(), now);
                         self.emit(
                             EventKind::FaultObserved,
-                            fault_site_code(FaultSite::ChannelEptFault),
+                            FaultSite::ChannelEptFault.index() as u64,
                             0,
                             0,
                         );
@@ -1126,7 +1112,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 engine.supervisor.record_stall(now, cycles);
                 engine.emit(
                     EventKind::FaultObserved,
-                    fault_site_code(FaultSite::WorkerStall),
+                    FaultSite::WorkerStall.index() as u64,
                     0,
                     0,
                 );
@@ -1141,7 +1127,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 let respawns = engine.supervisor.record_crash(now);
                 engine.emit(
                     EventKind::FaultObserved,
-                    fault_site_code(FaultSite::WorkerCrash),
+                    FaultSite::WorkerCrash.index() as u64,
                     0,
                     0,
                 );
@@ -1215,7 +1201,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 engine.supervisor.note_fault(now);
                 engine.emit(
                     EventKind::FaultObserved,
-                    fault_site_code(FaultSite::InvalidationDrop),
+                    FaultSite::InvalidationDrop.index() as u64,
                     0,
                     0,
                 );
@@ -1311,33 +1297,22 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                         0,
                     );
                     for (lane, budget) in &snap.budgets {
-                        if engine.last_budgets.get(lane) != Some(budget) {
-                            engine.emit(EventKind::BudgetMove, *lane as u64, *budget as u64, 0);
-                            // Directional twin of the BudgetMove, carrying
-                            // the deciding fold's epoch in `c` so the
-                            // trace verifier can tie every budget change
-                            // to its fold. A lane's first sighting diffs
-                            // against the configured starting budget.
-                            let prev = engine
-                                .last_budgets
-                                .insert(*lane, *budget)
-                                .unwrap_or(ctx.switchless.batch_budget);
-                            if *budget > prev {
-                                engine.emit(
-                                    EventKind::BudgetGrow,
-                                    *lane as u64,
-                                    *budget as u64,
-                                    snap.epoch,
-                                );
-                            } else if *budget < prev {
-                                engine.emit(
-                                    EventKind::BudgetShrink,
-                                    *lane as u64,
-                                    *budget as u64,
-                                    snap.epoch,
-                                );
-                            }
-                        }
+                        // The deciding fold's epoch rides in `c` so the
+                        // trace verifier can tie every budget change to
+                        // its fold. A lane's first sighting diffs
+                        // against the configured starting budget.
+                        let prev = engine
+                            .last_budgets
+                            .insert(*lane, *budget)
+                            .unwrap_or(ctx.switchless.batch_budget);
+                        let kind = if *budget > prev {
+                            EventKind::BudgetGrow
+                        } else if *budget < prev {
+                            EventKind::BudgetShrink
+                        } else {
+                            continue;
+                        };
+                        engine.emit(kind, *lane as u64, *budget as u64, snap.epoch);
                     }
                 }
             }

@@ -19,7 +19,7 @@ use xover_runtime::{EventKind, ObsConfig, RuntimeConfig, SwitchlessConfig};
 
 const CHAOS_CALLS: u64 = 400;
 /// Floor on the events that fire across all `CHAOS_SEEDS` (each plan
-/// schedules 32, 256 in total). Runs fire 41–44; a stream of shorter
+/// schedules 24, 192 in total). Runs fire 41–45; a stream of shorter
 /// calls ends before much of the 3M-cycle horizon and fires ~33.
 const CHAOS_FIRED_FLOOR: u64 = 36;
 const CHAOS_SEEDS: [u64; 8] = [

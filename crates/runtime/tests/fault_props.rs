@@ -8,11 +8,13 @@
 //!    with no plan at all, with zero supervisor activity — pinned by
 //!    the plane parity table (`tests/parity.rs`).
 //! 2. **Exactly one verdict per call, under every seeded schedule.**
-//!    Whatever a generated plan injects — stalls, crashes, IPI loss,
-//!    slot corruption, EPT denials, dropped invalidations, lookup races
-//!    — every submitted request resolves to exactly one outcome (its
+//!    Whatever a generated plan injects — stalls, crashes, slot
+//!    corruption, EPT denials, dropped invalidations, lookup races —
+//!    every submitted request resolves to exactly one outcome (its
 //!    unique tag appears exactly once) and the verdict counters sum to
-//!    the stream length. Nothing is lost, nothing is duplicated.
+//!    the stream length. Nothing is lost, nothing is duplicated. Every
+//!    site in the catalogue has a consumer in the worker pool, so no
+//!    scheduled event sits where nothing consults it.
 //! 3. **Deferred invalidations heal at the next batch boundary.** A
 //!    dropped retirement lets stale WT/IWT entries survive one batch
 //!    (the fault is real and observable), after which the deferred
@@ -28,12 +30,13 @@ mod common;
 use std::time::Duration;
 
 use common::{build_service, Stream};
-use machine::fault::{FaultKind, FaultPlan, FaultSite};
-use xover_runtime::{CallRequest, CallVerdict, RuntimeConfig, SwitchlessConfig};
+use machine::fault::{FaultKind, FaultPlan, FaultSite, FAULT_SITES};
+use machine::rng::SplitMix64;
+use xover_runtime::{CallRequest, CallVerdict, RuntimeConfig, ServiceReport, SwitchlessConfig};
 
 const CHAOS_CALLS: u64 = 400;
 /// Floor on the events that fire across all `CHAOS_SEEDS` (each plan
-/// schedules 32, 256 in total). Runs fire 41–44; a stream of shorter
+/// schedules 24, 192 in total). Runs fire 41–45; a stream of shorter
 /// calls ends before much of the 3M-cycle horizon and fires ~33.
 const CHAOS_FIRED_FLOOR: u64 = 36;
 const CHAOS_SEEDS: [u64; 8] = [
@@ -70,35 +73,92 @@ fn every_call_resolves_exactly_once_under_seeded_chaos() {
         assert!(fired > 0, "seed {seed:#x}: no scheduled fault fired");
         fired_total += fired;
 
-        assert_eq!(
-            report.outcomes.len() as u64,
-            CHAOS_CALLS,
-            "seed {seed:#x}: every submitted call must produce an outcome"
-        );
-        let mut seen = vec![0u32; CHAOS_CALLS as usize];
-        for o in &report.outcomes {
-            seen[o.request.tag as usize] += 1;
-        }
-        for (tag, &count) in seen.iter().enumerate() {
-            assert_eq!(
-                count, 1,
-                "seed {seed:#x}: tag {tag} resolved {count} times (want exactly 1)"
-            );
-        }
-        assert_eq!(
-            report.completed + report.timed_out + report.failed + report.dead_lettered,
-            CHAOS_CALLS,
-            "seed {seed:#x}: verdict counters must partition the stream"
-        );
-        assert_eq!(
-            report.supervisor.worker_panics, 0,
-            "seed {seed:#x}: injected faults must heal, not panic"
-        );
+        assert_one_verdict_per_call(&report, CHAOS_CALLS, &format!("seed {seed:#x}"));
     }
     assert!(
         fired_total >= CHAOS_FIRED_FLOOR,
         "only {fired_total} scheduled faults fired (floor {CHAOS_FIRED_FLOOR})"
     );
+}
+
+/// Every submitted call resolved to exactly one outcome, the verdict
+/// counters partition the stream, and no injected fault panicked a
+/// worker.
+fn assert_one_verdict_per_call(report: &ServiceReport, calls: u64, label: &str) {
+    assert_eq!(
+        report.outcomes.len() as u64,
+        calls,
+        "{label}: every submitted call must produce an outcome"
+    );
+    let mut seen = vec![0u32; calls as usize];
+    for o in &report.outcomes {
+        seen[o.request.tag as usize] += 1;
+    }
+    for (tag, &count) in seen.iter().enumerate() {
+        assert_eq!(
+            count, 1,
+            "{label}: tag {tag} resolved {count} times (want exactly 1)"
+        );
+    }
+    assert_eq!(
+        report.completed + report.timed_out + report.failed + report.dead_lettered,
+        calls,
+        "{label}: verdict counters must partition the stream"
+    );
+    assert_eq!(
+        report.supervisor.worker_panics, 0,
+        "{label}: injected faults must heal, not panic"
+    );
+}
+
+/// Every catalogued site is consulted by the worker pool: one run per
+/// site arms a single event at t = 0, and it must fire. One run per
+/// site, because a `WorkerCrash` respawn fast-forwards the retire
+/// cursor past the retirement `InvalidationDrop` needs. The spare world
+/// deleted before start gives the first batch that retirement; the
+/// chaos suites delete no world, so they never reach that site.
+#[test]
+fn every_fault_site_has_a_consumer_in_the_pool() {
+    const CALLS: u64 = 64;
+    for site in FAULT_SITES {
+        // Exhaustive: a new site must name its kind here, and then
+        // needs a consumer for this test to pass.
+        let kind = match site {
+            FaultSite::WorkerStall => FaultKind::Stall { cycles: 2_000 },
+            FaultSite::WorkerCrash => FaultKind::Crash,
+            FaultSite::ChannelCorruption => FaultKind::Corrupt,
+            FaultSite::ChannelEptFault => FaultKind::Deny,
+            FaultSite::InvalidationDrop => FaultKind::Drop,
+            FaultSite::WorldLookupRace => FaultKind::Vanish,
+        };
+        let (mut svc, worlds) = build_service(RuntimeConfig {
+            switchless: SwitchlessConfig::fixed(8),
+            ..common::single_worker(CALLS)
+        });
+        let vm = svc
+            .create_vm(hypervisor::vm::VmConfig::named("spare"))
+            .expect("create vm");
+        let spare = svc
+            .register_guest_user(vm, 0x1000 * 9, 0x40_0000)
+            .expect("register spare world");
+        svc.delete_world(spare).expect("delete spare world");
+        svc.set_fault_plan(FaultPlan::new().with(0, site, kind));
+        let plan = svc.fault_plan().expect("plan installed").clone();
+        let mut rng = SplitMix64::new(0xFA_117);
+        for tag in 0..CALLS {
+            svc.submit(common::draw_request(&mut rng, &worlds, tag, Stream::Chaos))
+                .expect("queue open");
+        }
+        svc.start();
+        let report = svc.drain();
+        assert_eq!(
+            plan.fired_count(site),
+            1,
+            "no worker consulted {}",
+            site.name()
+        );
+        assert_one_verdict_per_call(&report, CALLS, site.name());
+    }
 }
 
 /// Invariant 3: an injected `InvalidationDrop` defers a pulled

@@ -51,22 +51,25 @@ fn clean_run_raises_zero_incidents() {
     );
 }
 
-/// Leg 1b: per-tenant latency digests partition the completed stream
-/// and carry sane percentiles.
+/// Leg 1b: the exported per-tenant latency histograms partition the
+/// completed stream and carry sane percentiles.
 #[test]
 fn tenant_latency_digests_partition_completions() {
     let report = run(WatchdogMode::Off, ObsConfig::off(), None);
-    assert!(!report.tenant_latency.is_empty());
-    let total: u64 = report.tenant_latency.iter().map(|t| t.hist.count()).sum();
+    let reg = xover_runtime::metrics_registry(&report);
+    let hists: Vec<_> = report
+        .per_tenant
+        .iter()
+        .filter_map(|t| reg.histogram(&format!("xover_tenant{}_latency_cycles", t.tenant)))
+        .collect();
+    assert!(!hists.is_empty());
+    let total: u64 = hists.iter().map(|h| h.count()).sum();
     assert_eq!(total, report.completed, "per-tenant histograms partition");
-    for t in &report.tenant_latency {
-        assert!(
-            t.p50_cycles <= t.p99_cycles,
-            "tenant {}: p50 > p99",
-            t.tenant
-        );
-        assert!(t.p99_cycles >= t.hist.min());
-        assert!(t.p99_cycles <= t.hist.max());
+    for h in hists {
+        let (p50, p99) = (h.value_at_percentile(50.0), h.value_at_percentile(99.0));
+        assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
+        assert!(p99 >= h.min());
+        assert!(p99 <= h.max());
     }
 }
 
