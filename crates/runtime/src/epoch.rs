@@ -22,6 +22,12 @@
 //! doubled root), swap the pointer, and push the old structure onto a
 //! limbo list tagged with the post-swap epoch.
 //!
+//! The context → WID index that an IWT miss consults lives outside the
+//! writer mutex, behind its own read-write lock. Only registration and
+//! deletion change it, and they take the writer mutex first and the
+//! index second, so a context lookup shares the index with every other
+//! reader and never waits on eviction, refaults or maintenance.
+//!
 //! # Grace periods
 //!
 //! Reclamation is the classic epoch argument. The global epoch `E` is
@@ -55,11 +61,17 @@
 //! transparently on their next lookup (a *refault*, through the writer
 //! lock). Eviction is invisible to worker caches: an evicted world is
 //! still live, so no invalidation is needed or sent.
+//!
+//! Workers offer maintenance at every batch boundary, but
+//! [`EpochWorldTable::maintain_paced`] runs a pass only once the lookup
+//! tick has advanced a window's share of one sweep since the previous
+//! pass, so one full sweep of the buckets spans one window. A world idle
+//! past the window is therefore demoted within one further window.
 
 use std::collections::HashMap;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use crossover::table::WorldLookup;
 use crossover::world::{Wid, WorldContext, WorldDescriptor, WorldEntry, PACKED_ENTRY_BYTES};
@@ -69,9 +81,8 @@ use hypervisor::vm::VmId;
 /// A quiescent (unpinned) reader slot.
 const QUIESCENT: u64 = u64::MAX;
 
-/// Buckets examined per [`EpochWorldTable::maintain`] call: the sweep is
-/// incremental so maintenance cost per batch stays bounded regardless of
-/// table size.
+/// Buckets examined per maintenance pass: the sweep is incremental so
+/// the cost of one pass stays bounded regardless of table size.
 const SWEEP_BUCKETS: usize = 64;
 
 /// Target mean bucket occupancy before the root doubles.
@@ -221,11 +232,10 @@ impl ColdStore {
 }
 
 /// Writer-side state, serialized behind one mutex: registration indexes
-/// (context → WID, ownership, per-VM quota), the cold store, the limbo
-/// list and the eviction sweep cursor.
+/// (ownership, per-VM quota), the cold store, the limbo list and the
+/// eviction sweep cursor.
 #[derive(Debug, Default)]
 struct WriterState {
-    by_context: HashMap<WorldContext, Wid>,
     owners: HashMap<u64, Option<VmId>>,
     per_vm: HashMap<VmId, usize>,
     next_wid: u64,
@@ -241,7 +251,8 @@ struct WriterState {
 pub struct MaintainOutcome {
     /// Entries demoted to the cold store by this pass.
     pub evicted: u64,
-    /// Retired structures freed after their grace period by this pass.
+    /// Retired structures freed after their grace period since the
+    /// previous pass (table-wide: refaults reclaim too).
     pub reclaimed: u64,
     /// Cold-store refaults since the previous pass (table-wide).
     pub refaults: u64,
@@ -270,7 +281,8 @@ pub struct TableHealth {
     /// Lookups served so far, pinned and unpinned.
     pub lookups: u64,
     /// Writer-lock acquisitions so far: registrations, deletions,
-    /// refaults, unpinned lookups and maintenance passes.
+    /// refaults, unpinned lookups and maintenance passes. Context
+    /// lookups never take it.
     pub writer_acquisitions: u64,
     /// Writer-lock acquisitions that found the lock held and blocked.
     pub writer_contended: u64,
@@ -296,16 +308,25 @@ pub struct EpochWorldTable {
     refaults: AtomicU64,
     refaults_unreported: AtomicU64,
     reclaims: AtomicU64,
+    reclaims_unreported: AtomicU64,
     limbo_len: AtomicU64,
+    /// Cold-store footprint, republished after each sweep that demotes
+    /// (pages are never freed), so a health snapshot takes no lock.
+    cold_bytes: AtomicU64,
     writer_acquisitions: AtomicU64,
     writer_contended: AtomicU64,
     /// Derived eviction window; `u64::MAX` while calibrating.
     window: AtomicU64,
+    /// Lookup tick from which the next paced maintenance pass is due;
+    /// `u64::MAX` while a claimed pass is running.
+    next_pass: AtomicU64,
     dist_hist: Vec<AtomicU64>,
     dist_samples: AtomicU64,
     retired_len: AtomicUsize,
     retired: Mutex<Vec<Wid>>,
     writer: Mutex<WriterState>,
+    /// Context → WID, changed only by holders of `writer` (locked first).
+    by_context: RwLock<HashMap<WorldContext, Wid>>,
     quota: usize,
 }
 
@@ -340,10 +361,13 @@ impl EpochWorldTable {
             refaults: AtomicU64::new(0),
             refaults_unreported: AtomicU64::new(0),
             reclaims: AtomicU64::new(0),
+            reclaims_unreported: AtomicU64::new(0),
             limbo_len: AtomicU64::new(0),
+            cold_bytes: AtomicU64::new(0),
             writer_acquisitions: AtomicU64::new(0),
             writer_contended: AtomicU64::new(0),
             window: AtomicU64::new(u64::MAX),
+            next_pass: AtomicU64::new(0),
             dist_hist: (0..65).map(|_| AtomicU64::new(0)).collect(),
             dist_samples: AtomicU64::new(0),
             retired_len: AtomicUsize::new(0),
@@ -352,6 +376,7 @@ impl EpochWorldTable {
                 next_wid: 1,
                 ..WriterState::default()
             }),
+            by_context: RwLock::default(),
             quota,
         }
     }
@@ -440,10 +465,13 @@ impl EpochWorldTable {
         self.refault_locked(&mut st, wid)
     }
 
-    /// Faults a cold world back into the published tree.
+    /// Faults a cold world back into the published tree, then frees
+    /// what limbo allows: refaults are the writes of the call path, and
+    /// paced maintenance passes may be a window apart.
     fn refault_locked(&self, st: &mut WriterState, wid: Wid) -> Option<WorldEntry> {
         let entry = st.cold.remove(wid.raw())?;
         self.publish_insert(st, entry);
+        self.reclaim(st);
         self.resident.fetch_add(1, Ordering::Relaxed);
         self.refaults.fetch_add(1, Ordering::Relaxed);
         self.refaults_unreported.fetch_add(1, Ordering::Relaxed);
@@ -562,7 +590,9 @@ impl EpochWorldTable {
     /// [`WorldError::QuotaExceeded`] if the owning VM is at its quota.
     pub fn create(&self, descriptor: WorldDescriptor) -> Result<Wid, WorldError> {
         let mut st = self.lock_writer();
-        let replaced = st.by_context.get(&descriptor.context).copied();
+        // Only writer-mutex holders change the index, so this read stays
+        // current until the insert below.
+        let replaced = self.context_index().get(&descriptor.context).copied();
         match replaced {
             Some(old) => {
                 // The replaced entry may be resident or already demoted.
@@ -595,7 +625,10 @@ impl EpochWorldTable {
             entry_point: descriptor.entry_point,
         };
         self.publish_insert(&mut st, entry);
-        st.by_context.insert(descriptor.context, wid);
+        self.by_context
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(descriptor.context, wid);
         st.owners.insert(wid.raw(), descriptor.owner);
         self.live.fetch_add(1, Ordering::Relaxed);
         self.resident.fetch_add(1, Ordering::Relaxed);
@@ -625,8 +658,11 @@ impl EpochWorldTable {
         }
         // The context may have been rebound by a later replacement; only
         // unlink it if it still names this WID.
-        if st.by_context.get(&entry.context) == Some(&wid) {
-            st.by_context.remove(&entry.context);
+        {
+            let mut index = self.by_context.write().unwrap_or_else(|e| e.into_inner());
+            if index.get(&entry.context) == Some(&wid) {
+                index.remove(&entry.context);
+            }
         }
         if let Some(Some(vm)) = st.owners.remove(&wid.raw()) {
             if let Some(c) = st.per_vm.get_mut(&vm) {
@@ -645,9 +681,16 @@ impl EpochWorldTable {
         Ok(())
     }
 
-    /// Looks up a world by context (registration-time path).
+    /// Looks up a world by context: the IWT-miss path of every world
+    /// call. Shares the context index's read lock and never takes the
+    /// writer mutex. A lookup that starts after `delete` returns never
+    /// resolves to the deleted WID.
     pub fn lookup_context(&self, context: &WorldContext) -> Option<Wid> {
-        self.lock_writer().by_context.get(context).copied()
+        self.context_index().get(context).copied()
+    }
+
+    fn context_index(&self) -> std::sync::RwLockReadGuard<'_, HashMap<WorldContext, Wid>> {
+        self.by_context.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Number of worlds owned by `vm`.
@@ -698,12 +741,53 @@ impl EpochWorldTable {
             return MaintainOutcome::default();
         };
         self.writer_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.pass(&mut st)
+    }
+
+    /// A maintenance offer paced by the eviction window: runs one
+    /// [`maintain`](Self::maintain)-sized pass only once the lookup tick
+    /// has advanced `window × SWEEP_BUCKETS / bucket_count()` since the
+    /// previous paced pass (`MIN_WINDOW`, 4,096 ticks, while
+    /// calibrating), so one full sweep spans one window. Otherwise two
+    /// atomic loads and no lock. A compare-exchange claims a due pass
+    /// for one caller, which then waits for the writer lock rather than
+    /// skip the pass, so a world idle past the window is demoted within
+    /// one further window.
+    pub fn maintain_paced(&self) -> MaintainOutcome {
+        // Relaxed throughout: the claim publishes no data, and the pass
+        // itself runs under the writer mutex.
+        let due = self.next_pass.load(Ordering::Relaxed);
+        let now = self.tick.load(Ordering::Relaxed);
+        if now < due
+            || self
+                .next_pass
+                .compare_exchange(due, u64::MAX, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return MaintainOutcome::default();
+        }
+        let mut st = self.lock_writer();
+        let outcome = self.pass(&mut st);
+        let window = match self.window.load(Ordering::Relaxed) {
+            u64::MAX => MIN_WINDOW,
+            w => w,
+        };
+        // The root only changes under the writer lock held here.
+        let stride = window.saturating_mul(SWEEP_BUCKETS as u64) / self.bucket_count() as u64;
+        self.next_pass
+            .store(now.saturating_add(stride), Ordering::Relaxed);
+        outcome
+    }
+
+    /// One bounded pass under the writer lock: recompute the window,
+    /// sweep, reclaim.
+    fn pass(&self, st: &mut WriterState) -> MaintainOutcome {
         self.recompute_window();
-        let evicted = self.sweep(&mut st);
-        let reclaimed = self.reclaim(&mut st);
+        let evicted = self.sweep(st);
+        self.reclaim(st);
         MaintainOutcome {
             evicted,
-            reclaimed,
+            reclaimed: self.reclaims_unreported.swap(0, Ordering::Relaxed),
             refaults: self.refaults_unreported.swap(0, Ordering::Relaxed),
         }
     }
@@ -779,6 +863,8 @@ impl EpochWorldTable {
         if evicted > 0 {
             self.resident.fetch_sub(evicted, Ordering::Relaxed);
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.cold_bytes
+                .store(st.cold.bytes() as u64, Ordering::Relaxed);
         }
         evicted
     }
@@ -786,9 +872,9 @@ impl EpochWorldTable {
     /// Frees limbo structures whose grace period has elapsed: a retired
     /// structure tagged `t` is freeable once every pin slot is quiescent
     /// or holds an epoch `>= t`.
-    fn reclaim(&self, st: &mut WriterState) -> u64 {
+    fn reclaim(&self, st: &mut WriterState) {
         if st.limbo.is_empty() {
-            return 0;
+            return;
         }
         let safe_before = self
             .pins
@@ -816,13 +902,14 @@ impl EpochWorldTable {
             .store(st.limbo.len() as u64, Ordering::Relaxed);
         if freed > 0 {
             self.reclaims.fetch_add(freed, Ordering::Relaxed);
+            self.reclaims_unreported.fetch_add(freed, Ordering::Relaxed);
         }
-        freed
     }
 
     // ---- reporting -------------------------------------------------
 
-    /// Point-in-time health snapshot.
+    /// Point-in-time health snapshot. Takes no lock, so reading it
+    /// never moves `writer_acquisitions`.
     pub fn health(&self) -> TableHealth {
         let window = self.window.load(Ordering::Relaxed);
         TableHealth {
@@ -842,7 +929,7 @@ impl EpochWorldTable {
 
     /// Cold-store footprint in bytes.
     pub fn cold_bytes(&self) -> usize {
-        self.lock_writer().cold.bytes()
+        self.cold_bytes.load(Ordering::Relaxed) as usize
     }
 
     /// Worlds currently demoted to the cold store.
@@ -929,6 +1016,43 @@ mod tests {
         assert!(t.lookup(new).is_some());
         assert_eq!(t.lookup_context(&host(0x1000).context), Some(new));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn context_lookups_never_take_the_writer_lock() {
+        let t = EpochWorldTable::new(1, 16);
+        let contexts: Vec<WorldContext> = (0..8)
+            .map(|i| {
+                let d = host(0x1000 * (i + 1));
+                t.create(d).unwrap();
+                d.context
+            })
+            .collect();
+        let before = t.health().writer_acquisitions;
+        for i in 0..1_000 {
+            assert!(t.lookup_context(&contexts[i % contexts.len()]).is_some());
+        }
+        assert!(t.lookup_context(&host(0xF_F000).context).is_none());
+        assert_eq!(t.health().writer_acquisitions, before);
+    }
+
+    #[test]
+    fn reregistered_context_keeps_its_new_binding_through_old_deletes() {
+        let t = EpochWorldTable::new(1, 16);
+        let context = host(0x1000).context;
+        let old = t.create(host(0x1000)).unwrap();
+        let new = t.create(host(0x1000)).unwrap();
+        assert_eq!(t.lookup_context(&context), Some(new));
+        // The replaced WID is already gone, so deleting it fails and the
+        // new binding survives.
+        assert_eq!(t.delete(old), Err(WorldError::InvalidWid { wid: old }));
+        assert_eq!(t.lookup_context(&context), Some(new));
+        // Deleting the binding's own WID unlinks it.
+        t.delete(new).unwrap();
+        assert_eq!(t.lookup_context(&context), None);
+        let again = t.create(host(0x1000)).unwrap();
+        assert!(again > new);
+        assert_eq!(t.lookup_context(&context), Some(again));
     }
 
     #[test]
@@ -1171,6 +1295,90 @@ mod tests {
         for raw in 1..=live {
             let wid = Wid::from_raw(raw);
             assert_eq!(t.lookup_pinned(0, wid).map(|e| e.wid), Some(wid));
+        }
+    }
+
+    #[test]
+    fn context_lookups_race_reregistration_and_delete() {
+        const CONTEXTS: usize = 8;
+        const ROUNDS: u64 = 2_000;
+        let t = EpochWorldTable::new(3, 64);
+        let descriptors: Vec<WorldDescriptor> = (0..CONTEXTS as u64)
+            .map(|i| host(0x20_0000 + i * 0x1000))
+            .collect();
+        // Per context, every WID at or below this floor is dead: stored
+        // after the `create` that replaced it or the `delete` that
+        // removed it returned.
+        let floors: Vec<AtomicU64> = (0..CONTEXTS).map(|_| AtomicU64::new(0)).collect();
+        let done = AtomicU64::new(0);
+        // Readers count violations instead of panicking, so a failing
+        // reader cannot leave the writer waiting on `reads` forever.
+        let (reads, resolved, violations) =
+            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let mut bound: Vec<Option<Wid>> = vec![None; CONTEXTS];
+        std::thread::scope(|s| {
+            for slot in 0..2usize {
+                let (t, descriptors, floors, done) = (&t, &descriptors, &floors, &done);
+                let (reads, resolved, violations) = (&reads, &resolved, &violations);
+                s.spawn(move || {
+                    let mut round = slot;
+                    while done.load(Ordering::Acquire) == 0 {
+                        let k = round % CONTEXTS;
+                        round += 1;
+                        let floor = floors[k].load(Ordering::Acquire);
+                        if let Some(wid) = t.lookup_context(&descriptors[k].context) {
+                            resolved.fetch_add(1, Ordering::Relaxed);
+                            // Never a retired WID; the entry may be gone
+                            // by now, but never foreign.
+                            let foreign = t
+                                .lookup_pinned(slot, wid)
+                                .is_some_and(|e| e.context != descriptors[k].context);
+                            if wid.raw() <= floor || foreign {
+                                violations.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        reads.fetch_add(1, Ordering::Release);
+                    }
+                });
+            }
+            // Releases the readers however the writer leaves this scope,
+            // so a writer panic fails the test instead of hanging it.
+            struct Release<'a>(&'a AtomicU64);
+            impl Drop for Release<'_> {
+                fn drop(&mut self) {
+                    self.0.store(1, Ordering::Release);
+                }
+            }
+            let _release = Release(&done);
+            for round in 0..ROUNDS {
+                let k = (round as usize * 5) % CONTEXTS;
+                if round % 3 == 2 {
+                    if let Some(wid) = bound[k].take() {
+                        t.delete(wid).unwrap();
+                        floors[k].store(wid.raw(), Ordering::Release);
+                    }
+                } else {
+                    let wid = t.create(descriptors[k]).unwrap();
+                    if let Some(old) = bound[k].replace(wid) {
+                        floors[k].store(old.raw(), Ordering::Release);
+                    }
+                }
+                // Force the interleaving: readers make two lookups after
+                // every write before the next one.
+                let target = reads.load(Ordering::Acquire) + 2;
+                while reads.load(Ordering::Acquire) < target {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert_eq!(
+            violations.load(Ordering::Relaxed),
+            0,
+            "stale or foreign WIDs"
+        );
+        assert!(resolved.load(Ordering::Relaxed) > 0, "no lookup resolved");
+        for (d, wid) in descriptors.iter().zip(&bound) {
+            assert_eq!(t.lookup_context(&d.context), *wid);
         }
     }
 

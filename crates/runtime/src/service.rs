@@ -1124,6 +1124,75 @@ mod tests {
     }
 
     #[test]
+    fn cold_burst_calls_rarely_take_the_table_writer_lock() {
+        use machine::rng::SplitMix64;
+        const VMS: u64 = 4;
+        const PER_VM: u64 = 2_048;
+        const CALLS: usize = 12_288;
+        // The perfbench cold-burst shape: two workers, 8,192 worlds with
+        // two-page working sets, switchless off. Attaching a working set
+        // reads its world through the table, so the eviction window
+        // calibrates early and the cold tail is evicted and refaulted.
+        let mut svc = WorldCallService::new(RuntimeConfig {
+            workers: 2,
+            quota: PER_VM as usize,
+            queue_capacity: CALLS + 16,
+            ..RuntimeConfig::default()
+        });
+        let mut worlds = Vec::new();
+        for v in 0..VMS {
+            let vm = svc.create_vm(VmConfig::named(&format!("vm{v}"))).unwrap();
+            for w in 0..PER_VM {
+                let wid = svc
+                    .register_guest_user(vm, 0x1000 * (w + 1), 0x40_0000)
+                    .unwrap();
+                svc.attach_working_set(wid, vm, 2).unwrap();
+                worlds.push(wid);
+            }
+        }
+        let before = svc.table().health().writer_acquisitions;
+        svc.start();
+        // Zipf(0.2) callee ranks spread over the population, uniform
+        // callers.
+        let n = worlds.len();
+        let cdf: Vec<f64> = (1..=n)
+            .scan(0.0, |sum, rank| {
+                *sum += (rank as f64).powf(-0.2);
+                Some(*sum)
+            })
+            .collect();
+        let mut rng = SplitMix64::new(0xC01D_B125);
+        for _ in 0..CALLS {
+            let u = rng.below(1 << 30) as f64 / f64::from(1u32 << 30) * cdf[n - 1];
+            let rank = cdf.partition_point(|&c| c < u);
+            let caller = rng.below(n as u64) as usize;
+            let mut callee = (rank * 2_654_435_761) % n;
+            if callee == caller {
+                callee = (callee + 1) % n;
+            }
+            svc.submit(
+                CallRequest::new(worlds[caller], worlds[callee], 400, 133)
+                    .with_touches(rng.below(3)),
+            )
+            .unwrap();
+        }
+        let report = svc.drain();
+        assert_eq!(report.completed, CALLS as u64);
+        assert!(
+            report.table.evictions > 0,
+            "the shape must evict: {:?}",
+            report.table
+        );
+        let taken = report.table.writer_acquisitions - before;
+        assert!(
+            taken * 2 <= report.completed,
+            "{taken} writer-lock acquisitions for {} calls ({:?})",
+            report.completed,
+            report.table
+        );
+    }
+
+    #[test]
     fn submissions_after_drain_are_closed() {
         let (mut svc, caller, callee) = two_world_service(1);
         svc.start();

@@ -180,7 +180,8 @@ pub struct WorkerReport {
 
 /// The shared table as one worker's call unit walks it: WID lookups go
 /// through the worker's pin slot (wait-free), so the reclaimer never
-/// frees a bucket out from under an in-flight walk.
+/// frees a bucket out from under an in-flight walk; context lookups
+/// read the table's context index without the writer lock.
 struct PinnedTable<'a> {
     table: &'a EpochWorldTable,
     slot: usize,
@@ -1210,13 +1211,14 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 engine.unit.manage_wtc_invalidate(engine.platform, wid);
             }
         }
-        // Cooperative table maintenance: each worker offers one bounded
-        // pass per batch (a try-lock inside; skipped for free when a
-        // peer or a registration holds the writer). Runs whether or not
-        // obs is on — the sweep is the table's side effect, only the
+        // Cooperative table maintenance: each worker offers a pass per
+        // batch; the table runs one only when the lookup tick says a
+        // window's share of the sweep is due, so most offers are two
+        // atomic loads and never touch the writer lock. Runs whether or
+        // not obs is on — the sweep is the table's side effect, only the
         // event emission is conditional — and charges zero virtual
         // cycles, so obs-on runs stay cycle-exact.
-        let m = ctx.table.maintain();
+        let m = ctx.table.maintain_paced();
         if m.evicted > 0 {
             engine.emit(EventKind::WorldEvict, m.evicted, 0, 0);
         }

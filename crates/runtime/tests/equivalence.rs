@@ -10,7 +10,7 @@
 //! cycles and instructions.
 
 use crossover::call::{Direction, WorldCallUnit};
-use crossover::table::WorldTable;
+use crossover::table::{WorldLookup, WorldTable};
 use crossover::world::{Wid, WorldDescriptor};
 use hypervisor::platform::Platform;
 use hypervisor::vm::VmConfig;
@@ -166,6 +166,16 @@ fn epoch_table_is_observably_sequential() {
                     let b = ept.call(&epoch, ept_entry, callee);
                     assert_eq!(a, b, "case {case} op {i}: call outcome diverged");
                 }
+            }
+            // The context index agrees after every operation, for every
+            // pool context, bound or not.
+            for d in &pool {
+                assert_eq!(
+                    WorldLookup::wid_of(&seq_table, &d.context),
+                    WorldLookup::wid_of(&epoch, &d.context),
+                    "case {case} op {i}: context index diverged for {}",
+                    d.context
+                );
             }
         }
 

@@ -18,6 +18,11 @@
 //!    demotes the cold tail, `live == resident + cold` holds and every
 //!    live world still resolves (refaulting transparently); deleting a
 //!    cold world works and releases it.
+//! 4. **Paced maintenance sweeps once per window.** When a worker
+//!    offers `maintain_paced` after every lookup, the passes that run
+//!    cover the buckets once per eviction window, no faster, and a world
+//!    idle for more than two windows while other traffic continues is
+//!    cold.
 //!
 //! The service-level one-batch staleness bound is pinned by
 //! `tests/invalidation_props.rs`, and sequential equivalence with the
@@ -194,4 +199,70 @@ fn eviction_is_lossless_and_cold_deletes_release_worlds() {
     table.delete(victim).expect("cold worlds are deletable");
     assert_eq!(table.lookup_pinned(0, victim), None);
     assert_eq!(table.len(), WORLDS as usize - 1);
+}
+
+/// Buckets one maintenance pass sweeps (`SWEEP_BUCKETS` in
+/// `runtime::epoch`).
+const SWEEP_BUCKETS: u64 = 64;
+
+#[test]
+fn paced_maintenance_sweeps_once_per_window_and_demotes_idle_worlds() {
+    const WORLDS: u64 = 8_192;
+    const HOT: u64 = 64;
+    let table = EpochWorldTable::new(1, 1 << 20);
+    let wids: Vec<Wid> = (0..WORLDS)
+        .map(|i| table.create(world(2, i)).expect("register"))
+        .collect();
+    let mut rng = SplitMix64::new(0x9ACE);
+    let mut hot_lookup = |table: &EpochWorldTable| {
+        let hot = wids[rng.below(HOT) as usize];
+        assert!(table.lookup_pinned(0, hot).is_some());
+        table.maintain_paced();
+    };
+    // Calibrate the window and let the never-read tail go cold.
+    for _ in 0..32_768 {
+        hot_lookup(&table);
+    }
+    let window = table.health().eviction_window;
+    let buckets = table.bucket_count() as u64;
+    assert!(window > 0, "window never calibrated");
+    assert_eq!(
+        table.resident_count() as u64,
+        HOT,
+        "the never-read tail must be cold"
+    );
+    // Touch one cold world (a refault), then let it idle while the hot
+    // set keeps the tick moving past two windows.
+    let probe = wids[WORLDS as usize - 1];
+    assert!(table.lookup_pinned(0, probe).is_some());
+    assert_eq!(table.resident_count() as u64, HOT + 1);
+    let before = table.health();
+    let ticks = 2 * window + 1;
+    for _ in 0..ticks {
+        hot_lookup(&table);
+    }
+    let after = table.health();
+    assert_eq!(
+        after.eviction_window, window,
+        "the hot set holds the window"
+    );
+    assert_eq!(table.bucket_count() as u64, buckets);
+    assert_eq!(
+        after.refaults, before.refaults,
+        "the hot set stays resident"
+    );
+    // Hot lookups never take the writer lock, so every acquisition here
+    // is one paced pass.
+    let passes = after.writer_acquisitions - before.writer_acquisitions;
+    let bound = ticks * buckets / (window * SWEEP_BUCKETS) + 2;
+    assert!(
+        (1..=bound).contains(&passes),
+        "{passes} passes over {ticks} ticks (bound {bound}, window {window}, {buckets} buckets)"
+    );
+    assert_eq!(
+        table.resident_count() as u64,
+        HOT,
+        "a world idle for two windows must be cold"
+    );
+    assert_eq!(table.cold_count() as u64, WORLDS - HOT);
 }
