@@ -9,10 +9,14 @@
 //! estimated duration. That model is what paces quota release (a
 //! tenant's in-flight count drops when its modeled completion retires),
 //! giving the same admission dynamics a live pool would show, while
-//! staying exactly reproducible. After the pool drains, a second pass
-//! replays the same servers with each call's *true* on-CPU latency to
-//! place completion-delivery instants, so reported end-to-end latencies
-//! reflect measured service time, not the estimate.
+//! staying exactly reproducible. The staged arrival trace is freed once
+//! that admission timeline is decided, before the pool starts. After
+//! the pool drains, a second pass replays the same servers with each
+//! call's *true* on-CPU latency to place completion-delivery instants,
+//! so reported end-to-end latencies reflect measured service time, not
+//! the estimate. It joins each verdict to its admission through a
+//! dense index from token (minted `0..n` at enqueue) to outcome
+//! position, reading the outcome in place.
 //!
 //! Three invariants the loop maintains (checked by
 //! [`GatewayReport::check_conservation`] and re-checked from the
@@ -23,11 +27,11 @@
 //! 3. sheds carry an explicit reason, counted per tenant.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use obs::{Event, EventKind};
 use runtime::report::percentile;
-use runtime::{CallVerdict, ServiceReport, SubmitError, WorldCallService};
+use runtime::{ServiceReport, SubmitError, WorldCallService};
 
 use crate::ring::{CompletionRing, SubmissionRing};
 use crate::{
@@ -454,54 +458,67 @@ impl Gateway {
             };
         }
 
-        // The admission timeline is fixed; now run the pool for real.
+        // The admission timeline is fixed: free the staged trace, then
+        // run the pool for real.
+        let tokens = self.next_token as usize;
+        drop(std::mem::take(&mut self.staged));
         svc.start();
         let service = svc.drain();
 
         // Pass 2: replay the servers with measured latencies to place
-        // completion-delivery instants, then batch per tenant.
-        let mut by_token: HashMap<u64, (CallVerdict, u64)> = service
-            .outcomes
-            .iter()
-            .map(|o| (o.request.tag, (o.verdict.clone(), o.latency_cycles)))
-            .collect();
+        // completion-delivery instants, then batch per tenant. Tokens
+        // are minted densely from 0, so each admission finds its
+        // verdict through the token's outcome position (`u32::MAX`:
+        // none, or already joined).
+        let mut position = vec![u32::MAX; tokens];
+        for (pos, o) in service.outcomes.iter().enumerate() {
+            if let Some(slot) = position.get_mut(o.request.tag as usize) {
+                *slot = pos as u32;
+            }
+        }
         let mut servers: BinaryHeap<Reverse<u64>> = (0..workers).map(|_| Reverse(0)).collect();
         let mut deliveries: Vec<Completion> = admissions
             .iter()
             .map(|adm| {
-                let (verdict, latency) = by_token
-                    .remove(&adm.token)
+                let pos = std::mem::replace(&mut position[adm.token as usize], u32::MAX);
+                let outcome = service
+                    .outcomes
+                    .get(pos as usize)
                     .expect("exactly one verdict per admitted call");
                 let Reverse(free) = servers.pop().expect("one per worker");
-                let done = free.max(adm.admitted_cycles) + latency;
+                let done = free.max(adm.admitted_cycles) + outcome.latency_cycles;
                 servers.push(Reverse(done));
                 Completion {
                     token: adm.token,
                     user_tag: adm.user_tag,
                     tenant: adm.tenant,
-                    verdict,
+                    verdict: outcome.verdict.clone(),
                     arrival_cycles: adm.arrival_cycles,
                     admitted_cycles: adm.admitted_cycles,
                     done_cycles: done,
                 }
             })
             .collect();
+        drop((position, admissions));
         deliveries.sort_by_key(|c| (c.done_cycles, c.token));
 
-        let mut completion_rings: Vec<CompletionRing> =
-            (0..n).map(|_| CompletionRing::new()).collect();
-        let mut pending: Vec<Vec<Completion>> = vec![Vec::new(); n];
+        let mut completion_rings: Vec<CompletionRing> = tallies
+            .iter()
+            .map(|t| CompletionRing::with_capacity(t.admitted as usize))
+            .collect();
+        let mut pending: Vec<Vec<Completion>> = (0..n)
+            .map(|_| Vec::with_capacity(COMPLETION_BATCH))
+            .collect();
         let flush = |tid: usize,
-                     pending: &mut Vec<Vec<Completion>>,
-                     completion_rings: &mut Vec<CompletionRing>,
+                     pending: &mut [Vec<Completion>],
+                     completion_rings: &mut [CompletionRing],
                      events: &mut Vec<Event>| {
-            let batch = std::mem::take(&mut pending[tid]);
-            if batch.is_empty() {
+            let batch = &mut pending[tid];
+            let Some(last) = batch.last() else {
                 return;
-            }
-            let ts = batch.last().expect("nonempty").done_cycles;
+            };
             events.push(Event::new(
-                ts,
+                last.done_cycles,
                 GATEWAY_TRACK,
                 EventKind::CompletionBatch,
                 batch.len() as u64,

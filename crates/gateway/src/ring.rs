@@ -98,12 +98,21 @@ impl CompletionRing {
         CompletionRing::default()
     }
 
-    /// Delivers one batch of completions (the reactor calls this; batch
-    /// size policy lives there).
-    pub fn deliver(&mut self, batch: Vec<Completion>) {
+    /// An empty completion ring with room for `capacity` completions.
+    pub(crate) fn with_capacity(capacity: usize) -> CompletionRing {
+        CompletionRing {
+            entries: VecDeque::with_capacity(capacity),
+            batches: 0,
+        }
+    }
+
+    /// Delivers one batch of completions, draining `batch` so the caller
+    /// can refill the same buffer (the reactor calls this; batch size
+    /// policy lives there).
+    pub fn deliver(&mut self, batch: &mut Vec<Completion>) {
         debug_assert!(!batch.is_empty(), "empty delivery batches are a bug");
         self.batches += 1;
-        self.entries.extend(batch);
+        self.entries.extend(batch.drain(..));
     }
 
     /// Pops the oldest undrained completion.
@@ -181,8 +190,11 @@ mod tests {
             done_cycles: 2,
         };
         let mut ring = CompletionRing::new();
-        ring.deliver(vec![completion(1), completion(2)]);
-        ring.deliver(vec![completion(3)]);
+        let mut batch = vec![completion(1), completion(2)];
+        ring.deliver(&mut batch);
+        assert!(batch.is_empty(), "delivery drains the batch buffer");
+        batch.push(completion(3));
+        ring.deliver(&mut batch);
         assert_eq!(ring.batches(), 2);
         assert_eq!(ring.len(), 3);
         let tokens: Vec<u64> = ring.iter().map(|c| c.token).collect();

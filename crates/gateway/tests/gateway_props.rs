@@ -14,10 +14,12 @@
 //!    reasons, `submitted == admitted + shed` at every level, and the
 //!    recorded trace replays through `obs::verify`'s gateway checks.
 //!
-//! Single worker throughout: these are determinism properties.
+//! Single worker, except the delivery-order property, which holds for
+//! any verdict interleaving and so also runs on two workers.
 
 use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
+use obs::EventKind;
 use runtime::{
     CallRequest, CallVerdict, DegradeLevel, ObsConfig, RuntimeConfig, ServiceReport,
     SwitchlessConfig, WorldCallService,
@@ -38,8 +40,17 @@ fn build_service(
     obs: ObsConfig,
     plan: Option<FaultPlan>,
 ) -> (WorldCallService, Vec<Vec<crossover::world::Wid>>) {
+    build_service_on(1, obs, plan)
+}
+
+/// [`build_service`] on `workers` workers.
+fn build_service_on(
+    workers: usize,
+    obs: ObsConfig,
+    plan: Option<FaultPlan>,
+) -> (WorldCallService, Vec<Vec<crossover::world::Wid>>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
-        workers: 1,
+        workers,
         queue_capacity: CALLS as usize + 16,
         batch_max: 32,
         switchless: SwitchlessConfig::fixed(8),
@@ -154,7 +165,19 @@ fn run_gateway(
     obs: ObsConfig,
     plan: Option<FaultPlan>,
 ) -> GatewayReport {
-    let (svc, _worlds) = build_service(obs, plan);
+    run_gateway_on(1, seed, gap, config, obs, plan)
+}
+
+/// [`run_gateway`] on `workers` workers.
+fn run_gateway_on(
+    workers: usize,
+    seed: u64,
+    gap: u64,
+    config: GatewayConfig,
+    obs: ObsConfig,
+    plan: Option<FaultPlan>,
+) -> GatewayReport {
+    let (svc, _worlds) = build_service_on(workers, obs, plan);
     let mut gw = Gateway::new(config);
     for (tenant, at, req) in schedule(seed, gap) {
         gw.enqueue(tenant, at, req);
@@ -256,6 +279,51 @@ fn wrr_reordering_preserves_per_tenant_verdict_multisets() {
             for c in t.completions.iter() {
                 assert_eq!(c.user_tag % u64::from(TENANTS), u64::from(c.tenant));
             }
+        }
+    }
+}
+
+/// Pass 2's delivery contract, on one and two workers: each tenant's
+/// completions arrive in `(done_cycles, token)` order, in full batches
+/// of 8 plus one final partial batch, and every batch the rings count
+/// is one `completion_batch` event.
+#[test]
+fn completions_arrive_in_order_in_full_batches() {
+    for workers in [1, 2] {
+        for (seed, gap) in [(SEED, 0), (0x5EED_0002, 700), (0x5EED_0003, 2_000)] {
+            let config = GatewayConfig::rings(vec![
+                TenantConfig::new(TenantClass::Gold, 8, CALLS as usize),
+                TenantConfig::new(TenantClass::Silver, 4, CALLS as usize),
+                TenantConfig::new(TenantClass::Bronze, 2, CALLS as usize),
+            ]);
+            let gw = run_gateway_on(workers, seed, gap, config, ObsConfig::default(), None);
+            let label = format!("{workers} workers, seed {seed:#x}, gap {gap}");
+            assert_eq!(gw.admitted, CALLS, "{label}: rings sized for the trace");
+            gw.check_conservation().expect("conservation");
+            for t in &gw.tenants {
+                let order: Vec<(u64, u64)> = t
+                    .completions
+                    .iter()
+                    .map(|c| (c.done_cycles, c.token))
+                    .collect();
+                assert!(
+                    order.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: tenant {} delivered out of (done, token) order",
+                    t.tenant
+                );
+                assert_eq!(
+                    t.completions.batches(),
+                    t.admitted.div_ceil(8),
+                    "{label}: tenant {} batches",
+                    t.tenant
+                );
+            }
+            let batch_events = gw
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::CompletionBatch)
+                .count() as u64;
+            assert_eq!(batch_events, gw.completion_batches, "{label}");
         }
     }
 }

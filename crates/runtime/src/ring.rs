@@ -32,8 +32,10 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// One slot of a ring. `seq` is the Vyukov sequence number: equal to the
-/// slot index + lap when free for writing, index + lap + 1 when readable.
+/// One slot of a ring. `seq` is the Vyukov sequence number stored
+/// relative to the slot's index: the lap's first position when free for
+/// writing, that + 1 when readable. Relative numbering makes a fresh
+/// slot all zero bytes.
 struct Slot<T> {
     seq: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
@@ -41,6 +43,8 @@ struct Slot<T> {
 
 /// A bounded lock-free queue (Vyukov's MPMC design): fixed power-of-two
 /// capacity, one CAS per push/pop, no allocation after construction.
+/// The slots come from a zeroed allocation, so a large ring touches no
+/// slot memory until a push reaches it.
 pub struct Ring<T> {
     mask: usize,
     slots: Box<[Slot<T>]>,
@@ -66,12 +70,9 @@ impl<T> Ring<T> {
     pub fn new(capacity: usize) -> Ring<T> {
         assert!(capacity > 0, "ring capacity must be positive");
         let cap = capacity.next_power_of_two();
-        let slots: Box<[Slot<T>]> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
+        // SAFETY: an all-zero `Slot` is a relative sequence number of 0
+        // (free for lap 0) next to an uninitialized value.
+        let slots = unsafe { Box::<[Slot<T>]>::new_zeroed_slice(cap).assume_init() };
         Ring {
             mask: cap - 1,
             slots,
@@ -106,8 +107,9 @@ impl<T> Ring<T> {
         let mut pos = self.tail.load(Ordering::Relaxed);
         loop {
             let slot = &self.slots[pos & self.mask];
+            let lap = pos & !self.mask;
             let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
+            let diff = seq as isize - lap as isize;
             if diff == 0 {
                 // Slot free for this lap: claim it.
                 match self.tail.compare_exchange_weak(
@@ -118,7 +120,7 @@ impl<T> Ring<T> {
                 ) {
                     Ok(_) => {
                         unsafe { (*slot.value.get()).write(item) };
-                        slot.seq.store(pos + 1, Ordering::Release);
+                        slot.seq.store(lap + 1, Ordering::Release);
                         return Ok(());
                     }
                     Err(current) => pos = current,
@@ -138,8 +140,9 @@ impl<T> Ring<T> {
         let mut pos = self.head.load(Ordering::Relaxed);
         loop {
             let slot = &self.slots[pos & self.mask];
+            let lap = pos & !self.mask;
             let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
+            let diff = seq as isize - (lap + 1) as isize;
             if diff == 0 {
                 // Slot readable: claim it.
                 match self.head.compare_exchange_weak(
@@ -151,7 +154,7 @@ impl<T> Ring<T> {
                     Ok(_) => {
                         let item = unsafe { (*slot.value.get()).assume_init_read() };
                         // Mark free for the producer's next lap.
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
+                        slot.seq.store(lap + self.mask + 1, Ordering::Release);
                         return Some(item);
                     }
                     Err(current) => pos = current,

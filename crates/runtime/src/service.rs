@@ -656,6 +656,7 @@ impl WorldCallService {
                 obs: self.config.obs,
                 authz: self.authz.clone(),
                 watchdog: self.watchdog.clone(),
+                outcomes: Vec::with_capacity(self.rings.len_of(index)),
             };
             self.handles.push(
                 std::thread::Builder::new()
@@ -802,7 +803,6 @@ impl WorldCallService {
             .collect();
         let mut smp = SmpMachine::try_new(self.config.workers as u32)
             .expect("config.workers validated positive at construction");
-        let mut outcomes = Vec::new();
         let mut batches = 0;
         let mut wt = CacheStats::default();
         let mut iwt = CacheStats::default();
@@ -857,12 +857,18 @@ impl WorldCallService {
             .obs
             .enabled()
             .then(|| vec![EventRing::default(); self.config.workers]);
-        for r in reports {
+        // The first worker's log becomes the report's, grown once to the
+        // total; the others append to it in worker order.
+        let total: usize = reports.iter().map(|r| r.outcomes.len()).sum();
+        let mut logs = reports.into_iter().map(|r| {
             if let Some(rings) = &mut worker_rings {
                 rings[r.index] = r.obs;
             }
-            outcomes.extend(r.outcomes);
-        }
+            r.outcomes
+        });
+        let mut outcomes = logs.next().unwrap_or_default();
+        outcomes.reserve_exact(total - outcomes.len());
+        logs.for_each(|log| outcomes.extend(log));
         let obs = worker_rings.map(|worker_rings| ObsReport {
             worker_rings,
             submit: self
@@ -871,35 +877,28 @@ impl WorldCallService {
                 .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
                 .unwrap_or_default(),
         });
-        let completed = outcomes
-            .iter()
-            .filter(|o| o.verdict == CallVerdict::Completed)
-            .count() as u64;
-        let timed_out = outcomes
-            .iter()
-            .filter(|o| o.verdict == CallVerdict::TimedOut)
-            .count() as u64;
-        let dead_lettered = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, CallVerdict::DeadLettered(_)))
-            .count() as u64;
-        let denied = outcomes
-            .iter()
-            .filter(|o| matches!(o.verdict, CallVerdict::Denied(_)))
-            .count() as u64;
-        let failed = outcomes.len() as u64 - completed - timed_out - dead_lettered - denied;
-        let queue_wait_cycles = outcomes.iter().map(|o| o.queue_wait_cycles).sum();
         let ledger = std::mem::take(&mut *self.admission.lock().unwrap_or_else(|e| e.into_inner()));
         let mut tenant_counts = ledger.per_tenant;
+        let (mut completed, mut timed_out, mut failed, mut dead_lettered, mut denied) =
+            (0u64, 0u64, 0u64, 0u64, 0u64);
+        let mut queue_wait_cycles = 0u64;
         for o in &outcomes {
-            if matches!(o.verdict, CallVerdict::Denied(_)) {
-                tenant_counts
-                    .entry(o.request.tenant)
-                    .or_insert(TenantCounts {
-                        tenant: o.request.tenant,
-                        ..TenantCounts::default()
-                    })
-                    .denied += 1;
+            queue_wait_cycles += o.queue_wait_cycles;
+            match o.verdict {
+                CallVerdict::Completed => completed += 1,
+                CallVerdict::TimedOut => timed_out += 1,
+                CallVerdict::Failed(_) => failed += 1,
+                CallVerdict::DeadLettered(_) => dead_lettered += 1,
+                CallVerdict::Denied(_) => {
+                    denied += 1;
+                    tenant_counts
+                        .entry(o.request.tenant)
+                        .or_insert(TenantCounts {
+                            tenant: o.request.tenant,
+                            ..TenantCounts::default()
+                        })
+                        .denied += 1;
+                }
             }
         }
         let mut per_tenant: Vec<TenantCounts> = tenant_counts.into_values().collect();
@@ -979,6 +978,64 @@ mod tests {
         // Every call's measured section includes save+call+body+ret+restore.
         for o in &report.outcomes {
             assert!(o.latency_cycles >= 500, "body cycles are inside latency");
+        }
+    }
+
+    /// Requests both ways between the two worlds, so both of a
+    /// two-worker pool's home rings get a backlog; tagged by index.
+    fn mixed_requests(caller: Wid, callee: Wid, n: u64) -> impl Iterator<Item = CallRequest> {
+        (0..n).map(move |i| {
+            let (from, to) = if i % 3 == 0 {
+                (callee, caller)
+            } else {
+                (caller, callee)
+            };
+            CallRequest::new(from, to, 500, 100).with_tag(i)
+        })
+    }
+
+    fn assert_every_outcome_in_worker_order(report: &ServiceReport, n: u64) {
+        assert!(
+            report
+                .outcomes
+                .windows(2)
+                .all(|w| w[0].worker <= w[1].worker),
+            "outcomes are appended worker by worker"
+        );
+        let mut tags: Vec<u64> = report.outcomes.iter().map(|o| o.request.tag).collect();
+        tags.sort_unstable();
+        assert_eq!(tags, (0..n).collect::<Vec<_>>(), "one outcome per request");
+    }
+
+    #[test]
+    fn drain_moves_logs_sized_to_the_backlog_at_start() {
+        for workers in [1, 2] {
+            let (mut svc, caller, callee) = two_world_service(workers);
+            for req in mixed_requests(caller, callee, 300) {
+                svc.submit(req).unwrap();
+            }
+            assert!((0..workers).all(|w| svc.rings.len_of(w) > 0));
+            svc.start();
+            let report = svc.drain();
+            assert_every_outcome_in_worker_order(&report, 300);
+            assert_eq!(
+                report.outcomes.capacity(),
+                report.outcomes.len(),
+                "{workers} workers: the report's log is grown once, to its total"
+            );
+        }
+    }
+
+    #[test]
+    fn logs_grow_for_requests_submitted_after_start() {
+        for workers in [1, 2] {
+            let (mut svc, caller, callee) = two_world_service(workers);
+            svc.start();
+            for req in mixed_requests(caller, callee, 300) {
+                svc.submit(req).unwrap();
+            }
+            let report = svc.drain();
+            assert_every_outcome_in_worker_order(&report, 300);
         }
     }
 

@@ -105,6 +105,10 @@ pub(crate) struct WorkerContext {
     /// virtual cycles and changes no control path, preserving
     /// bit-for-bit parity with the unwatched runtime.
     pub watchdog: Option<Arc<Watchdog>>,
+    /// The worker's outcome log, allocated by the service at start and
+    /// sized to this worker's queued backlog; it grows only for work
+    /// stolen or submitted after start.
+    pub outcomes: Vec<CallOutcome>,
 }
 
 /// How far (in simulated cycles) a worker may run ahead of the slowest
@@ -1072,7 +1076,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         memory: &ctx.memory,
         clocks: &ctx.clocks,
         index: ctx.index,
-        outcomes: Vec::new(),
+        outcomes: std::mem::take(&mut ctx.outcomes),
         queue_wait_cycles: 0,
         stats: SwitchlessWorkerStats::default(),
         cursors: HashMap::new(),
