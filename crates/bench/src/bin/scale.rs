@@ -19,6 +19,11 @@
 //!   sweep step (20k calls among 16 hot worlds with the full
 //!   registration resident underneath) reporting virtual cycles/call,
 //!   so call-path cost is visibly independent of table size.
+//! * **Registration leaves no garbage** — no reader is pinned while a
+//!   point registers its worlds, so every publication frees the bucket
+//!   it replaced: asserted after each registration loop. Each point
+//!   also reports the process's peak RSS so far (`VmHWM`, so the value
+//!   never falls across the sweep) as `peak_rss_mb`, for information.
 //!
 //! Traffic is Zipf(s = 1.4): skewed enough that a stable hot set
 //! exists at every sweep size, so the reuse-distance histogram derives
@@ -79,6 +84,19 @@ struct Point {
     resident_bound_ok: bool,
     cold_bytes: u64,
     cycles_per_call: f64,
+    peak_rss_mb: f64,
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MB; 0 where
+/// `/proc/self/status` is unavailable.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse().ok())
+        .unwrap_or(0);
+    kb as f64 / 1024.0
 }
 
 /// Distinct ranks in the last `window` draws of the recorded stream —
@@ -159,6 +177,11 @@ fn run_point(n: usize) -> Point {
     let wids: Vec<Wid> = (0..n as u64)
         .map(|i| table.create(world(i)).expect("register"))
         .collect();
+    assert_eq!(
+        table.health().retired_pending,
+        0,
+        "registration left retired buckets in limbo at n={n}"
+    );
 
     // Phase A: Zipf traffic over the whole registration, maintenance
     // interleaved the way worker batch boundaries interleave it. The
@@ -234,6 +257,7 @@ fn run_point(n: usize) -> Point {
 
     let health = table.health();
     let cycles_per_call = service_point(n);
+    let peak_rss_mb = peak_rss_mb();
     let point = Point {
         worlds: n,
         traffic,
@@ -249,11 +273,12 @@ fn run_point(n: usize) -> Point {
         resident_bound_ok,
         cold_bytes: health.cold_bytes,
         cycles_per_call,
+        peak_rss_mb,
     };
     eprintln!(
         "n={n:>8}: p50 {p50_ns:>4}ns p99 {p99_ns:>4}ns  resident {resident:>7} \
          (bound {resident_bound:>7}) cold {cold:>7}  evict {ev} refault {rf} \
-         window {w}  {cpc:.0} cyc/call",
+         window {w}  {cpc:.0} cyc/call  peak RSS {peak_rss_mb:.1} MB",
         ev = health.evictions,
         rf = health.refaults,
         w = health.eviction_window,
@@ -353,7 +378,8 @@ fn main() {
              \x20     \"grace_reclaims\": {},\n\
              \x20     \"eviction_window_ticks\": {},\n\
              \x20     \"cold_bytes\": {},\n\
-             \x20     \"service_cycles_per_call\": {:.1}\n    }}{}\n",
+             \x20     \"service_cycles_per_call\": {:.1},\n\
+             \x20     \"peak_rss_mb\": {:.1}\n    }}{}\n",
             p.worlds,
             p.traffic,
             p.p50_ns,
@@ -368,6 +394,7 @@ fn main() {
             p.window_ticks,
             p.cold_bytes,
             p.cycles_per_call,
+            p.peak_rss_mb,
             if i + 1 < points.len() { "," } else { "" },
         );
     }

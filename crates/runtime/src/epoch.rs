@@ -38,6 +38,14 @@
 //! pointer. Readers never write into the structure they read (beyond
 //! relaxed access stamps), so ABA does not arise.
 //!
+//! Reclaim runs in every `create`, `delete`, refault and maintenance
+//! pass, under the writer lock each already holds, right after it
+//! publishes. Limbo therefore holds only what a pinned reader may still
+//! see: with no reader pinned (a table being populated before its
+//! workers start), a retired bucket is freed as soon as its replacement
+//! is published, so registering N worlds never holds N bucket copies.
+//! Each copy-on-write bucket is one exact-size allocation.
+//!
 //! # Deletion without broadcast
 //!
 //! `delete` does not broadcast to every worker. It unpublishes the
@@ -252,7 +260,8 @@ pub struct MaintainOutcome {
     /// Entries demoted to the cold store by this pass.
     pub evicted: u64,
     /// Retired structures freed after their grace period since the
-    /// previous pass (table-wide: refaults reclaim too).
+    /// previous pass (table-wide: registrations, deletions and refaults
+    /// reclaim too).
     pub reclaimed: u64,
     /// Cold-store refaults since the previous pass (table-wide).
     pub refaults: u64,
@@ -424,6 +433,18 @@ impl EpochWorldTable {
         }
     }
 
+    /// Runs `f` with reader slot `slot` pinned at the current epoch, as
+    /// a reader parked mid-lookup would hold it, so structures retired
+    /// inside `f` outlive it. Test support for the grace-period contract;
+    /// `f` must not look up through the same slot.
+    #[doc(hidden)]
+    pub fn with_pin<R>(&self, slot: usize, f: impl FnOnce() -> R) -> R {
+        self.pins[slot].store(self.epoch.load(Ordering::SeqCst), Ordering::SeqCst);
+        let out = f();
+        self.pins[slot].store(QUIESCENT, Ordering::Release);
+        out
+    }
+
     /// Unpinned lookup for external (non-worker) callers: takes the
     /// writer lock, which also excludes concurrent publication.
     pub fn lookup(&self, wid: Wid) -> Option<WorldEntry> {
@@ -466,8 +487,7 @@ impl EpochWorldTable {
     }
 
     /// Faults a cold world back into the published tree, then frees
-    /// what limbo allows: refaults are the writes of the call path, and
-    /// paced maintenance passes may be a window apart.
+    /// what limbo allows, like every other publication.
     fn refault_locked(&self, st: &mut WriterState, wid: Wid) -> Option<WorldEntry> {
         let entry = st.cold.remove(wid.raw())?;
         self.publish_insert(st, entry);
@@ -522,11 +542,14 @@ impl EpochWorldTable {
         }
         let arr = unsafe { &*self.root.load(Ordering::SeqCst) };
         let old = unsafe { &*arr.bucket(entry.wid.raw()).load(Ordering::SeqCst) };
-        let mut slots: Vec<Slot> = old.slots.iter().map(Slot::duplicate).collect();
-        let at = slots
+        let at = old
+            .slots
             .binary_search_by_key(&entry.wid.raw(), |s| s.entry.wid.raw())
             .expect_err("WIDs are never reused, so an insert never collides");
-        slots.insert(at, Slot::new(entry, self.tick.load(Ordering::Relaxed)));
+        let mut slots = Vec::with_capacity(old.slots.len() + 1);
+        slots.extend(old.slots[..at].iter().map(Slot::duplicate));
+        slots.push(Slot::new(entry, self.tick.load(Ordering::Relaxed)));
+        slots.extend(old.slots[at..].iter().map(Slot::duplicate));
         self.publish_bucket(st, arr, entry.wid.raw(), Bucket { slots });
     }
 
@@ -540,13 +563,9 @@ impl EpochWorldTable {
         else {
             return false;
         };
-        let slots: Vec<Slot> = old
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != at)
-            .map(|(_, s)| s.duplicate())
-            .collect();
+        let mut slots = Vec::with_capacity(old.slots.len() - 1);
+        slots.extend(old.slots[..at].iter().map(Slot::duplicate));
+        slots.extend(old.slots[at + 1..].iter().map(Slot::duplicate));
         self.publish_bucket(st, arr, wid.raw(), Bucket { slots });
         true
     }
@@ -625,6 +644,7 @@ impl EpochWorldTable {
             entry_point: descriptor.entry_point,
         };
         self.publish_insert(&mut st, entry);
+        self.reclaim(&mut st);
         self.by_context
             .write()
             .unwrap_or_else(|e| e.into_inner())
@@ -656,6 +676,7 @@ impl EpochWorldTable {
         } else {
             st.cold.remove(wid.raw()).expect("entry resolved as cold");
         }
+        self.reclaim(&mut st);
         // The context may have been rebound by a later replacement; only
         // unlink it if it still names this WID.
         {
@@ -1113,6 +1134,59 @@ mod tests {
         }
     }
 
+    /// Length and capacity of the published bucket `wid` hashes to.
+    fn bucket_shape(t: &EpochWorldTable, wid: Wid) -> (usize, usize) {
+        let _writer = t.lock_writer();
+        // SAFETY: the writer lock excludes publication, so the root and
+        // the bucket stay published while read.
+        let arr = unsafe { &*t.root.load(Ordering::SeqCst) };
+        let bucket = unsafe { &*arr.bucket(wid.raw()).load(Ordering::SeqCst) };
+        (bucket.slots.len(), bucket.slots.capacity())
+    }
+
+    /// Every bucket that `create`, `delete` and a refault publish is one
+    /// exact-size allocation. `grow` and the eviction sweep build their
+    /// buckets by pushing and are outside this contract, so the table
+    /// stays below the grow threshold and each bucket is checked right
+    /// after the publication that made it.
+    #[test]
+    fn published_buckets_are_exact_size() {
+        let t = EpochWorldTable::new(1, 16);
+        let buckets = t.bucket_count();
+        let exact = |wid| {
+            let (len, cap) = bucket_shape(&t, wid);
+            len == cap
+        };
+        let n = (buckets * MAX_AVG_BUCKET / 2) as u64;
+        let wids: Vec<Wid> = (0..n)
+            .map(|i| {
+                let wid = t.create(host(0x1000 + i * 8)).unwrap();
+                assert!(exact(wid), "create published an inexact bucket");
+                wid
+            })
+            .collect();
+        // Re-registration publishes a removal and an insert.
+        let again = t.create(host(0x1000)).unwrap();
+        assert!(exact(wids[0]) && exact(again), "replacement");
+        for &wid in wids[1..].iter().step_by(3) {
+            t.delete(wid).unwrap();
+            assert!(exact(wid), "delete published an inexact bucket");
+        }
+        // Demote the idle worlds, then refault one.
+        let hot: Vec<Wid> = wids[2..].iter().step_by(3).take(8).copied().collect();
+        for round in 0..(MIN_WINDOW * 3) {
+            assert!(t.lookup_pinned(0, hot[(round % 8) as usize]).is_some());
+        }
+        t.maintain();
+        assert!(t.cold_count() > 0, "the pass demoted the idle worlds");
+        let cold = *wids.last().unwrap();
+        let refaults = t.health().refaults;
+        assert!(t.lookup_pinned(0, cold).is_some());
+        assert_eq!(t.health().refaults, refaults + 1);
+        assert!(exact(cold), "refault published an inexact bucket");
+        assert_eq!(t.bucket_count(), buckets, "the table never grew");
+    }
+
     #[test]
     fn eviction_demotes_idle_worlds_and_refaults_them() {
         let t = EpochWorldTable::new(1, 16);
@@ -1160,8 +1234,8 @@ mod tests {
         for round in 0..(MIN_WINDOW * 3) {
             assert!(t.lookup_pinned(0, hot[(round % 8) as usize]).is_some());
         }
-        // The first pass calibrates the window and frees the insert
-        // garbage; every world was read within the window.
+        // The first pass calibrates the window and reports the frees
+        // the inserts made; every world was read within the window.
         assert_eq!(t.maintain().evicted, 0);
         assert!(t.health().eviction_window > 0, "the sweep must run");
         let buckets = |t: &EpochWorldTable| -> Vec<*mut Bucket> {

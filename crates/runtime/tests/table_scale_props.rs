@@ -1,6 +1,6 @@
 //! Scale properties of the epoch-protected world table.
 //!
-//! Three contracts pin the million-world redesign to the semantics the
+//! Five contracts pin the million-world redesign to the semantics the
 //! rest of the suite assumes:
 //!
 //! 1. **WID unforgeability survives the lock-free rewrite.** Under
@@ -23,6 +23,12 @@
 //!    cover the buckets once per eviction window, no faster, and a world
 //!    idle for more than two windows while other traffic continues is
 //!    cold.
+//! 5. **Registration leaves no garbage.** Every `create` and `delete`
+//!    frees the retired structures no pinned reader can still see, so
+//!    with no reader pinned nothing waits in limbo after any of them.
+//!    A pinned reader holds back only garbage newer than its pin, and
+//!    the first `create` after it unpins frees all of it, with no
+//!    maintenance pass.
 //!
 //! The service-level one-batch staleness bound is pinned by
 //! `tests/invalidation_props.rs`, and sequential equivalence with the
@@ -265,4 +271,72 @@ fn paced_maintenance_sweeps_once_per_window_and_demotes_idle_worlds() {
         "a world idle for two windows must be cold"
     );
     assert_eq!(table.cold_count() as u64, WORLDS - HOT);
+}
+
+#[test]
+fn registration_leaves_no_garbage() {
+    const WORLDS: u64 = 20_000;
+    const HOT: u64 = 64;
+    let table = EpochWorldTable::new(2, 1 << 20);
+    let wids: Vec<Wid> = (0..WORLDS)
+        .map(|i| {
+            let wid = table.create(world(3, i)).expect("register");
+            assert_eq!(
+                table.health().retired_pending,
+                0,
+                "create #{i} left garbage with no reader pinned"
+            );
+            wid
+        })
+        .collect();
+    // Let the never-read tail go cold, so the deletes below hit both
+    // the resident tree and the cold store.
+    let mut rng = SplitMix64::new(0x6A4B);
+    for _round in 0..48 {
+        for _ in 0..512 {
+            let hot = wids[rng.below(HOT) as usize];
+            assert!(table.lookup_pinned(0, hot).is_some());
+        }
+        table.maintain();
+    }
+    let (mut resident_deletes, mut cold_deletes) = (0, 0);
+    for &wid in wids.iter().step_by(2) {
+        let resident = table.resident_count();
+        table.delete(wid).expect("live world");
+        if table.resident_count() < resident {
+            resident_deletes += 1;
+        } else {
+            cold_deletes += 1;
+        }
+        assert_eq!(
+            table.health().retired_pending,
+            0,
+            "delete of {wid} left garbage with no reader pinned"
+        );
+    }
+    assert!(
+        resident_deletes > 0 && cold_deletes > 0,
+        "{resident_deletes} resident and {cold_deletes} cold deletes"
+    );
+    // A reader pinned by hand holds back what is retired after its pin.
+    let reclaimed = table.health().grace_reclaims;
+    let held = table.with_pin(1, || {
+        let mut pending = 0;
+        for i in 0..16 {
+            table.create(world(4, i)).expect("register");
+            let now = table.health().retired_pending;
+            assert!(
+                now > pending,
+                "create #{i} freed garbage newer than the pin"
+            );
+            pending = now;
+        }
+        pending
+    });
+    assert_eq!(table.health().grace_reclaims, reclaimed);
+    // Unpinned, the next create frees all of it: no maintenance pass.
+    table.create(world(4, 16)).expect("register");
+    let health = table.health();
+    assert_eq!(health.retired_pending, 0, "unpinned garbage survived");
+    assert_eq!(health.grace_reclaims, reclaimed + held + 1);
 }
