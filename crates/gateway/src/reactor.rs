@@ -313,16 +313,8 @@ impl Gateway {
                 next_arrival += 1;
                 tallies[sub.tenant as usize].submitted += 1;
                 if busy_latched {
-                    // Gateway-decided sheds (the service never sees the
-                    // submission) feed the service's SLO watchdog here
-                    // and at each site below, so the per-tenant
-                    // shed-rate objective covers the whole decided
-                    // load. The try_submit `Busy` arm does NOT feed it:
-                    // the service already counted that decision itself.
-                    svc.note_external_shed(sub.tenant, t);
                     shed(sub, ShedReason::Busy, t, &mut tallies, &mut events);
                 } else if let Err(rejected) = rings[sub.tenant as usize].push(sub) {
-                    svc.note_external_shed(rejected.tenant, t);
                     shed(rejected, ShedReason::RingFull, t, &mut tallies, &mut events);
                 }
             }
@@ -352,7 +344,6 @@ impl Gateway {
                             // The ladder's bottom rung: shed here, at
                             // the gateway, with per-tenant accounting —
                             // the service never sees the request.
-                            svc.note_external_shed(sub.tenant, t);
                             shed(sub, ShedReason::Health, t, &mut tallies, &mut events);
                             continue;
                         }
@@ -365,7 +356,6 @@ impl Gateway {
                         // the static grant is knowable this early.
                         if let Some(policy) = svc.authz() {
                             if !policy.would_admit(sub.request.caller, sub.request.callee) {
-                                svc.note_external_shed(sub.tenant, t);
                                 shed(sub, ShedReason::Denied, t, &mut tallies, &mut events);
                                 continue;
                             }
@@ -427,7 +417,6 @@ impl Gateway {
             if busy_latched {
                 for ring in rings.iter_mut() {
                     while let Some(sub) = ring.pop() {
-                        svc.note_external_shed(sub.tenant, t);
                         shed(sub, ShedReason::Busy, t, &mut tallies, &mut events);
                     }
                 }
@@ -435,7 +424,6 @@ impl Gateway {
                     let sub = self.staged[next_arrival];
                     next_arrival += 1;
                     tallies[sub.tenant as usize].submitted += 1;
-                    svc.note_external_shed(sub.tenant, sub.arrival_cycles);
                     shed(
                         sub,
                         ShedReason::Busy,

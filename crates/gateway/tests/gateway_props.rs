@@ -13,6 +13,8 @@
 //! 2. **Overload sheds loudly.** Undersized rings shed with explicit
 //!    reasons, `submitted == admitted + shed` at every level, and the
 //!    recorded trace replays through `obs::verify`'s gateway checks.
+//!    The SLO watchdog reads those admit/shed decisions: a tenant whose
+//!    ring overflows burns its shed-rate objective.
 //!
 //! Single worker, except the delivery-order property, which holds for
 //! any verdict interleaving and so also runs on two workers.
@@ -21,8 +23,8 @@ use machine::fault::{FaultKind, FaultPlan, FaultSite};
 use machine::rng::SplitMix64;
 use obs::EventKind;
 use runtime::{
-    CallRequest, CallVerdict, DegradeLevel, ObsConfig, RuntimeConfig, ServiceReport,
-    SwitchlessConfig, WorldCallService,
+    evaluate, CallRequest, CallVerdict, DegradeLevel, Objective, ObsConfig, RuntimeConfig,
+    ServiceReport, SwitchlessConfig, WorldCallService,
 };
 use xover_gateway::{
     gateway_trace_doc, Gateway, GatewayConfig, GatewayReport, TenantClass, TenantConfig,
@@ -391,4 +393,74 @@ fn health_shedding_sheds_at_the_gateway() {
     );
     assert_eq!(report.service.admitted, 0, "service-side ledger agrees");
     report.check_conservation().expect("conservation");
+}
+
+/// Leg 2c: the watchdog's shed-rate objective, end to end. Two tenants
+/// arrive steadily through the learning epochs; after them, tenant 1
+/// bursts into an 8-deep ring. The gateway's own admit/shed events must
+/// burn `ShedRate` for tenant 1 alone. The same schedule through rings
+/// deep enough to hold the burst sheds nothing and burns nothing.
+#[test]
+fn ring_overflow_after_learning_burns_the_shed_rate_objective() {
+    const STEADY_GAP: u64 = 10_000;
+    const STEADY_CALLS: u64 = 120;
+    /// Epoch 8: four epochs past the four learning epochs.
+    const BURST_AT: u64 = 800_000;
+    const BURST_CALLS: u64 = 60;
+    let run = |ring_capacity: usize| {
+        let (svc, worlds) = build_service(ObsConfig::default(), None);
+        let mut gw = Gateway::new(GatewayConfig::rings(vec![
+            TenantConfig::new(TenantClass::Silver, 4, ring_capacity),
+            TenantConfig::new(TenantClass::Silver, 4, ring_capacity),
+        ]));
+        let mut rng = SplitMix64::new(SEED);
+        let mut i = 0;
+        let mut arrive = |gw: &mut Gateway, tenant: u32, at: u64| {
+            gw.enqueue(tenant, at, draw_request(&mut rng, &worlds, tenant, i));
+            i += 1;
+        };
+        for k in 0..STEADY_CALLS {
+            arrive(&mut gw, 0, k * STEADY_GAP);
+            arrive(&mut gw, 1, k * STEADY_GAP + STEADY_GAP / 2);
+        }
+        for k in 0..BURST_CALLS {
+            arrive(&mut gw, 1, BURST_AT + k * 100);
+        }
+        let report = gw.run(svc);
+        report.check_conservation().expect("conservation");
+        let summary = evaluate(&report.service.outcomes, &report.events, None);
+        (report, summary)
+    };
+
+    let (overloaded, summary) = run(8);
+    assert!(
+        overloaded.tenants[1].shed_ring_full > 0,
+        "the burst overflows"
+    );
+    assert_eq!(overloaded.tenants[0].shed(), 0, "tenant 0 never overflows");
+    assert!(summary.baseline_ready);
+    let shed_incidents: Vec<_> = summary
+        .incidents
+        .iter()
+        .filter(|i| matches!(i.objective, Objective::ShedRate { .. }))
+        .collect();
+    assert!(
+        shed_incidents
+            .iter()
+            .any(|i| i.epoch == BURST_AT / runtime::watchdog::EPOCH_CYCLES),
+        "the burst epoch must burn: {:?}",
+        summary.incidents
+    );
+    for inc in &shed_incidents {
+        assert_eq!(inc.objective, Objective::ShedRate { tenant: 1 });
+    }
+
+    let (control, summary) = run(CALLS as usize);
+    assert_eq!(control.shed, 0, "deep rings hold the burst");
+    assert!(summary.baseline_ready);
+    assert!(
+        summary.incidents.is_empty(),
+        "an un-overloaded run burns nothing: {:?}",
+        summary.incidents
+    );
 }

@@ -62,6 +62,10 @@
 //!   worker dispatch, before path selection.
 //!   Checks charge zero virtual cycles, so [`AuthzConfig::off`] (the
 //!   default) is bit-for-bit cycle-exact with the unenforced runtime.
+//! * [`watchdog`] — the SLO watchdog, an offline analysis rather than a
+//!   plane: [`watchdog::evaluate`] reads a drained run's outcomes, the
+//!   gateway's admit/shed decisions and the recording, and returns
+//!   burn-rate incidents with their critical-path contributors.
 //!
 //! [`RuntimeConfig`] documents which values are settable and why; the
 //! rest are constants in the modules that use them ([`supervisor`],
@@ -90,7 +94,7 @@ pub use obs::{
     build_spans, top_slowest, verify, ConservationReport, Event, EventKind, EventRing,
     LogHistogram, ObsConfig, ObsMode, ObsReport, Registry, Span, TraceDoc,
 };
-pub use observe::{annotate_trace, metrics_registry, trace_doc};
+pub use observe::{annotate_registry, annotate_trace, metrics_registry, trace_doc};
 pub use ring::{PushError, Ring, RingSet};
 pub use router::{CallError, CallOutcome, CallRequest, CallVerdict, Provenance, MAX_HOPS};
 pub use service::{
@@ -102,7 +106,6 @@ pub use switchless::{
     SwitchlessSummary, SwitchlessWorkerStats,
 };
 pub use watchdog::{
-    incident_events, incidents_to_json, Contributor, Incident, Objective, Watchdog, WatchdogMode,
-    WatchdogSummary,
+    evaluate, incident_events, incidents_to_json, Contributor, Incident, Objective, WatchdogSummary,
 };
 pub use worker::WorkerReport;

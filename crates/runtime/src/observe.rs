@@ -4,9 +4,10 @@
 //! spans, histograms and documents — not services); this module is the
 //! one place that maps a drained [`ServiceReport`] onto those types:
 //! [`trace_doc`] builds the combined Perfetto/recording document and
-//! [`metrics_registry`] the Prometheus-style text dump. Both are
-//! post-hoc: they run after the pool has drained and charge nothing to
-//! any virtual clock.
+//! [`metrics_registry`] the Prometheus-style text dump, and
+//! [`annotate_trace`]/[`annotate_registry`] add a watchdog summary to
+//! each. All are post-hoc: they run after the pool has drained and
+//! charge nothing to any virtual clock.
 
 use std::collections::BTreeMap;
 
@@ -45,8 +46,7 @@ pub fn trace_doc(benchmark: &str, report: &ServiceReport, frequency_ghz: f64) ->
 /// the dedicated watchdog track (stamped at the breached window's
 /// start), then restores the stream's `(ts, submit-first)` merge order
 /// so conservation checks and the Perfetto renderer see a well-ordered
-/// document. Purely post-hoc — the recording itself never contains
-/// watchdog events.
+/// document. The recording itself never contains watchdog events.
 pub fn annotate_trace(doc: &mut TraceDoc, summary: &WatchdogSummary) {
     if summary.incidents.is_empty() {
         return;
@@ -54,6 +54,41 @@ pub fn annotate_trace(doc: &mut TraceDoc, summary: &WatchdogSummary) {
     doc.events.extend(incident_events(summary));
     doc.events
         .sort_by_key(|e| (e.ts, if e.worker == SUBMIT_TRACK { 0 } else { 1 }));
+}
+
+/// Exports a watchdog summary as gauges beside a run's metrics: the
+/// epoch and incident counts, then one name-indexed gauge group per
+/// incident (the registry is plain counters) so dashboards can line
+/// each breach up against the `slo_incident` trace annotations.
+pub fn annotate_registry(reg: &mut Registry, summary: &WatchdogSummary) {
+    reg.counter_set("xover_slo_incidents", summary.incidents.len() as u64);
+    reg.counter_set("xover_slo_epochs_evaluated", summary.epochs_evaluated);
+    reg.counter_set("xover_slo_baseline_ready", summary.baseline_ready as u64);
+    for (i, inc) in summary.incidents.iter().enumerate() {
+        reg.counter_set(&format!("xover_incident{i}_epoch"), inc.epoch);
+        reg.counter_set(
+            &format!("xover_incident{i}_objective_code"),
+            inc.objective.code(),
+        );
+        reg.counter_set(
+            &format!("xover_incident{i}_subject"),
+            inc.objective.subject(),
+        );
+        reg.counter_set(
+            &format!("xover_incident{i}_burn_short_x100"),
+            inc.burn_short_x100,
+        );
+        reg.counter_set(
+            &format!("xover_incident{i}_burn_long_x100"),
+            inc.burn_long_x100,
+        );
+        if let Some(top) = inc.top_contributor() {
+            reg.counter_set(
+                &format!("xover_incident{i}_top_component"),
+                top.index() as u64,
+            );
+        }
+    }
 }
 
 /// Flattens a drained run into a metrics registry (counters plus the
@@ -117,46 +152,6 @@ pub fn metrics_registry(report: &ServiceReport) -> Registry {
         reg.counter_set("xover_authz_denied_chain_too_deep", az.chain_too_deep);
         reg.counter_set("xover_authz_revocations", az.revocations);
         reg.counter_set("xover_authz_generation", az.generation);
-    }
-    // SLO watchdog gauges, exported whenever the plane was live. The
-    // per-incident gauges are name-indexed (the registry is plain
-    // counters) so dashboards can line each breach up against the
-    // `slo_incident` trace annotations.
-    if let Some(wd) = &report.watchdog {
-        reg.counter_set("xover_slo_watchdog_enabled", 1);
-        reg.counter_set("xover_slo_incidents", wd.incidents.len() as u64);
-        reg.counter_set("xover_slo_epochs_evaluated", wd.epochs_evaluated);
-        reg.counter_set("xover_slo_baseline_ready", wd.baseline_ready as u64);
-        reg.counter_set("xover_slo_late_samples", wd.late_samples);
-        for (i, inc) in wd.incidents.iter().enumerate() {
-            reg.counter_set(&format!("xover_incident{i}_epoch"), inc.epoch);
-            reg.counter_set(
-                &format!("xover_incident{i}_objective_code"),
-                inc.objective.code(),
-            );
-            reg.counter_set(
-                &format!("xover_incident{i}_subject"),
-                inc.objective.subject(),
-            );
-            reg.counter_set(
-                &format!("xover_incident{i}_burn_short_x100"),
-                inc.burn_short_x100,
-            );
-            reg.counter_set(
-                &format!("xover_incident{i}_burn_long_x100"),
-                inc.burn_long_x100,
-            );
-            reg.counter_set(
-                &format!("xover_incident{i}_detected_at_cycles"),
-                inc.detected_at,
-            );
-            if let Some(top) = inc.top_contributor() {
-                reg.counter_set(
-                    &format!("xover_incident{i}_top_component"),
-                    top.index() as u64,
-                );
-            }
-        }
     }
     // Service-wide latency and queue-wait histograms over every
     // outcome, plus per-callee and per-tenant completed-call latency

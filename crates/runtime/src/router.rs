@@ -331,6 +331,9 @@ pub struct CallOutcome {
     /// world transitions amortized across a coalesced batch) rather
     /// than the classic per-call path.
     pub coalesced: bool,
+    /// The executing worker's virtual clock at the verdict: the same
+    /// instant the recorded `RequestVerdict` event is stamped with.
+    pub finished_at: u64,
 }
 
 #[cfg(test)]

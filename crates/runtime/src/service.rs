@@ -41,17 +41,17 @@ use crate::supervisor::{DegradeLevel, HealthState, SupervisorSummary};
 use crate::switchless::{
     Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary, SEGMENT_LANES,
 };
-use crate::watchdog::{Watchdog, WatchdogMode, WatchdogSummary};
 use crate::worker::{self, WorkerContext, WorkerReport};
 
 /// Pool and table sizing, plus one switch per optional plane
-/// (switchless, obs, authz, watchdog). Every plane's default is its off
-/// or inert mode, so `RuntimeConfig::default()` is the classic per-call
-/// runtime. A value lives here only when callers outside the tests need
-/// it at two settings; everything else is a constant next to the code
-/// that uses it (the healing policy's in [`crate::supervisor`], the
-/// watchdog's in [`crate::watchdog`], the switchless budget rails in
-/// [`crate::switchless`]). Worker WT/IWT caches take
+/// (switchless, obs, authz). Every plane's default is its off or inert
+/// mode, so `RuntimeConfig::default()` is the classic per-call runtime.
+/// A value lives here only when callers outside the tests need it at
+/// two settings; everything else is a constant next to the code that
+/// uses it (the healing policy's in [`crate::supervisor`], the
+/// switchless budget rails in [`crate::switchless`], the SLO
+/// watchdog's in [`crate::watchdog`], which reads a drained report and
+/// has no setting at all). Worker WT/IWT caches take
 /// [`crossover::wtc::CacheGeometry::default`] without the §5.1
 /// Current-World-ID register, a crash-respawned worker starts with
 /// cold caches, and token-bucket rates are per grant
@@ -88,14 +88,6 @@ pub struct RuntimeConfig {
     /// call on grants, revocation generation, chain provenance and
     /// token-bucket rate limits.
     pub authz: AuthzConfig,
-    /// Online SLO watchdog: `Off` (the default) builds no watchdog
-    /// object at all and the runtime is bit-for-bit identical to a
-    /// build without the plane (pinned by the parity suite). `On`
-    /// learns per-objective baselines from the run's first clean
-    /// epochs and raises structured [`crate::watchdog::Incident`]s on
-    /// multi-window burn-rate breaches — all host-side, at batch
-    /// boundaries, charging zero virtual cycles.
-    pub watchdog: WatchdogMode,
 }
 
 impl Default for RuntimeConfig {
@@ -109,7 +101,6 @@ impl Default for RuntimeConfig {
             switchless: SwitchlessConfig::default(),
             obs: ObsConfig::default(),
             authz: AuthzConfig::default(),
-            watchdog: WatchdogMode::default(),
         }
     }
 }
@@ -250,10 +241,6 @@ pub struct ServiceReport {
     /// Flight-recorder rings from the run (`None` unless
     /// [`RuntimeConfig::obs`] enabled recording).
     pub obs: Option<ObsReport>,
-    /// SLO watchdog summary (`None` unless [`RuntimeConfig::watchdog`]
-    /// was on): incidents with burn rates, causal contributors and
-    /// frozen event snapshots, finalized at drain.
-    pub watchdog: Option<WatchdogSummary>,
 }
 
 impl ServiceReport {
@@ -316,9 +303,6 @@ pub struct WorldCallService {
     /// Shared callee-side authz policy (`None` when the plane is off —
     /// the structurally inert, cycle-exact configuration).
     authz: Option<Arc<AuthzPolicy>>,
-    /// Shared SLO watchdog (`None` when the plane is off — structurally
-    /// inert, cycle-exact with the unwatched runtime).
-    watchdog: Option<Arc<Watchdog>>,
     handles: Vec<JoinHandle<WorkerReport>>,
     /// Submit-side admission counters (host-side bookkeeping only; never
     /// charges virtual cycles, so the obs parity guarantees hold).
@@ -342,10 +326,6 @@ impl WorldCallService {
     pub fn new(config: RuntimeConfig) -> WorldCallService {
         assert!(config.workers > 0, "need at least one worker");
         let template = Platform::new_default();
-        // Hoisted: the watchdog buckets samples against the same
-        // published clocks submissions are stamped from.
-        let clocks: Arc<Vec<AtomicU64>> =
-            Arc::new((0..config.workers).map(|_| AtomicU64::new(0)).collect());
         WorldCallService {
             config,
             template,
@@ -363,9 +343,7 @@ impl WorldCallService {
                 .authz
                 .enabled()
                 .then(|| Arc::new(AuthzPolicy::new(config.authz))),
-            watchdog: (config.watchdog == WatchdogMode::On)
-                .then(|| Arc::new(Watchdog::new(Arc::clone(&clocks)))),
-            clocks,
+            clocks: Arc::new((0..config.workers).map(|_| AtomicU64::new(0)).collect()),
             handles: Vec::new(),
             admission: Mutex::new(AdmissionLedger::default()),
             submit_obs: config
@@ -411,14 +389,6 @@ impl WorldCallService {
         self.authz.as_ref()
     }
 
-    /// The shared SLO watchdog (`None` when [`RuntimeConfig::watchdog`]
-    /// is off). Benches poll incident counts off it while the pool
-    /// runs; the full summary lands in [`ServiceReport::watchdog`] at
-    /// drain.
-    pub fn watchdog(&self) -> Option<&Arc<Watchdog>> {
-        self.watchdog.as_ref()
-    }
-
     /// The pool's current virtual time: the minimum live worker clock.
     /// Benches use it to schedule mid-run operational events (fault
     /// bursts, degrade drills) at virtual-time offsets.
@@ -435,20 +405,6 @@ impl WorldCallService {
     /// component must attribute.
     pub fn force_degrade(&self, level: DegradeLevel) {
         self.health.pin_level(level, self.stamp());
-    }
-
-    /// Records a shed decided *outside* the service (the gateway's
-    /// admission reactor refusing a submission before it ever reaches
-    /// `try_submit`) so the watchdog's per-tenant shed-rate objective
-    /// sees the tenant's whole decided load. `at_cycles` is the
-    /// shedder's virtual time (the gateway's modeled admission clock).
-    /// A no-op when the watchdog is off; never touches the service's
-    /// own admission ledger, whose `submitted == admitted + shed`
-    /// invariant covers service-side decisions only.
-    pub fn note_external_shed(&self, tenant: u32, at_cycles: u64) {
-        if let Some(wd) = &self.watchdog {
-            wd.note_admission(tenant, false, at_cycles);
-        }
     }
 
     /// The configuration.
@@ -655,7 +611,6 @@ impl WorldCallService {
                 health: Arc::clone(&self.health),
                 obs: self.config.obs,
                 authz: self.authz.clone(),
-                watchdog: self.watchdog.clone(),
                 outcomes: Vec::with_capacity(self.rings.len_of(index)),
             };
             self.handles.push(
@@ -736,17 +691,12 @@ impl WorldCallService {
         Ok(())
     }
 
-    /// Records an admission decision in the submit-side ledger and
-    /// feeds the watchdog's shed-rate objective (stamped with the same
-    /// minimum-live-clock submissions are stamped with).
+    /// Records an admission decision in the submit-side ledger.
     fn note_decision(&self, tenant: u32, admitted: bool) {
         self.admission
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .decide(tenant, admitted);
-        if let Some(wd) = &self.watchdog {
-            wd.note_admission(tenant, admitted, self.stamp());
-        }
     }
 
     /// Non-blocking submission with backpressure.
@@ -903,13 +853,6 @@ impl WorldCallService {
         }
         let mut per_tenant: Vec<TenantCounts> = tenant_counts.into_values().collect();
         per_tenant.sort_unstable_by_key(|t| t.tenant);
-        // The watchdog settles every remaining epoch (all clocks are
-        // parked now) and, when the run was recorded, attaches each
-        // incident's causal context from the merged event stream.
-        let watchdog = self.watchdog.take().map(|wd| {
-            let merged = obs.as_ref().map(|o| o.merged_events());
-            wd.finalize(merged.as_deref(), self.health.level() as u8)
-        });
         ServiceReport {
             smp,
             completed,
@@ -933,7 +876,6 @@ impl WorldCallService {
             authz: self.authz.as_ref().map(|p| p.summary()).unwrap_or_default(),
             outcomes,
             obs,
-            watchdog,
         }
     }
 }

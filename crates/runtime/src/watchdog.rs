@@ -1,30 +1,27 @@
-//! Online SLO watchdog: burn-rate detection on virtual time.
+//! Offline SLO watchdog: burn-rate detection over a drained run.
 //!
-//! The watchdog watches a running pool for *service-level* regressions —
-//! latency blowups, shed storms, dead-letter bursts — and turns each one
+//! [`evaluate`] reads what a run already keeps — the drained outcomes,
+//! the gateway's admit/shed decisions and, when the run was recorded,
+//! the flight-recorder events — and turns every *service-level*
+//! regression in it (latency blowups, shed storms, dead-letter bursts)
 //! into a structured [`Incident`] carrying enough context to answer
 //! "what broke, when, and where did the cycles go" without re-running
-//! the workload. Three design rules, inherited from the rest of the
-//! plane, govern everything here:
+//! the workload. Three rules govern it:
 //!
-//! 1. **Zero virtual cost.** The watchdog is host-side bookkeeping: it
-//!    never charges a cycle to any meter and never changes a control
-//!    path a worker takes, so a watchdog-on run is cycle-exact with a
-//!    watchdog-off run (pinned by the parity tests and the `slo` bench).
-//! 2. **Virtual-time windows.** Samples are stamped with worker virtual
-//!    clocks and bucketed into fixed-width *epochs* of [`EPOCH_CYCLES`]
-//!    (100 000 cycles). An epoch is evaluated exactly once, and only
-//!    when it can no longer receive samples: every live
-//!    worker's published clock has passed the epoch's end (workers park
-//!    their clock at `u64::MAX` on exit, so drained pools settle every
-//!    epoch). That makes evaluation order deterministic in virtual time
-//!    even though the host threads race.
+//! 1. **Off the call path.** It runs after `drain()` on the report, so
+//!    it charges no cycle and changes no control path by construction.
+//! 2. **Virtual-time windows.** Each sample lands in the fixed-width
+//!    *epoch* of [`EPOCH_CYCLES`] (100 000 cycles) holding its own
+//!    virtual instant: an outcome's [`CallOutcome::finished_at`], a
+//!    decision event's `ts`. Epochs `0..=last` are then judged in
+//!    order, so the result is a function of the samples alone — not of
+//!    their order, nor of how the host interleaved the workers.
 //! 3. **No static thresholds.** Like the switchless controller, the
 //!    watchdog learns its baselines from the first `BASELINE_EPOCHS` (4)
-//!    evaluated epochs of the run itself; objectives fire on *burn rate* — observed value over
-//!    learned baseline — not on absolute numbers. The only fixed
-//!    quantities are resolution floors (a baseline below the floor is
-//!    clamped up to it) so a clean run's zero-valued baselines cannot
+//!    epochs of the run itself; objectives fire on *burn rate* — observed
+//!    value over learned baseline — not on absolute numbers. The only
+//!    fixed quantities are resolution floors (a baseline below the floor
+//!    is clamped up to it) so a clean run's zero-valued baselines cannot
 //!    make the first stray shed an incident.
 //!
 //! Detection uses the classic multi-window rule: an objective breaches
@@ -34,37 +31,17 @@
 //! The short window gives bounded detection latency; the long window
 //! suppresses one-epoch noise.
 //!
-//! Incidents are two-phase. Detection (at a worker batch boundary)
-//! records the skeleton — objective, epoch window, burn rates, observed
-//! and baseline values, the degradation-ladder rung at detection time.
-//! [`Watchdog::finalize`] (at drain, when the flight recorder is
-//! available) attaches the causal context: the ranked critical-path
-//! components of every request that finished inside the breached window
-//! (from [`obs::causal`]) and a frozen snapshot of the recorded events
-//! around the breach.
+//! With a recording, each incident also carries its causal context: the
+//! ranked critical-path components of every request that finished
+//! inside the breached window (from [`obs::causal`]) and a frozen
+//! snapshot of the recorded events around the breach.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use obs::causal::{analyze, CausalReport, CriticalPath, ALL_COMPONENTS, COMPONENT_COUNT};
 use obs::{Component, Event, EventKind};
 
 use crate::router::{CallOutcome, CallVerdict};
-
-/// Whether the watchdog plane is armed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WatchdogMode {
-    /// No watchdog object is built at all: submission and the worker
-    /// loop carry zero watchdog branches beyond one `Option` check, and
-    /// the runtime is bit-for-bit identical to a build without the
-    /// plane (pinned by the watchdog parity tests).
-    #[default]
-    Off,
-    /// Ingest outcomes at batch boundaries, learn baselines, evaluate
-    /// SLOs per epoch, raise incidents.
-    On,
-}
 
 /// Width of one evaluation epoch in virtual cycles.
 pub const EPOCH_CYCLES: u64 = 100_000;
@@ -147,7 +124,7 @@ pub struct Contributor {
 }
 
 /// A structured SLO breach.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incident {
     /// The burning objective.
     pub objective: Objective,
@@ -167,14 +144,9 @@ pub struct Incident {
     pub baseline: u64,
     /// The short-window observed value, same unit as `baseline`.
     pub observed: u64,
-    /// Virtual time of the batch boundary that detected the breach.
-    /// Detection latency in cycles is `detected_at - window_end`.
-    pub detected_at: u64,
-    /// Degradation-ladder rung at detection time.
-    pub degrade_level: u8,
     /// Critical-path components of requests that reached their verdict
-    /// inside the window, ranked by cycles (empty until
-    /// [`Watchdog::finalize`], or when the run was not recorded).
+    /// inside the window, ranked by cycles (empty when the run was not
+    /// recorded).
     pub contributors: Vec<Contributor>,
     /// Frozen flight-recorder events around the breach (bounded by
     /// `SNAPSHOT_EVENTS`; empty without a recording).
@@ -182,15 +154,15 @@ pub struct Incident {
 }
 
 impl Incident {
-    /// The top-ranked critical-path contributor, if causal context was
-    /// attached at finalize.
+    /// The top-ranked critical-path contributor, if the run was
+    /// recorded.
     pub fn top_contributor(&self) -> Option<Component> {
         self.contributors.first().map(|c| c.component)
     }
 }
 
-/// What the watchdog hands back at drain.
-#[derive(Debug, Clone, Default)]
+/// What [`evaluate`] hands back.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WatchdogSummary {
     /// Every incident raised, in evaluation (epoch) order.
     pub incidents: Vec<Incident>,
@@ -199,10 +171,6 @@ pub struct WatchdogSummary {
     /// Whether the learning phase completed (a run shorter than the
     /// learning window raises no incidents by construction).
     pub baseline_ready: bool,
-    /// Samples whose stamp landed in an already-evaluated epoch and
-    /// were folded forward into the next open one (a bounded
-    /// stamping/evaluation race on the submit side; zero in practice).
-    pub late_samples: u64,
 }
 
 /// Per-epoch sample aggregation (pre-evaluation).
@@ -237,73 +205,49 @@ struct Baseline {
     dead_letters: BTreeMap<u32, u64>,
 }
 
-#[derive(Debug, Default)]
-struct State {
-    /// Open epochs still receiving samples, by epoch index.
-    open: BTreeMap<u64, EpochAgg>,
-    /// Digests of evaluated epochs, most recent last, bounded at the
-    /// long-window length.
-    history: VecDeque<(u64, EpochSummary)>,
-    baseline: Baseline,
-    incidents: Vec<Incident>,
-    /// Next epoch index to evaluate; everything below is settled.
-    next_eval: u64,
-    epochs_evaluated: u64,
-    late_samples: u64,
-}
-
-/// The online SLO engine. Shared as an `Arc` between the service's
-/// submit side (admission decisions) and the workers (outcomes at batch
-/// boundaries); all state sits behind one mutex that is only ever taken
-/// from host-side bookkeeping paths.
-#[derive(Debug)]
-pub struct Watchdog {
-    /// The pool's published per-worker virtual clocks (the same vector
-    /// submissions are stamped from). The minimum live clock bounds
-    /// which epochs can still receive samples.
-    clocks: Arc<Vec<AtomicU64>>,
-    state: Mutex<State>,
-}
-
-impl Watchdog {
-    /// A watchdog over the given worker clocks.
-    pub fn new(clocks: Arc<Vec<AtomicU64>>) -> Watchdog {
-        Watchdog {
-            clocks,
-            state: Mutex::new(State::default()),
+/// Evaluates a drained run against every objective: buckets the samples
+/// into epochs by their own virtual instants, judges epochs `0..=last`
+/// in order, and — when `recording` holds the run's merged events —
+/// attaches each incident's causal context.
+///
+/// * `outcomes`: the drained outcomes. Completed calls feed the
+///   per-callee latency objectives, dead letters the per-tenant budgets.
+/// * `decisions`: the gateway's events (`GatewayReport::events`). Only
+///   `GatewayAdmit` and `GatewayShed` are read, with `b` = tenant; they
+///   feed the per-tenant shed-rate objectives. Empty without a gateway.
+/// * `recording`: the merged flight-recorder events, or `None` when the
+///   run was not recorded (incidents then ship without causal context).
+pub fn evaluate(
+    outcomes: &[CallOutcome],
+    decisions: &[Event],
+    recording: Option<&[Event]>,
+) -> WatchdogSummary {
+    let mut epochs: BTreeMap<u64, EpochAgg> = BTreeMap::new();
+    for o in outcomes {
+        let agg = epochs.entry(o.finished_at / EPOCH_CYCLES).or_default();
+        match &o.verdict {
+            CallVerdict::Completed => agg
+                .latency
+                .entry(o.request.callee.raw())
+                .or_default()
+                .push(o.latency_cycles),
+            CallVerdict::DeadLettered(_) => {
+                *agg.dead_letters.entry(o.request.tenant).or_insert(0) += 1;
+            }
+            _ => {}
         }
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The epoch a sample stamped `at` lands in, folded forward past
-    /// already-evaluated epochs (counted as late) so evaluation never
-    /// misses a sample.
-    fn epoch_of(&self, state: &mut State, at: u64) -> u64 {
-        let e = at / EPOCH_CYCLES;
-        if e < state.next_eval {
-            state.late_samples += 1;
-            state.next_eval
-        } else {
-            e
-        }
-    }
-
-    /// Records one admission decision (admitted or shed) for `tenant`,
-    /// stamped with the submission stamp `at`. External shedders (the
-    /// gateway) feed the same counter so the shed-rate objective sees
-    /// the tenant's whole decided load.
-    pub fn note_admission(&self, tenant: u32, admitted: bool, at: u64) {
-        let mut state = self.lock();
-        let epoch = self.epoch_of(&mut state, at);
-        let slot = state
-            .open
-            .entry(epoch)
+    for e in decisions {
+        let admitted = match e.kind {
+            EventKind::GatewayAdmit => true,
+            EventKind::GatewayShed => false,
+            _ => continue,
+        };
+        let slot = epochs
+            .entry(e.ts / EPOCH_CYCLES)
             .or_default()
             .decisions
-            .entry(tenant)
+            .entry(e.b as u32)
             .or_insert((0, 0));
         if admitted {
             slot.0 += 1;
@@ -311,213 +255,145 @@ impl Watchdog {
             slot.1 += 1;
         }
     }
-
-    /// Ingests a worker's freshly recorded outcomes at a batch boundary,
-    /// stamped with the worker's clock `now`. Completed calls feed the
-    /// per-callee latency objectives; dead letters feed the per-tenant
-    /// budget objectives.
-    pub fn ingest(&self, outcomes: &[CallOutcome], now: u64) {
-        if outcomes.is_empty() {
-            return;
+    let epochs_evaluated = epochs.keys().next_back().map_or(0, |&last| last + 1);
+    // The long window is the epoch under judgment plus the retained
+    // history, so the history holds one epoch fewer than the window.
+    let mut history: VecDeque<EpochSummary> = VecDeque::new();
+    let mut baseline = Baseline::default();
+    let mut incidents = Vec::new();
+    for epoch in 0..epochs_evaluated {
+        let summary = summarize(epochs.remove(&epoch).unwrap_or_default());
+        if baseline.epochs_learned < BASELINE_EPOCHS {
+            learn(&mut baseline, &summary);
+        } else {
+            judge(&baseline, &history, epoch, &summary, &mut incidents);
         }
-        let mut state = self.lock();
-        let epoch = self.epoch_of(&mut state, now);
-        let agg = state.open.entry(epoch).or_default();
-        for o in outcomes {
-            match &o.verdict {
-                CallVerdict::Completed => agg
-                    .latency
-                    .entry(o.request.callee.raw())
-                    .or_default()
-                    .push(o.latency_cycles),
-                CallVerdict::DeadLettered(_) => {
-                    *agg.dead_letters.entry(o.request.tenant).or_insert(0) += 1;
-                }
-                _ => {}
-            }
+        history.push_back(summary);
+        while history.len() >= LONG_EPOCHS as usize {
+            history.pop_front();
         }
     }
-
-    /// Evaluates every epoch that can no longer receive samples. Called
-    /// at worker batch boundaries; the cost is host-side only.
-    pub fn evaluate(&self, degrade_level: u8) {
-        // An epoch [e·E, (e+1)·E) is settled once every live worker's
-        // published clock has passed its end: new samples are stamped
-        // at or above the emitting worker's clock, hence at or above
-        // the minimum. Parked (exited) workers read u64::MAX and stop
-        // constraining the frontier.
-        let min_clock = self
-            .clocks
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(u64::MAX);
-        self.evaluate_through(min_clock / EPOCH_CYCLES, degrade_level, min_clock);
+    if let Some(events) = recording {
+        attach_context(&mut incidents, events);
     }
+    WatchdogSummary {
+        incidents,
+        epochs_evaluated,
+        baseline_ready: baseline.epochs_learned >= BASELINE_EPOCHS,
+    }
+}
 
-    fn evaluate_through(&self, settled: u64, degrade_level: u8, now: u64) {
-        let mut state = self.lock();
-        while state.next_eval < settled {
-            let epoch = state.next_eval;
-            let agg = state.open.remove(&epoch).unwrap_or_default();
-            let summary = summarize(agg);
-            if state.baseline.epochs_learned < BASELINE_EPOCHS {
-                learn(&mut state.baseline, &summary);
-            } else {
-                self.judge(&mut state, epoch, &summary, degrade_level, now);
-            }
-            // The long window is the epoch under judgment plus the
-            // retained history, so the history holds one epoch fewer
-            // than the window length.
-            state.history.push_back((epoch, summary));
-            while state.history.len() >= LONG_EPOCHS as usize {
-                state.history.pop_front();
-            }
-            state.next_eval = epoch + 1;
-            state.epochs_evaluated += 1;
+/// Judges one epoch against every learned objective.
+fn judge(
+    baseline: &Baseline,
+    history: &VecDeque<EpochSummary>,
+    epoch: u64,
+    summary: &EpochSummary,
+    incidents: &mut Vec<Incident>,
+) {
+    let mut raise = |objective: Objective, observed: u64, long_avg: u64, baseline: u64| {
+        let baseline = baseline.max(1);
+        let burn_short = observed.saturating_mul(100) / baseline;
+        let burn_long = long_avg.saturating_mul(100) / baseline;
+        if burn_short >= HI_BURN_X100 && burn_long >= LO_BURN_X100 {
+            incidents.push(Incident {
+                objective,
+                epoch,
+                window_start: epoch * EPOCH_CYCLES,
+                window_end: (epoch + 1) * EPOCH_CYCLES,
+                burn_short_x100: burn_short,
+                burn_long_x100: burn_long,
+                baseline,
+                observed,
+                contributors: Vec::new(),
+                snapshot: Vec::new(),
+            });
         }
-    }
-
-    /// Judges one settled epoch against every learned objective.
-    fn judge(
-        &self,
-        state: &mut State,
-        epoch: u64,
-        summary: &EpochSummary,
-        degrade_level: u8,
-        now: u64,
-    ) {
-        let mut raise = |objective: Objective, observed: u64, long_avg: u64, baseline: u64| {
-            let baseline = baseline.max(1);
-            let burn_short = observed.saturating_mul(100) / baseline;
-            let burn_long = long_avg.saturating_mul(100) / baseline;
-            if burn_short >= HI_BURN_X100 && burn_long >= LO_BURN_X100 {
-                state.incidents.push(Incident {
-                    objective,
-                    epoch,
-                    window_start: epoch * EPOCH_CYCLES,
-                    window_end: (epoch + 1) * EPOCH_CYCLES,
-                    burn_short_x100: burn_short,
-                    burn_long_x100: burn_long,
-                    baseline,
-                    observed,
-                    detected_at: now,
-                    degrade_level,
-                    contributors: Vec::new(),
-                    snapshot: Vec::new(),
-                });
-            }
+    };
+    // Latency p99 per callee: judged only against a learned baseline (a
+    // callee first seen after learning has nothing to burn against) and
+    // only on epochs thick enough to carry a p99.
+    for (&callee, &(p99, samples)) in &summary.latency_p99 {
+        if samples < MIN_SAMPLES {
+            continue;
+        }
+        let Some(&base) = baseline.latency_p99.get(&callee) else {
+            continue;
         };
-        // Latency p99 per callee: judged only against a learned
-        // baseline (a callee first seen after learning has nothing to
-        // burn against) and only on epochs thick enough to carry a p99.
-        for (&callee, &(p99, samples)) in &summary.latency_p99 {
-            if samples < MIN_SAMPLES {
-                continue;
-            }
-            let Some(&base) = state.baseline.latency_p99.get(&callee) else {
-                continue;
-            };
-            let long_avg = window_avg(&state.history, summary, |s| {
-                s.latency_p99
-                    .get(&callee)
-                    .map(|&(v, n)| (v, n >= MIN_SAMPLES))
-            });
-            raise(Objective::LatencyP99 { callee }, p99, long_avg, base);
-        }
-        // Shed rate per tenant, in basis points of decided submissions.
-        // The baseline is the learned maximum clamped up to the floor,
-        // so a clean run's zero baseline cannot make the first stray
-        // shed a 100× burn.
-        for (&tenant, &(bp, decided)) in &summary.shed_bp {
-            if decided < MIN_SAMPLES {
-                continue;
-            }
-            let base = state
-                .baseline
-                .shed_bp
-                .get(&tenant)
-                .copied()
-                .unwrap_or(0)
-                .max(SHED_FLOOR_BP);
-            let long_avg = window_avg(&state.history, summary, |s| {
-                s.shed_bp.get(&tenant).map(|&(v, n)| (v, n >= MIN_SAMPLES))
-            });
-            raise(Objective::ShedRate { tenant }, bp, long_avg, base);
-        }
-        // Dead letters per tenant per epoch, against the learned
-        // (floored) budget.
-        for (&tenant, &count) in &summary.dead_letters {
-            let base = state
-                .baseline
-                .dead_letters
-                .get(&tenant)
-                .copied()
-                .unwrap_or(0)
-                .max(DEAD_LETTER_FLOOR);
-            let long_avg = window_avg(&state.history, summary, |s| {
-                Some((s.dead_letters.get(&tenant).copied().unwrap_or(0), true))
-            });
-            raise(
-                Objective::DeadLetterBudget { tenant },
-                count,
-                long_avg,
-                base,
-            );
-        }
+        let long_avg = window_avg(history, summary, |s| {
+            s.latency_p99
+                .get(&callee)
+                .map(|&(v, n)| (v, n >= MIN_SAMPLES))
+        });
+        raise(Objective::LatencyP99 { callee }, p99, long_avg, base);
     }
+    // Shed rate per tenant, in basis points of decided submissions. The
+    // baseline is the learned maximum clamped up to the floor, so a
+    // clean run's zero baseline cannot make the first stray shed a 100×
+    // burn.
+    for (&tenant, &(bp, decided)) in &summary.shed_bp {
+        if decided < MIN_SAMPLES {
+            continue;
+        }
+        let base = baseline
+            .shed_bp
+            .get(&tenant)
+            .copied()
+            .unwrap_or(0)
+            .max(SHED_FLOOR_BP);
+        let long_avg = window_avg(history, summary, |s| {
+            s.shed_bp.get(&tenant).map(|&(v, n)| (v, n >= MIN_SAMPLES))
+        });
+        raise(Objective::ShedRate { tenant }, bp, long_avg, base);
+    }
+    // Dead letters per tenant per epoch, against the learned (floored)
+    // budget.
+    for (&tenant, &count) in &summary.dead_letters {
+        let base = baseline
+            .dead_letters
+            .get(&tenant)
+            .copied()
+            .unwrap_or(0)
+            .max(DEAD_LETTER_FLOOR);
+        let long_avg = window_avg(history, summary, |s| {
+            Some((s.dead_letters.get(&tenant).copied().unwrap_or(0), true))
+        });
+        raise(
+            Objective::DeadLetterBudget { tenant },
+            count,
+            long_avg,
+            base,
+        );
+    }
+}
 
-    /// Drain-time settlement: evaluates every remaining epoch (all
-    /// workers have joined, so everything is settled), then attaches
-    /// causal context to each incident from the run's recorded events —
-    /// ranked critical-path components of the requests that reached
-    /// their verdict inside the breached window, plus a frozen event
-    /// snapshot around the breach. Pass `None` when the run was not
-    /// recorded; incidents then ship without causal context.
-    pub fn finalize(&self, events: Option<&[Event]>, degrade_level: u8) -> WatchdogSummary {
-        // Everything buffered is settled: the pool has drained, so no
-        // clock can stamp another sample.
-        let horizon = self
-            .lock()
-            .open
-            .keys()
-            .next_back()
-            .map(|&e| e + 1)
-            .unwrap_or(0);
-        let now = horizon * EPOCH_CYCLES;
-        self.evaluate_through(horizon, degrade_level, now);
-        let mut state = self.lock();
-        if let Some(events) = events {
-            let report = analyze(events);
-            for incident in &mut state.incidents {
-                incident.contributors = ranked_for(
-                    &report,
-                    incident.objective,
-                    incident.window_start,
-                    incident.window_end,
-                )
-                .into_iter()
-                .filter(|&(_, cycles)| cycles > 0)
-                .map(|(component, cycles)| Contributor { component, cycles })
-                .collect();
-                // The frozen snapshot spans one epoch of lead-in so the
-                // events that *caused* the breach (often just before
-                // the window) are captured alongside the breach itself.
-                let from = incident.window_start.saturating_sub(EPOCH_CYCLES);
-                incident.snapshot = events
-                    .iter()
-                    .filter(|e| e.ts >= from && e.ts < incident.window_end)
-                    .take(SNAPSHOT_EVENTS)
-                    .copied()
-                    .collect();
-            }
-        }
-        WatchdogSummary {
-            incidents: state.incidents.clone(),
-            epochs_evaluated: state.epochs_evaluated,
-            baseline_ready: state.baseline.epochs_learned >= BASELINE_EPOCHS,
-            late_samples: state.late_samples,
-        }
+/// Attaches causal context to each incident from the run's recorded
+/// events: the ranked critical-path components of the requests that
+/// reached their verdict inside the breached window, plus a frozen
+/// event snapshot around the breach.
+fn attach_context(incidents: &mut [Incident], events: &[Event]) {
+    let report = analyze(events);
+    for incident in incidents {
+        incident.contributors = ranked_for(
+            &report,
+            incident.objective,
+            incident.window_start,
+            incident.window_end,
+        )
+        .into_iter()
+        .filter(|&(_, cycles)| cycles > 0)
+        .map(|(component, cycles)| Contributor { component, cycles })
+        .collect();
+        // The frozen snapshot spans one epoch of lead-in so the events
+        // that *caused* the breach (often just before the window) are
+        // captured alongside the breach itself.
+        let from = incident.window_start.saturating_sub(EPOCH_CYCLES);
+        incident.snapshot = events
+            .iter()
+            .filter(|e| e.ts >= from && e.ts < incident.window_end)
+            .take(SNAPSHOT_EVENTS)
+            .copied()
+            .collect();
     }
 }
 
@@ -565,17 +441,13 @@ fn ranked_for(
 /// Long-window average of an objective's value: the breached epoch plus
 /// the retained history, skipping epochs where the objective had no
 /// judgeable sample (the `bool` in the extractor's return).
-fn window_avg<F>(history: &VecDeque<(u64, EpochSummary)>, current: &EpochSummary, get: F) -> u64
+fn window_avg<F>(history: &VecDeque<EpochSummary>, current: &EpochSummary, get: F) -> u64
 where
     F: Fn(&EpochSummary) -> Option<(u64, bool)>,
 {
     let mut sum = 0u64;
     let mut n = 0u64;
-    for s in history
-        .iter()
-        .map(|(_, s)| s)
-        .chain(std::iter::once(current))
-    {
+    for s in history.iter().chain(std::iter::once(current)) {
         if let Some((v, judgeable)) = get(s) {
             if judgeable {
                 sum += v;
@@ -661,8 +533,7 @@ pub fn incidents_to_json(summary: &WatchdogSummary) -> String {
             "{{\"objective\": \"{}\", \"subject\": {}, \"epoch\": {}, \
              \"window_start\": {}, \"window_end\": {}, \"burn_short_x100\": {}, \
              \"burn_long_x100\": {}, \"baseline\": {}, \"observed\": {}, \
-             \"detected_at\": {}, \"degrade_level\": {}, \"snapshot_events\": {}, \
-             \"contributors\": [{}]}}",
+             \"snapshot_events\": {}, \"contributors\": [{}]}}",
             inc.objective.name(),
             inc.objective.subject(),
             inc.epoch,
@@ -672,8 +543,6 @@ pub fn incidents_to_json(summary: &WatchdogSummary) -> String {
             inc.burn_long_x100,
             inc.baseline,
             inc.observed,
-            inc.detected_at,
-            inc.degrade_level,
             inc.snapshot.len(),
             contributors,
         ));
@@ -706,15 +575,10 @@ pub fn incident_events(summary: &WatchdogSummary) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{CallRequest, CallVerdict};
+    use crate::router::{CallError, CallRequest};
     use crossover::world::Wid;
 
     const EPOCH: u64 = EPOCH_CYCLES;
-
-    fn watchdog() -> Watchdog {
-        // One live "worker" clock the test advances by hand.
-        Watchdog::new(Arc::new(vec![AtomicU64::new(0)]))
-    }
 
     fn outcome(callee: u64, tenant: u32, latency: u64, verdict: CallVerdict) -> CallOutcome {
         CallOutcome {
@@ -726,49 +590,51 @@ mod tests {
             worker: 0,
             stolen: false,
             coalesced: false,
+            finished_at: 0,
         }
     }
 
-    fn feed_epoch(wd: &Watchdog, epoch: u64, latency: u64, n: usize) {
-        let now = epoch * EPOCH + EPOCH / 2;
-        let batch: Vec<CallOutcome> = (0..n)
-            .map(|_| outcome(7, 1, latency, CallVerdict::Completed))
-            .collect();
-        wd.ingest(&batch, now);
+    /// `n` completed calls to callee 7 at `latency`, finishing mid-epoch.
+    fn feed_epoch(outcomes: &mut Vec<CallOutcome>, epoch: u64, latency: u64, n: usize) {
+        outcomes.extend((0..n).map(|_| CallOutcome {
+            finished_at: epoch * EPOCH + EPOCH / 2,
+            ..outcome(7, 1, latency, CallVerdict::Completed)
+        }));
     }
 
-    fn advance(wd: &Watchdog, cycles: u64) {
-        wd.clocks[0].store(cycles, Ordering::Relaxed);
-        wd.evaluate(0);
+    fn decision(at: u64, tenant: u32, admitted: bool) -> Event {
+        let kind = if admitted {
+            EventKind::GatewayAdmit
+        } else {
+            EventKind::GatewayShed
+        };
+        Event::new(at, u32::MAX - 1, kind, 0, u64::from(tenant), 0)
     }
 
     #[test]
     fn clean_run_raises_no_incidents() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         for e in 0..8 {
-            feed_epoch(&wd, e, 100, 8);
-            advance(&wd, (e + 1) * EPOCH);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
-        let summary = wd.finalize(None, 0);
+        let summary = evaluate(&outcomes, &[], None);
         assert!(summary.baseline_ready);
         assert_eq!(summary.incidents.len(), 0);
         assert_eq!(summary.epochs_evaluated, 8);
-        assert_eq!(summary.late_samples, 0);
     }
 
     #[test]
     fn latency_burn_fires_after_learning() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         // Four learning epochs at p99=100, one clean judged epoch, then
         // a sustained 5x regression.
         for e in 0..5 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
         for e in 5..7 {
-            feed_epoch(&wd, e, 500, 8);
+            feed_epoch(&mut outcomes, e, 500, 8);
         }
-        advance(&wd, 7 * EPOCH);
-        let summary = wd.finalize(None, 0);
+        let summary = evaluate(&outcomes, &[], None);
         assert!(summary.baseline_ready);
         // Epoch 5: short burn 500% fires, long window (epochs 3..=5)
         // averages (100+100+500)/3 = 233% >= 150%. Epoch 6 sustains.
@@ -786,23 +652,22 @@ mod tests {
 
     #[test]
     fn single_epoch_spike_needs_the_long_window() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         // The learned baseline is the worst learning epoch (200); the
         // judged epochs then run at half of it.
         for e in 0..4 {
-            feed_epoch(&wd, e, if e == 3 { 200 } else { 100 }, 8);
+            feed_epoch(&mut outcomes, e, if e == 3 { 200 } else { 100 }, 8);
         }
-        feed_epoch(&wd, 4, 100, 8);
-        feed_epoch(&wd, 5, 100, 8);
+        feed_epoch(&mut outcomes, 4, 100, 8);
+        feed_epoch(&mut outcomes, 5, 100, 8);
         // A lone 3.1x spike: the short window fires, but the long
         // window (100+100+620)/3 = 273 is only 136% of the baseline.
-        feed_epoch(&wd, 6, 620, 8);
+        feed_epoch(&mut outcomes, 6, 620, 8);
         // A second spike epoch tips the long window over:
         // (100+620+620)/3 = 446, 223% of the baseline.
-        feed_epoch(&wd, 7, 620, 8);
-        feed_epoch(&wd, 8, 100, 8);
-        advance(&wd, 9 * EPOCH);
-        let summary = wd.finalize(None, 0);
+        feed_epoch(&mut outcomes, 7, 620, 8);
+        feed_epoch(&mut outcomes, 8, 100, 8);
+        let summary = evaluate(&outcomes, &[], None);
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
         assert_eq!(inc.epoch, 7, "the lone spike epoch is vetoed");
@@ -813,35 +678,35 @@ mod tests {
 
     #[test]
     fn thin_epochs_are_skipped_not_extrapolated() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         for e in 0..5 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
         // A 10x epoch with too few samples to judge.
-        feed_epoch(&wd, 5, 1_000, 2);
-        advance(&wd, 6 * EPOCH);
-        let summary = wd.finalize(None, 0);
+        feed_epoch(&mut outcomes, 5, 1_000, 2);
+        let summary = evaluate(&outcomes, &[], None);
         assert_eq!(summary.incidents.len(), 0);
     }
 
     #[test]
     fn shed_storm_fires_the_shed_rate_objective() {
-        let wd = watchdog();
         // Learning + clean epochs: all admitted.
-        for e in 0..5u64 {
-            for _ in 0..8 {
-                wd.note_admission(1, true, e * EPOCH + 10);
-            }
-        }
+        let mut decisions: Vec<Event> = (0..5u64)
+            .flat_map(|e| (0..8).map(move |_| decision(e * EPOCH + 10, 1, true)))
+            .collect();
         // Storm: 6/8 shed = 7500bp against the 500bp floor baseline.
-        for _ in 0..2 {
-            wd.note_admission(1, true, 5 * EPOCH + 10);
-        }
-        for _ in 0..6 {
-            wd.note_admission(1, false, 5 * EPOCH + 10);
-        }
-        advance(&wd, 6 * EPOCH);
-        let summary = wd.finalize(None, 0);
+        decisions.extend((0..2).map(|_| decision(5 * EPOCH + 10, 1, true)));
+        decisions.extend((0..6).map(|_| decision(5 * EPOCH + 10, 1, false)));
+        // Events of other kinds on the same stream are ignored.
+        decisions.push(Event::new(
+            5 * EPOCH + 20,
+            u32::MAX - 1,
+            EventKind::CompletionBatch,
+            0,
+            1,
+            8,
+        ));
+        let summary = evaluate(&[], &decisions, None);
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
         assert_eq!(inc.objective, Objective::ShedRate { tenant: 1 });
@@ -852,26 +717,19 @@ mod tests {
 
     #[test]
     fn dead_letter_burst_fires_the_budget_objective() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         for e in 0..5 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
-        let burst: Vec<CallOutcome> = (0..12)
-            .map(|_| {
-                outcome(
-                    7,
-                    2,
-                    0,
-                    CallVerdict::DeadLettered(crate::router::CallError::LookupRace {
-                        wid: Wid::from_raw(7),
-                        attempts: 3,
-                    }),
-                )
-            })
-            .collect();
-        wd.ingest(&burst, 5 * EPOCH + 10);
-        advance(&wd, 6 * EPOCH);
-        let summary = wd.finalize(None, 0);
+        let verdict = CallVerdict::DeadLettered(CallError::LookupRace {
+            wid: Wid::from_raw(7),
+            attempts: 3,
+        });
+        outcomes.extend((0..12).map(|_| CallOutcome {
+            finished_at: 5 * EPOCH + 10,
+            ..outcome(7, 2, 0, verdict.clone())
+        }));
+        let summary = evaluate(&outcomes, &[], None);
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
         assert_eq!(inc.objective, Objective::DeadLetterBudget { tenant: 2 });
@@ -881,46 +739,18 @@ mod tests {
     }
 
     #[test]
-    fn epochs_settle_only_behind_the_minimum_clock() {
-        let wd = watchdog();
-        feed_epoch(&wd, 0, 100, 8);
-        // Clock still inside epoch 0: nothing settles.
-        wd.clocks[0].store(EPOCH - 1, Ordering::Relaxed);
-        wd.evaluate(0);
-        assert_eq!(wd.lock().epochs_evaluated, 0);
-        // Clock at the boundary: epoch 0 settles.
-        wd.clocks[0].store(EPOCH, Ordering::Relaxed);
-        wd.evaluate(0);
-        assert_eq!(wd.lock().epochs_evaluated, 1);
-    }
-
-    #[test]
-    fn late_samples_fold_forward_and_are_counted() {
-        let wd = watchdog();
-        advance(&wd, 2 * EPOCH); // epochs 0 and 1 settled
-        wd.note_admission(1, false, 10); // stamped inside settled epoch 0
-        let state = wd.lock();
-        assert_eq!(state.late_samples, 1);
-        assert!(state.open.contains_key(&2), "folded into the open frontier");
-    }
-
-    #[test]
     fn incident_json_and_events_round_trip_the_fields() {
-        let wd = watchdog();
+        let mut outcomes = Vec::new();
         for e in 0..5 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
-        feed_epoch(&wd, 5, 900, 8);
-        // The breach is judged at this evaluate call, so the degrade
-        // rung recorded on the incident is the one passed here.
-        wd.clocks[0].store(6 * EPOCH, Ordering::Relaxed);
-        wd.evaluate(1);
-        let summary = wd.finalize(None, 1);
+        feed_epoch(&mut outcomes, 5, 900, 8);
+        let summary = evaluate(&outcomes, &[], None);
         assert_eq!(summary.incidents.len(), 1);
         let json = incidents_to_json(&summary);
         assert!(json.contains("\"objective\": \"latency_p99\""));
         assert!(json.contains("\"burn_short_x100\": 900"));
-        assert!(json.contains("\"degrade_level\": 1"));
+        assert!(json.contains("\"epoch\": 5"));
         let events = incident_events(&summary);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::SloIncident);
@@ -931,13 +761,12 @@ mod tests {
     }
 
     #[test]
-    fn finalize_attaches_contributors_and_snapshot() {
-        let wd = watchdog();
+    fn recording_attaches_contributors_and_snapshot() {
+        let mut outcomes = Vec::new();
         for e in 0..5 {
-            feed_epoch(&wd, e, 100, 8);
+            feed_epoch(&mut outcomes, e, 100, 8);
         }
-        feed_epoch(&wd, 5, 900, 8);
-        advance(&wd, 6 * EPOCH);
+        feed_epoch(&mut outcomes, 5, 900, 8);
         // A recorded classic call wholly inside the breached window:
         // dispatch +100 → call +150 → return +700 → verdict +720.
         let t = 5 * EPOCH;
@@ -947,7 +776,7 @@ mod tests {
             Event::new(t + 700, 0, EventKind::WorldReturn, 7, 1, 0),
             Event::new(t + 720, 0, EventKind::RequestVerdict, 1, 0, 0),
         ];
-        let summary = wd.finalize(Some(&events), 0);
+        let summary = evaluate(&outcomes, &[], Some(&events));
         assert_eq!(summary.incidents.len(), 1);
         let inc = &summary.incidents[0];
         assert_eq!(inc.top_contributor(), Some(Component::Service));

@@ -69,7 +69,6 @@ use crate::supervisor::{
     LOOKUP_RETRIES, RESPAWN_CAP,
 };
 use crate::switchless::{Controller, SwitchlessConfig, SwitchlessWorkerStats, SPIN_CYCLES};
-use crate::watchdog::Watchdog;
 
 /// Everything a worker thread needs; built by the service at start.
 pub(crate) struct WorkerContext {
@@ -100,11 +99,6 @@ pub(crate) struct WorkerContext {
     /// off: the dispatch path then carries zero checks, preserving
     /// bit-for-bit parity with the pre-authz runtime).
     pub authz: Option<Arc<AuthzPolicy>>,
-    /// The shared SLO watchdog (`None` when the plane is off). Fed at
-    /// batch boundaries only — host-side bookkeeping that charges zero
-    /// virtual cycles and changes no control path, preserving
-    /// bit-for-bit parity with the unwatched runtime.
-    pub watchdog: Option<Arc<Watchdog>>,
     /// The worker's outcome log, allocated by the service at start and
     /// sized to this worker's queued backlog; it grows only for work
     /// stolen or submitted after start.
@@ -627,6 +621,7 @@ impl Engine<'_> {
             worker: self.index,
             stolen: was_stolen,
             coalesced: false,
+            finished_at: self.now(),
         });
     }
 
@@ -654,6 +649,7 @@ impl Engine<'_> {
             worker: self.index,
             stolen: was_stolen,
             coalesced: false,
+            finished_at: self.now(),
         });
     }
 
@@ -865,6 +861,7 @@ impl Engine<'_> {
                 worker: self.index,
                 stolen: *was_stolen,
                 coalesced: true,
+                finished_at: self.now(),
             });
             if aborted {
                 break;
@@ -1045,9 +1042,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         .count(TransitionKind::WorldReturn);
     let mut unit = fresh_unit();
     let mut batches = 0u64;
-    // Cursor into `engine.outcomes`: everything before it has already
-    // been fed to the SLO watchdog at a previous batch boundary.
-    let mut watchdog_fed = 0usize;
     let mut backlog: VecDeque<Queued> = VecDeque::new();
     // Batch-formation buffers, reused across batches: the batch itself,
     // its requests reordered into same-caller runs, and the runs.
@@ -1164,6 +1158,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                             worker: ctx.index,
                             stolen: false,
                             coalesced: false,
+                            finished_at: engine.now(),
                         });
                     }
                     continue;
@@ -1323,24 +1318,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                 }
             }
         }
-        // SLO watchdog feed: this batch's outcomes enter the epoch
-        // buckets stamped with the worker's clock, then every epoch the
-        // minimum live clock has passed is judged. Host-side only — no
-        // virtual cycles charged, no control path changed (the parity
-        // suite pins watchdog-on cycle-exact with watchdog-off).
-        if let Some(wd) = &ctx.watchdog {
-            let now = engine.platform.cpu().meter().cycles();
-            wd.ingest(&engine.outcomes[watchdog_fed..], now);
-            watchdog_fed = engine.outcomes.len();
-            wd.evaluate(engine.health.level() as u8);
-        }
-    }
-    // Outcomes recorded after the last evaluated boundary (including
-    // crash-loop dead letters whose batch never reached it) still feed
-    // the watchdog; drain-time finalize settles their epochs.
-    if let Some(wd) = &ctx.watchdog {
-        let now = engine.platform.cpu().meter().cycles();
-        wd.ingest(&engine.outcomes[watchdog_fed..], now);
     }
     // Any invalidation still deferred heals before the caches are
     // reported: no stale entry survives the pool.

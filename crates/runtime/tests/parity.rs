@@ -1,8 +1,8 @@
 //! Plane parity: every optional plane is free when off and
 //! cycle-invisible when on.
 //!
-//! Obs recording, authz checks, the SLO watchdog and an armed-but-empty
-//! fault plan are host-side bookkeeping that charge zero virtual cycles
+//! Obs recording, authz checks and an armed-but-empty fault plan are
+//! host-side bookkeeping that charge zero virtual cycles
 //! and never change a control path a worker takes. Each row of the
 //! table below names a reference setup and a variant that may differ
 //! only in host-side work; the two runs must agree cycle for cycle
@@ -11,17 +11,14 @@
 //! with `fixed(8)` coalescing, so both execution paths are covered.
 //! Each run also checks what its own setup promises (`check_setup`):
 //! a recording that has events and no drops, an authz plane that
-//! checked every call and denied none, a watchdog summary exactly when
-//! the watchdog is armed, and zero supervisor activity under an empty
-//! plan.
+//! checked every call and denied none, and zero supervisor activity
+//! under an empty plan.
 
 mod common;
 
 use common::{assert_cycle_exact, run, single_worker};
 use machine::fault::FaultPlan;
-use xover_runtime::{
-    AuthzConfig, ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig, WatchdogMode,
-};
+use xover_runtime::{AuthzConfig, ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig};
 
 const SEED: u64 = 0x51_0D06;
 const CALLS: u64 = 600;
@@ -33,8 +30,6 @@ enum Plan {
     Unarmed,
     /// An installed plan with no events.
     Empty,
-    /// A generated plan that crashes, stalls and corrupts.
-    Seeded,
 }
 
 impl Plan {
@@ -42,7 +37,6 @@ impl Plan {
         match self {
             Plan::Unarmed => None,
             Plan::Empty => Some(FaultPlan::new()),
-            Plan::Seeded => Some(FaultPlan::from_seed(0xD06_FA117, 3_000_000, 4)),
         }
     }
 }
@@ -52,7 +46,6 @@ impl Plan {
 struct Setup {
     obs: ObsConfig,
     authz: AuthzConfig,
-    watchdog: WatchdogMode,
     plan: Plan,
 }
 
@@ -61,12 +54,7 @@ fn rows() -> Vec<(&'static str, Setup, Setup)> {
     let default = Setup {
         obs: ObsConfig::default(),
         authz: AuthzConfig::default(),
-        watchdog: WatchdogMode::default(),
         plan: Plan::Unarmed,
-    };
-    let seeded = Setup {
-        plan: Plan::Seeded,
-        ..default
     };
     vec![
         (
@@ -94,22 +82,6 @@ fn rows() -> Vec<(&'static str, Setup, Setup)> {
             },
         ),
         (
-            "watchdog off vs on, clean",
-            default,
-            Setup {
-                watchdog: WatchdogMode::On,
-                ..default
-            },
-        ),
-        (
-            "watchdog off vs on, seeded faults",
-            seeded,
-            Setup {
-                watchdog: WatchdogMode::On,
-                ..seeded
-            },
-        ),
-        (
             "no plan vs empty plan",
             default,
             Setup {
@@ -125,7 +97,6 @@ fn run_setup(setup: Setup, switchless: SwitchlessConfig) -> ServiceReport {
         switchless,
         obs: setup.obs,
         authz: setup.authz,
-        watchdog: setup.watchdog,
         ..single_worker(CALLS)
     };
     run(config, setup.plan.build(), SEED, CALLS)
@@ -150,11 +121,6 @@ fn check_setup(setup: Setup, report: &ServiceReport, label: &str) {
         assert_eq!(report.authz.total_denied(), 0, "{label}");
         assert_eq!(report.denied, 0, "{label}");
     }
-    assert_eq!(
-        report.watchdog.is_some(),
-        setup.watchdog == WatchdogMode::On,
-        "{label}: a watchdog summary exists iff the watchdog is on"
-    );
     if setup.plan == Plan::Empty {
         let sup = &report.supervisor;
         assert_eq!(sup.totals.faults_observed(), 0, "{label}");

@@ -68,7 +68,6 @@ SPECS = {
         ("revocation/within_one_batch", 0.0, True),
     ],
     "BENCH_slo.json": [
-        ("parity/watchdog_on_exact", 0.0, True),
         ("fault_burst/detect_epochs", 2.0, False),
         ("degrade_shift/detect_epochs", 2.0, False),
     ],
