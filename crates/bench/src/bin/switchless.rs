@@ -1,15 +1,9 @@
 //! Switchless fast-path ablation: emit `BENCH_switchless.json`.
 //!
-//! Sweeps the switchless layer's two knobs against the PR-2 tuned hot
-//! path (lock-free rings + unified TLB, switchless **off**) on the same
-//! seeded request stream:
-//!
-//! * **resident budget** — `fixed-4` / `fixed-16` / `fixed-32` pin every
-//!   channel's coalescing budget (controller snapshots epochs but never
-//!   moves);
-//! * **controller** — `adaptive` starts at the default budget and lets
-//!   the configless epoch controller tune it from dry/saturated
-//!   residency exits and ring occupancy.
+//! Sweeps the switchless layer's one knob, the resident budget
+//! (`fixed-4` / `fixed-16` / `fixed-32`: the most calls one residency
+//! may drain), against the PR-2 tuned hot path (lock-free rings +
+//! unified TLB, switchless **off**) on the same seeded request stream.
 //!
 //! Two workloads bound the design from both sides:
 //!
@@ -22,18 +16,17 @@
 //!
 //! The binary asserts the PR's acceptance criteria in-process:
 //!
-//! 1. on the skewed workload, `adaptive` spends ≥ 25% fewer simulated
-//!    cycles per completed call than the tuned-PR2 baseline;
+//! 1. on the skewed workload, `fixed-16` (the default budget) spends
+//!    ≥ 25% fewer simulated cycles per completed call than the
+//!    tuned-PR2 baseline;
 //! 2. the hottest (caller, callee) pair pays < 1.0 world transitions
-//!    per call under coalescing (the classic path pays exactly 2.0);
-//! 3. on the uniform workload, `adaptive` does not regress (≤ 5%
+//!    per call under `fixed-16` (the classic path pays exactly 2.0);
+//! 3. on the uniform workload, `fixed-16` does not regress (≤ 5%
 //!    slower at worst) — the layer stays out of the way when same-pair
-//!    runs are rare;
-//! 4. the adaptive controller's budget vector converges (identical over
-//!    the final epochs) on three different seeds.
+//!    runs are rare.
 //!
 //! Usage: `switchless [output-path] [--trace-out PATH]` (default
-//! `BENCH_switchless.json`). With `--trace-out` the adaptive/skewed
+//! `BENCH_switchless.json`). With `--trace-out` the fixed-16/skewed
 //! point is re-run with the obs plane recording and its combined
 //! Perfetto/recording JSON written to the given path — the resident
 //! drains show up as `drain wA→wB` slices on the worker tracks.
@@ -42,7 +35,7 @@ use std::fmt::Write as _;
 
 use machine::rng::{SplitMix64, Zipf};
 use runtime::{
-    converged, trace_doc, CallRequest, ObsConfig, RuntimeConfig, SwitchlessConfig, WorldCallService,
+    trace_doc, CallRequest, ObsConfig, RuntimeConfig, SwitchlessConfig, WorldCallService,
 };
 
 const FREQUENCY_GHZ: f64 = 3.4;
@@ -50,17 +43,15 @@ const FREQUENCY_GHZ: f64 = 3.4;
 const CALLS_PER_POINT: u64 = 8_000;
 const WORKERS: usize = 4;
 const SEED: u64 = 0x5EED_C0A1;
-/// Convergence is checked on three distinct streams.
-const CONVERGENCE_SEEDS: [u64; 3] = [0x5EED_C0A1, 0xB10C_CAFE, 0x00DD_BA11];
 /// Zipf exponent for the skewed workload's caller/callee draws.
 const ZIPF_S: f64 = 1.3;
 const WORKING_SET_PAGES: u64 = 8;
-/// Acceptance 1: adaptive vs tuned-PR2 baseline, skewed workload.
+/// The asserted configuration: switchless at the default budget.
+const HEADLINE: &str = "fixed-16";
+/// Acceptance 1: fixed-16 vs tuned-PR2 baseline, skewed workload.
 const MIN_IMPROVEMENT_PCT: f64 = 25.0;
-/// Acceptance 3: adaptive vs baseline, uniform workload, either way.
+/// Acceptance 3: fixed-16 vs baseline, uniform workload, either way.
 const UNIFORM_BAND_PCT: f64 = 5.0;
-/// Acceptance 4: final epochs whose budget vectors must be identical.
-const FINAL_EPOCHS: usize = 3;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Workload {
@@ -77,25 +68,12 @@ impl Workload {
     }
 }
 
-/// The run is short (~1M virtual cycles); shorter epochs than the
-/// default give the controller a dozen-plus adjustment opportunities
-/// within it, the regime it is designed for.
-const EPOCH_CYCLES: u64 = 60_000;
-
-fn with_epochs(cfg: SwitchlessConfig) -> SwitchlessConfig {
-    SwitchlessConfig {
-        epoch_cycles: EPOCH_CYCLES,
-        ..cfg
-    }
-}
-
 fn configs() -> Vec<(&'static str, SwitchlessConfig)> {
     vec![
         ("tuned-pr2", SwitchlessConfig::default()), // mode Off
-        ("fixed-4", with_epochs(SwitchlessConfig::fixed(4))),
-        ("fixed-16", with_epochs(SwitchlessConfig::fixed(16))),
-        ("fixed-32", with_epochs(SwitchlessConfig::fixed(32))),
-        ("adaptive", with_epochs(SwitchlessConfig::adaptive())),
+        ("fixed-4", SwitchlessConfig::fixed(4)),
+        (HEADLINE, SwitchlessConfig::fixed(16)),
+        ("fixed-32", SwitchlessConfig::fixed(32)),
     ]
 }
 
@@ -103,11 +81,10 @@ fn configs() -> Vec<(&'static str, SwitchlessConfig)> {
 /// switchless channels on all of them.
 fn build_service(
     switchless: SwitchlessConfig,
-    workers: usize,
     obs: ObsConfig,
 ) -> (WorldCallService, Vec<crossover::world::Wid>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
-        workers,
+        workers: WORKERS,
         queue_capacity: CALLS_PER_POINT as usize,
         // Deeper batches give coalescing (and destination batching in
         // the baseline) the same headroom — identical for every config.
@@ -137,8 +114,8 @@ fn build_service(
         vms.push(vm);
     }
     // Every callee gets a channel; whether it is *used* is the
-    // controller's call (budget floor 1 = classic path), which is the
-    // point of the ablation.
+    // configuration's call (switchless off = classic path), which is
+    // the point of the ablation.
     for (i, &w) in worlds.iter().enumerate() {
         svc.attach_channel(w, vms[i / 2]).expect("attach channel");
     }
@@ -193,20 +170,12 @@ struct Point {
     spin_cycles: u64,
     dry_exits: u64,
     saturated_exits: u64,
-    epochs: usize,
-    converged: bool,
 }
 
-fn run_point(
-    name: &'static str,
-    switchless: SwitchlessConfig,
-    workload: Workload,
-    seed: u64,
-    workers: usize,
-) -> Point {
-    let (mut svc, worlds) = build_service(switchless, workers, ObsConfig::off());
+fn run_point(name: &'static str, switchless: SwitchlessConfig, workload: Workload) -> Point {
+    let (mut svc, worlds) = build_service(switchless, ObsConfig::off());
     let zipf = Zipf::new(worlds.len(), ZIPF_S);
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(SEED);
     for _ in 0..CALLS_PER_POINT {
         svc.submit(draw_request(&mut rng, &zipf, &worlds, workload))
             .expect("dispatcher open while benching");
@@ -234,8 +203,6 @@ fn run_point(
         spin_cycles: sw.drain.spin_cycles,
         dry_exits: sw.drain.dry_exits,
         saturated_exits: sw.drain.saturated_exits,
-        epochs: sw.epochs.len(),
-        converged: converged(&sw.epochs, FINAL_EPOCHS),
     }
 }
 
@@ -256,9 +223,7 @@ fn write_point(out: &mut String, p: &Point) {
          \x20       \"slot_cycles\": {},\n\
          \x20       \"spin_cycles\": {},\n\
          \x20       \"dry_exits\": {},\n\
-         \x20       \"saturated_exits\": {},\n\
-         \x20       \"epochs\": {},\n\
-         \x20       \"converged\": {}\n\
+         \x20       \"saturated_exits\": {}\n\
          \x20     }}",
         p.name,
         p.completed,
@@ -274,19 +239,13 @@ fn write_point(out: &mut String, p: &Point) {
         p.spin_cycles,
         p.dry_exits,
         p.saturated_exits,
-        p.epochs,
-        p.converged,
     );
 }
 
-/// Records the adaptive/skewed point with the obs plane on and writes
+/// Records the fixed-16/skewed point with the obs plane on and writes
 /// the combined Perfetto/recording document.
 fn trace_run(trace_path: &str) {
-    let (mut svc, worlds) = build_service(
-        with_epochs(SwitchlessConfig::adaptive()),
-        WORKERS,
-        ObsConfig::ring(),
-    );
+    let (mut svc, worlds) = build_service(SwitchlessConfig::fixed(16), ObsConfig::ring());
     let zipf = Zipf::new(worlds.len(), ZIPF_S);
     let mut rng = SplitMix64::new(SEED);
     for _ in 0..CALLS_PER_POINT {
@@ -295,7 +254,7 @@ fn trace_run(trace_path: &str) {
     }
     svc.start();
     let report = svc.drain();
-    let doc = trace_doc("switchless adaptive skewed", &report, FREQUENCY_GHZ)
+    let doc = trace_doc("switchless fixed-16 skewed", &report, FREQUENCY_GHZ)
         .expect("obs was enabled for the traced run");
     std::fs::write(trace_path, doc.render_json()).expect("write trace json");
     eprintln!("wrote {trace_path} ({} events)", doc.events.len());
@@ -317,7 +276,7 @@ fn main() {
     for workload in [Workload::Skewed, Workload::Uniform] {
         let mut points = Vec::new();
         for (name, cfg) in configs() {
-            let p = run_point(name, cfg, workload, SEED, WORKERS);
+            let p = run_point(name, cfg, workload);
             eprintln!(
                 "{:>8} {:>10}  {:>6.0} cyc/call  {:.3} trans/call  hot {:.3}  \
                  coalesced {:>5}  dry/sat {:>4}/{:<4}",
@@ -346,68 +305,40 @@ fn main() {
 
     // Acceptance 1: coalescing pays on the workload it is built for.
     let base_skewed = cpc(Workload::Skewed, "tuned-pr2");
-    let adaptive_skewed = cpc(Workload::Skewed, "adaptive");
-    let improvement_pct = (base_skewed - adaptive_skewed) / base_skewed * 100.0;
+    let headline_skewed = cpc(Workload::Skewed, HEADLINE);
+    let improvement_pct = (base_skewed - headline_skewed) / base_skewed * 100.0;
     eprintln!(
-        "skewed cycles/call: tuned-pr2 {base_skewed:.0}, adaptive {adaptive_skewed:.0} \
+        "skewed cycles/call: tuned-pr2 {base_skewed:.0}, {HEADLINE} {headline_skewed:.0} \
          ({improvement_pct:.1}% fewer)"
     );
     assert!(
         improvement_pct >= MIN_IMPROVEMENT_PCT,
-        "adaptive must spend >= {MIN_IMPROVEMENT_PCT}% fewer cycles/call than the \
+        "{HEADLINE} must spend >= {MIN_IMPROVEMENT_PCT}% fewer cycles/call than the \
          tuned-PR2 baseline on the skewed workload (got {improvement_pct:.1}%)"
     );
 
     // Acceptance 2: the hot pair amortizes below one transition per call
-    // (classic is exactly two) under both controller modes.
-    for name in ["fixed-16", "adaptive"] {
-        let p = sweeps[0].1.iter().find(|p| p.name == name).unwrap();
-        assert!(
-            p.hot_pair_transitions_per_call < 1.0,
-            "{name}: hot pair must pay < 1.0 transitions/call \
-             (got {:.3})",
-            p.hot_pair_transitions_per_call
-        );
-    }
+    // (classic is exactly two).
+    let p = sweeps[0].1.iter().find(|p| p.name == HEADLINE).unwrap();
+    assert!(
+        p.hot_pair_transitions_per_call < 1.0,
+        "{HEADLINE}: hot pair must pay < 1.0 transitions/call (got {:.3})",
+        p.hot_pair_transitions_per_call
+    );
 
     // Acceptance 3: nothing to coalesce, nothing lost.
     let base_uniform = cpc(Workload::Uniform, "tuned-pr2");
-    let adaptive_uniform = cpc(Workload::Uniform, "adaptive");
-    let uniform_delta_pct = (adaptive_uniform - base_uniform) / base_uniform * 100.0;
+    let headline_uniform = cpc(Workload::Uniform, HEADLINE);
+    let uniform_delta_pct = (headline_uniform - base_uniform) / base_uniform * 100.0;
     eprintln!(
-        "uniform cycles/call: tuned-pr2 {base_uniform:.0}, adaptive {adaptive_uniform:.0} \
+        "uniform cycles/call: tuned-pr2 {base_uniform:.0}, {HEADLINE} {headline_uniform:.0} \
          ({uniform_delta_pct:+.1}%)"
     );
     assert!(
         uniform_delta_pct <= UNIFORM_BAND_PCT,
-        "adaptive must not regress more than {UNIFORM_BAND_PCT}% vs the baseline \
+        "{HEADLINE} must not regress more than {UNIFORM_BAND_PCT}% vs the baseline \
          on the uniform workload (got {uniform_delta_pct:+.1}%)"
     );
-
-    // Acceptance 4: the controller settles on three distinct streams.
-    // Single worker: one vCPU makes the virtual-time schedule fully
-    // deterministic, so this asserts a *policy* property (the budget
-    // fixed point exists and is reached) with no interleaving noise.
-    let mut convergences = Vec::new();
-    for seed in CONVERGENCE_SEEDS {
-        let p = run_point(
-            "adaptive",
-            with_epochs(SwitchlessConfig::adaptive()),
-            Workload::Skewed,
-            seed,
-            1,
-        );
-        eprintln!(
-            "seed {seed:#x}: {} epochs, converged={}",
-            p.epochs, p.converged
-        );
-        assert!(
-            p.converged,
-            "adaptive controller must converge (identical budget vectors over the \
-             final {FINAL_EPOCHS} epochs) on seed {seed:#x}"
-        );
-        convergences.push((seed, p.epochs, p.converged));
-    }
 
     let mut out = String::new();
     let _ = write!(
@@ -416,22 +347,10 @@ fn main() {
          \"calls_per_point\": {CALLS_PER_POINT},\n  \
          \"workers\": {WORKERS},\n  \
          \"zipf_exponent\": {ZIPF_S},\n  \
-         \"improvement_pct_skewed_adaptive\": {improvement_pct:.1},\n  \
+         \"improvement_pct_skewed\": {improvement_pct:.1},\n  \
          \"uniform_delta_pct\": {uniform_delta_pct:.1},\n  \
-         \"convergence\": [\n"
+         \"workloads\": [\n"
     );
-    for (i, (seed, epochs, conv)) in convergences.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{ \"seed\": {seed}, \"epochs\": {epochs}, \"converged\": {conv} }}"
-        );
-        out.push_str(if i + 1 < convergences.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"workloads\": [\n");
     for (i, (workload, points)) in sweeps.iter().enumerate() {
         let _ = write!(
             out,

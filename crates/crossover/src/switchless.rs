@@ -235,10 +235,10 @@ pub struct DrainStats {
     /// Virtual-time cycles charged to spin-then-block waits.
     pub spin_cycles: u64,
     /// Residencies that ended because the ring ran dry before the
-    /// budget was spent (the controller's shrink signal).
+    /// budget was spent (the residency over-stayed).
     pub dry_exits: u64,
     /// Residencies that ended with budget exhausted and work possibly
-    /// left (the controller's grow signal).
+    /// left (the residency under-stayed).
     pub saturated_exits: u64,
     /// Residencies aborted by the §3.4 timeout machinery.
     pub timeout_aborts: u64,

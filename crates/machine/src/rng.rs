@@ -76,7 +76,7 @@ impl SplitMix64 {
 /// Rank 0 is the most popular element; rank `k` has weight
 /// `1 / (k + 1)^s`. Benchmarks use it to draw skewed callee
 /// distributions (a few hot service worlds, a long cold tail), the
-/// shape the switchless controller is designed around. Sampling is one
+/// shape switchless coalescing is designed around. Sampling is one
 /// uniform draw plus a binary search — O(log n) and allocation-free
 /// after construction.
 #[derive(Debug, Clone)]

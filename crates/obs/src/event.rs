@@ -51,56 +51,48 @@ pub enum EventKind {
     /// Request dead-lettered. a=seq (u64::MAX when unknown), b=reason
     /// (0=lookup crash-loop, 1=worker crash-loop).
     DeadLetter = 18,
-    /// Controller folded an epoch. a=epoch index, b=lanes in snapshot.
-    EpochFold = 19,
     /// Request reached a verdict. a=seq, b=verdict code
     /// (0=completed, 1=timed-out, 2=failed, 3=dead-lettered, 4=denied),
     /// c=1 if the request was serviced by a resident drain.
-    RequestVerdict = 20,
+    RequestVerdict = 19,
     /// Supervisor charged a stall to a worker. a=stall cycles.
-    Stall = 21,
+    Stall = 20,
     /// Gateway admitted a submission into the service. a=token, b=tenant,
     /// c=callee.
-    GatewayAdmit = 22,
+    GatewayAdmit = 21,
     /// Gateway shed a submission without servicing it. a=token, b=tenant,
     /// c=reason (0=ring-full, 1=health-shedding, 2=service-busy,
     /// 3=denied).
-    GatewayShed = 23,
+    GatewayShed = 22,
     /// Gateway delivered a batch of completions to a tenant's completion
     /// ring. a=batch size, b=tenant.
-    CompletionBatch = 24,
+    CompletionBatch = 23,
     /// Epoch table demoted cold worlds to the paged store. a=entries
     /// demoted in this maintenance pass.
-    WorldEvict = 25,
+    WorldEvict = 24,
     /// Cold worlds faulted back into the resident tree. a=refaults since
     /// the last maintenance pass.
-    WorldRefault = 26,
+    WorldRefault = 25,
     /// Retired table structures freed after their grace period.
     /// a=structures reclaimed in this maintenance pass.
-    GraceReclaim = 27,
-    /// The switchless controller's epoch fold grew a lane budget.
-    /// a=lane, b=new budget, c=epoch index of the fold that decided it.
-    BudgetGrow = 28,
-    /// The switchless controller's epoch fold shrank a lane budget.
-    /// a=lane, b=new budget, c=epoch index of the fold that decided it.
-    BudgetShrink = 29,
+    GraceReclaim = 26,
     /// The authz policy refused a call. a=seq, b=deny code (0=denied,
     /// 1=revoked, 2=rate-limited, 3=chain-too-deep), c=caller WID.
-    AuthzDeny = 30,
+    AuthzDeny = 27,
     /// A worker observed a policy-generation bump at a batch boundary
     /// (the revocation-visibility marker the one-batch bound is measured
     /// against). a=generation now visible, b=previous generation.
-    Revocation = 31,
+    Revocation = 28,
     /// The SLO watchdog raised an incident. Synthesized post-hoc on the
     /// [`WATCHDOG_TRACK`](crate::ring::WATCHDOG_TRACK) when a recorded
     /// trace is annotated — never emitted from a worker ring. a=epoch
     /// index of the breached window, b=objective code (0=latency-p99,
     /// 1=shed-rate, 2=dead-letter-budget), c=burn rate ×100.
-    SloIncident = 32,
+    SloIncident = 29,
 }
 
 impl EventKind {
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 30;
 
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::RequestEnqueue,
@@ -122,7 +114,6 @@ impl EventKind {
         EventKind::Quarantine,
         EventKind::Respawn,
         EventKind::DeadLetter,
-        EventKind::EpochFold,
         EventKind::RequestVerdict,
         EventKind::Stall,
         EventKind::GatewayAdmit,
@@ -131,8 +122,6 @@ impl EventKind {
         EventKind::WorldEvict,
         EventKind::WorldRefault,
         EventKind::GraceReclaim,
-        EventKind::BudgetGrow,
-        EventKind::BudgetShrink,
         EventKind::AuthzDeny,
         EventKind::Revocation,
         EventKind::SloIncident,
@@ -165,7 +154,6 @@ impl EventKind {
             EventKind::Quarantine => "quarantine",
             EventKind::Respawn => "respawn",
             EventKind::DeadLetter => "dead_letter",
-            EventKind::EpochFold => "epoch_fold",
             EventKind::RequestVerdict => "req_verdict",
             EventKind::Stall => "stall",
             EventKind::GatewayAdmit => "gw_admit",
@@ -174,8 +162,6 @@ impl EventKind {
             EventKind::WorldEvict => "world_evict",
             EventKind::WorldRefault => "world_refault",
             EventKind::GraceReclaim => "grace_reclaim",
-            EventKind::BudgetGrow => "budget_grow",
-            EventKind::BudgetShrink => "budget_shrink",
             EventKind::AuthzDeny => "authz_deny",
             EventKind::Revocation => "revocation",
             EventKind::SloIncident => "slo_incident",

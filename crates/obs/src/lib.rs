@@ -8,7 +8,7 @@
 //! - [`Event`] / [`EventKind`]: compact typed records stamped with virtual
 //!   cycles (request enqueue/dispatch/steal, world_call/return, WT/IWT/TLB
 //!   hit-miss deltas, resident-drain open/extend/close, supervisor faults,
-//!   controller epoch folds and budget moves).
+//!   gateway admit/shed, table maintenance and authz decisions).
 //! - [`EventRing`]: a bounded per-worker flight recorder. Each worker thread
 //!   owns its ring exclusively while running (single producer); the service
 //!   drains it after join (single consumer), so recording is lock-free and

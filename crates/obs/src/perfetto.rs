@@ -7,8 +7,8 @@
 //! 1. a valid Chrome `trace_event` file (`"traceEvents"` array — open it in
 //!    Perfetto or `chrome://tracing` directly): one track per worker, one
 //!    `"submit"` track, `"X"` complete events for request service slices and
-//!    resident drains, `s`/`f` flow arrows from enqueue to dispatch, `"i"`
-//!    instants for fault-plane events, and `"C"` counters for lane budgets;
+//!    resident drains, `s`/`f` flow arrows from enqueue to dispatch, and
+//!    `"i"` instants for fault-plane events and SLO incidents;
 //! 2. a lossless recording (`"xover"` section carries every raw event),
 //!    parsed back by [`TraceDoc::parse`] for `xover-trace` replay and
 //!    conservation checks. Extra top-level keys are explicitly allowed by
@@ -176,7 +176,7 @@ impl TraceDoc {
             }
         }
 
-        // Instants for the fault plane and controller, counters for budgets.
+        // Instants for the fault plane and SLO incidents.
         for e in &self.events {
             let tid = if e.worker == crate::ring::SUBMIT_TRACK {
                 0
@@ -189,8 +189,7 @@ impl TraceDoc {
                 | EventKind::Quarantine
                 | EventKind::Respawn
                 | EventKind::DeadLetter
-                | EventKind::Stall
-                | EventKind::EpochFold => {
+                | EventKind::Stall => {
                     emit(format!(
                         "{{\"name\": \"{}\", \"cat\": \"fault\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {:.4}, \"pid\": 1, \"tid\": {}, \
@@ -199,16 +198,6 @@ impl TraceDoc {
                         self.us(e.ts),
                         tid,
                         e.a,
-                        e.b,
-                    ));
-                }
-                EventKind::BudgetGrow | EventKind::BudgetShrink => {
-                    emit(format!(
-                        "{{\"name\": \"budget_lane_{}\", \"ph\": \"C\", \"ts\": {:.4}, \
-                         \"pid\": 1, \"tid\": {}, \"args\": {{\"budget\": {}}}}}",
-                        e.a,
-                        self.us(e.ts),
-                        tid,
                         e.b,
                     ));
                 }
@@ -342,7 +331,6 @@ mod tests {
                 Event::new(80, 1, EventKind::WorldReturn, 3, 1, 0),
                 Event::new(90, 1, EventKind::DrainClose, 3, 4, 0),
                 Event::new(95, 1, EventKind::FaultObserved, 5, 0, 0),
-                Event::new(96, 1, EventKind::BudgetGrow, 2, 16, 0),
             ],
             dropped: 0,
         }
@@ -371,20 +359,15 @@ mod tests {
             .get("traceEvents")
             .and_then(Json::as_arr)
             .expect("traceEvents array");
-        // Metadata (4) + span slice + 2 flow + drain slice + instant + counter.
-        assert!(events.len() >= 9, "got {} trace events", events.len());
+        // Metadata (4) + span slice + 2 flow + drain slice + instant.
+        assert!(events.len() >= 8, "got {} trace events", events.len());
         let phases: Vec<&str> = events
             .iter()
             .filter_map(|e| e.get("ph").and_then(Json::as_str))
             .collect();
-        for required in ["M", "X", "s", "f", "i", "C"] {
+        for required in ["M", "X", "s", "f", "i"] {
             assert!(phases.contains(&required), "missing ph {required}");
         }
-        // The directional budget events drive the per-lane counter.
-        assert!(events.iter().any(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("C")
-                && e.get("name").and_then(Json::as_str) == Some("budget_lane_2")
-        }));
     }
 
     #[test]

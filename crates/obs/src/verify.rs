@@ -198,39 +198,7 @@ pub fn verify(doc: &TraceDoc) -> ConservationReport {
         }
     }
 
-    // 7. Budget conservation: every budget change decided by the switchless
-    //    controller's epoch fold carries the epoch of the fold that decided
-    //    it, and that fold must appear in the recording — a budget move
-    //    without a fold means the controller acted outside an epoch
-    //    boundary. Recordings without budget changes skip the check, so
-    //    older traces stay valid.
-    let budget_changes =
-        event_counts[EventKind::BudgetGrow.index()] + event_counts[EventKind::BudgetShrink.index()];
-    if budget_changes > 0 && doc.dropped == 0 {
-        let folds: HashSet<u64> = doc
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::EpochFold)
-            .map(|e| e.a)
-            .collect();
-        let orphaned = doc
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::BudgetGrow | EventKind::BudgetShrink))
-            .filter(|e| !folds.contains(&e.c))
-            .count();
-        report.push(
-            "budget-changes-vs-folds",
-            orphaned == 0,
-            format!(
-                "{budget_changes} budget changes, {orphaned} without a matching epoch fold \
-                 ({} folds recorded)",
-                folds.len()
-            ),
-        );
-    }
-
-    // 8. Authz conservation: every policy denial is audited exactly once.
+    // 7. Authz conservation: every policy denial is audited exactly once.
     //    Each `AuthzDeny` event must pair with exactly one Denied-family
     //    verdict (code 4) for the same request — a deny without a verdict
     //    is a silently dropped request, a denied verdict without a deny
@@ -266,7 +234,7 @@ pub fn verify(doc: &TraceDoc) -> ConservationReport {
         );
     }
 
-    // 9. Critical-path identity: every stitched span decomposes into
+    // 8. Critical-path identity: every stitched span decomposes into
     //    named latency components that sum to its measured end-to-end
     //    cycles exactly — virtual time only advances through metered
     //    charges, so the decomposition has no unattributed residue. An
@@ -452,47 +420,6 @@ mod tests {
             .failures()
             .iter()
             .any(|c| c.name == "gateway-submitted-conservation"));
-    }
-
-    #[test]
-    fn budget_free_recording_skips_budget_check() {
-        let report = verify(&clean_doc());
-        assert!(report
-            .checks
-            .iter()
-            .all(|c| c.name != "budget-changes-vs-folds"));
-    }
-
-    #[test]
-    fn budget_change_with_matching_fold_passes() {
-        let mut doc = clean_doc();
-        doc.events
-            .push(Event::new(120, 0, EventKind::EpochFold, 3, 1, 0));
-        doc.events
-            .push(Event::new(120, 0, EventKind::BudgetGrow, 7, 16, 3));
-        doc.events
-            .push(Event::new(120, 0, EventKind::BudgetShrink, 9, 4, 3));
-        let report = verify(&doc);
-        assert!(report.ok(), "failures: {:?}", report.failures());
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "budget-changes-vs-folds"));
-    }
-
-    #[test]
-    fn orphaned_budget_change_fails() {
-        // A grow stamped with epoch 5, but no fold for epoch 5 was recorded.
-        let mut doc = clean_doc();
-        doc.events
-            .push(Event::new(120, 0, EventKind::EpochFold, 3, 1, 0));
-        doc.events
-            .push(Event::new(130, 0, EventKind::BudgetGrow, 7, 16, 5));
-        let report = verify(&doc);
-        assert!(report
-            .failures()
-            .iter()
-            .any(|c| c.name == "budget-changes-vs-folds"));
     }
 
     #[test]

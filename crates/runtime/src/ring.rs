@@ -234,8 +234,8 @@ impl<T: Send> RingSet<T> {
     }
 
     /// Queued items in `home`'s ring alone (approximate under
-    /// concurrency, like [`RingSet::len`]). The switchless controller
-    /// samples this as its ring-occupancy signal.
+    /// concurrency, like [`RingSet::len`]). The service sizes each
+    /// worker's outcome log from it at start.
     pub fn len_of(&self, home: usize) -> usize {
         self.rings[home].len()
     }

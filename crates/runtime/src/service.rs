@@ -38,9 +38,7 @@ use crate::epoch::{EpochWorldTable, TableHealth};
 use crate::ring::{PushError, RingSet};
 use crate::router::{CallOutcome, CallRequest, CallVerdict, Queued};
 use crate::supervisor::{DegradeLevel, HealthState, SupervisorSummary};
-use crate::switchless::{
-    Controller, PairTraffic, SwitchlessConfig, SwitchlessSummary, SEGMENT_LANES,
-};
+use crate::switchless::{PairTraffic, SwitchlessConfig, SwitchlessSummary, SEGMENT_LANES};
 use crate::worker::{self, WorkerContext, WorkerReport};
 
 /// Pool and table sizing, plus one switch per optional plane
@@ -293,8 +291,6 @@ pub struct WorldCallService {
     /// Attached per-callee switchless channel segments, keyed by raw
     /// WID; shared with the workers the same way.
     segments: Arc<HashMap<u64, ChannelSegment>>,
-    /// The shared budget controller (present when switchless is on).
-    controller: Option<Arc<Controller>>,
     /// Armed fault schedule; `None` (the default) and an empty plan are
     /// behaviorally identical.
     faults: Option<Arc<FaultPlan>>,
@@ -333,10 +329,6 @@ impl WorldCallService {
             rings: Arc::new(RingSet::new(config.workers, config.queue_capacity)),
             memory: Arc::default(),
             segments: Arc::default(),
-            controller: config
-                .switchless
-                .enabled()
-                .then(|| Arc::new(Controller::new(config.switchless))),
             faults: None,
             health: Arc::new(HealthState::new()),
             authz: config
@@ -605,7 +597,6 @@ impl WorldCallService {
                 clocks: Arc::clone(&self.clocks),
                 memory: Arc::clone(&self.memory),
                 switchless: self.config.switchless,
-                controller: self.controller.clone(),
                 segments: Arc::clone(&self.segments),
                 faults: self.faults.clone(),
                 health: Arc::clone(&self.health),
@@ -797,9 +788,6 @@ impl WorldCallService {
             })
             .collect();
         switchless.per_callee.sort_unstable_by_key(|p| p.callee);
-        if let Some(ctl) = &self.controller {
-            switchless.epochs = ctl.history();
-        }
         // Rings indexed by worker id; a panicked worker leaves an empty
         // ring in its slot rather than shifting everyone else's.
         let mut worker_rings = self
@@ -1390,28 +1378,6 @@ mod tests {
             .find(|o| o.verdict == CallVerdict::TimedOut)
             .unwrap();
         assert!(buster.coalesced, "the buster died inside the residency");
-    }
-
-    #[test]
-    fn adaptive_controller_records_epochs_while_serving() {
-        let (mut svc, caller, callee) = switchless_service(
-            1,
-            SwitchlessConfig {
-                epoch_cycles: 50_000,
-                ..SwitchlessConfig::adaptive()
-            },
-        );
-        for _ in 0..512 {
-            svc.submit(CallRequest::new(caller, callee, 500, 100))
-                .unwrap();
-        }
-        svc.start();
-        let report = svc.drain();
-        assert_eq!(report.completed, 512);
-        assert!(
-            !report.switchless.epochs.is_empty(),
-            "the controller ticked at least once"
-        );
     }
 
     #[test]

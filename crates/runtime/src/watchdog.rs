@@ -16,10 +16,10 @@
 //!    decision event's `ts`. Epochs `0..=last` are then judged in
 //!    order, so the result is a function of the samples alone — not of
 //!    their order, nor of how the host interleaved the workers.
-//! 3. **No static thresholds.** Like the switchless controller, the
-//!    watchdog learns its baselines from the first `BASELINE_EPOCHS` (4)
-//!    epochs of the run itself; objectives fire on *burn rate* — observed
-//!    value over learned baseline — not on absolute numbers. The only
+//! 3. **No static thresholds.** The watchdog learns its baselines from
+//!    the first `BASELINE_EPOCHS` (4) epochs of the run itself;
+//!    objectives fire on *burn rate* — observed value over learned
+//!    baseline — not on absolute numbers. The only
 //!    fixed quantities are resolution floors (a baseline below the floor
 //!    is clamped up to it) so a clean run's zero-valued baselines cannot
 //!    make the first stray shed an incident.

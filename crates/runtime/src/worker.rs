@@ -19,7 +19,7 @@
 //! * **coalesced** — when the callee has an attached
 //!   [`ChannelSegment`], the batch's same-(caller, callee) runs are
 //!   drained *resident*: one save + `world_call` opens the residency,
-//!   then up to the controller's budget of requests are serviced back
+//!   then up to the configured budget of requests are serviced back
 //!   to back (each paying priced request-read and response-write slot
 //!   accesses through the worker TLB), then one return + restore closes
 //!   it. A residency that drains the ring dry spins briefly
@@ -68,7 +68,7 @@ use crate::supervisor::{
     DegradeLevel, HealthState, Supervisor, SupervisorReport, CORRUPTION_ESCALATION_STRIKES,
     LOOKUP_RETRIES, RESPAWN_CAP,
 };
-use crate::switchless::{Controller, SwitchlessConfig, SwitchlessWorkerStats, SPIN_CYCLES};
+use crate::switchless::{SwitchlessConfig, SwitchlessWorkerStats, SPIN_CYCLES};
 
 /// Everything a worker thread needs; built by the service at start.
 pub(crate) struct WorkerContext {
@@ -83,8 +83,6 @@ pub(crate) struct WorkerContext {
     pub memory: Arc<HashMap<u64, WorldMemory>>,
     /// Switchless layer configuration.
     pub switchless: SwitchlessConfig,
-    /// The shared budget controller (present when switchless is on).
-    pub controller: Option<Arc<Controller>>,
     /// Attached per-callee channel segments, keyed by raw WID.
     pub segments: Arc<HashMap<u64, ChannelSegment>>,
     /// Armed fault schedule (`None`, and an empty plan, are strict
@@ -252,10 +250,6 @@ struct Engine<'a> {
     /// off; events are stamped with the worker's virtual clock and
     /// charge zero virtual cycles, so obs-on runs stay cycle-exact).
     obs: Recorder,
-    /// Last published per-lane budgets, so epoch folds emit
-    /// `BudgetGrow`/`BudgetShrink` only for lanes whose budget actually
-    /// changed.
-    last_budgets: HashMap<usize, usize>,
     /// Shared callee-side authz policy. `None` (the plane off) makes
     /// enforcement a single branch per group — no checks, no events —
     /// so the off configuration stays cycle-exact with the pre-authz
@@ -1060,6 +1054,9 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // everything before it has already been purged from the WT/IWT
     // caches.
     let mut retire_cursor = 0usize;
+    // Calls one coalesced residency may drain; below 2 every batch rides
+    // the classic path.
+    let budget = ctx.switchless.resident_budget();
     let mut engine = Engine {
         platform: &mut ctx.platform,
         unit: &mut unit,
@@ -1078,7 +1075,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         supervisor: Supervisor::new(ctx.index),
         health: Arc::clone(&ctx.health),
         obs: Recorder::for_track(&ctx.obs, ctx.index as u32),
-        last_budgets: HashMap::new(),
         authz: ctx.authz.clone(),
         authz_gen_seen: ctx.authz.as_ref().map(|p| p.generation()).unwrap_or(0),
     };
@@ -1244,11 +1240,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // degradation ladder once a quiet window has passed.
         engine.health.maybe_recover(engine.now());
         let callee = batch[0].req.callee;
-        let occupancy = ctx.rings.len_of(ctx.index) as u64 + backlog.len() as u64;
-        let budget = match (&ctx.controller, ctx.switchless.enabled()) {
-            (Some(c), true) => c.budget_for(callee),
-            _ => 0,
-        };
         let segment = if budget >= 2 && !engine.health.classic_only() {
             ctx.segments.get(&callee.raw())
         } else {
@@ -1272,48 +1263,11 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
                         // dry unless it used its whole budget.
                         let dry = chunk.len() < budget;
                         engine.coalesced(seg, caller, callee, chunk, dry);
-                        if let Some(c) = &ctx.controller {
-                            c.observe(callee, chunk.len() as u64, dry, !dry, occupancy);
-                        }
                     }
                 }
                 _ => {
                     for (queued, was_stolen) in group {
                         engine.classic(queued, *was_stolen);
-                    }
-                }
-            }
-        }
-        if let Some(c) = &ctx.controller {
-            // The fold itself must run whether or not obs is on (it is
-            // the controller's side effect); only the event emission is
-            // conditional.
-            let snap = c.tick(engine.platform.cpu().meter().cycles());
-            if engine.obs.enabled() {
-                if let Some(snap) = snap {
-                    engine.emit(
-                        EventKind::EpochFold,
-                        snap.epoch,
-                        snap.budgets.len() as u64,
-                        0,
-                    );
-                    for (lane, budget) in &snap.budgets {
-                        // The deciding fold's epoch rides in `c` so the
-                        // trace verifier can tie every budget change to
-                        // its fold. A lane's first sighting diffs
-                        // against the configured starting budget.
-                        let prev = engine
-                            .last_budgets
-                            .insert(*lane, *budget)
-                            .unwrap_or(ctx.switchless.batch_budget);
-                        let kind = if *budget > prev {
-                            EventKind::BudgetGrow
-                        } else if *budget < prev {
-                            EventKind::BudgetShrink
-                        } else {
-                            continue;
-                        };
-                        engine.emit(kind, *lane as u64, *budget as u64, snap.epoch);
                     }
                 }
             }

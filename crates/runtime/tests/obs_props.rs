@@ -5,8 +5,7 @@
 //! the flight recorder's contract:
 //!
 //! 1. **Recordings conserve.** Per-kind event counts equal the
-//!    machine-level transition counts, and every budget change names
-//!    its epoch fold.
+//!    machine-level transition counts.
 //! 2. **Overflow is head-anchored and exactly counted.** A ring that
 //!    fills keeps its oldest `capacity` events (the run's beginning is
 //!    what a flight recorder must preserve), drops the newest, and
@@ -22,20 +21,15 @@ mod common;
 
 use common::{assert_cycle_exact, single_worker};
 use xover_runtime::{
-    build_spans, trace_doc, CallVerdict, EventKind, ObsConfig, RuntimeConfig, ServiceReport,
-    SwitchlessConfig,
+    build_spans, trace_doc, CallVerdict, ObsConfig, RuntimeConfig, ServiceReport, SwitchlessConfig,
 };
 
 const SEED: u64 = 0x0B5E_2BE5;
 const CALLS: u64 = 600;
 
 fn run(obs: ObsConfig) -> ServiceReport {
-    run_with(obs, SwitchlessConfig::fixed(8))
-}
-
-fn run_with(obs: ObsConfig, switchless: SwitchlessConfig) -> ServiceReport {
     let config = RuntimeConfig {
-        switchless,
+        switchless: SwitchlessConfig::fixed(8),
         obs,
         ..single_worker(CALLS)
     };
@@ -69,41 +63,6 @@ fn lossless_recording_conserves_transition_counts() {
     let round = xover_runtime::TraceDoc::parse(&doc.render_json()).expect("round-trip");
     assert_eq!(round.events.len(), doc.events.len());
     assert_eq!(round.counts, doc.counts);
-}
-
-/// Leg 1b: a recorded adaptive run moves real budgets, and `verify`'s
-/// budget-changes-vs-folds check (which synthetic unit events otherwise
-/// exercise alone) passes on it: every `BudgetGrow`/`BudgetShrink` the
-/// switchless controller's fold emits names a recorded epoch fold.
-#[test]
-fn adaptive_recording_ties_every_budget_change_to_its_fold() {
-    let report = run_with(
-        ObsConfig::ring(),
-        SwitchlessConfig {
-            epoch_cycles: 50_000,
-            ..SwitchlessConfig::adaptive()
-        },
-    );
-    let doc = trace_doc("obs_props", &report, 3.4).expect("obs enabled");
-    assert_eq!(doc.dropped, 0, "the check needs a lossless recording");
-    let moves = doc
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::BudgetGrow | EventKind::BudgetShrink))
-        .count();
-    assert!(moves > 0, "the adaptive fold moved no budget");
-    let conservation = xover_runtime::verify(&doc);
-    let check = conservation
-        .checks
-        .iter()
-        .find(|c| c.name == "budget-changes-vs-folds")
-        .expect("budget changes were recorded, so the check must run");
-    assert!(check.passed, "budget check failed: {}", check.detail);
-    assert!(
-        conservation.ok(),
-        "conservation checks failed: {:?}",
-        conservation.failures()
-    );
 }
 
 /// Leg 2: a deliberately tiny ring keeps the oldest events, drops the

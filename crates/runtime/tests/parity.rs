@@ -12,7 +12,9 @@
 //! Each run also checks what its own setup promises (`check_setup`):
 //! a recording that has events and no drops, an authz plane that
 //! checked every call and denied none, and zero supervisor activity
-//! under an empty plan.
+//! under an empty plan. A last check pins
+//! `SwitchlessConfig::adaptive()`, kept only for perfbench, to
+//! `fixed(16)` cycle for cycle.
 
 mod common;
 
@@ -146,4 +148,28 @@ fn every_plane_is_cycle_exact_against_its_reference() {
             assert_cycle_exact(&a, &b, &label);
         }
     }
+}
+
+/// `adaptive()` is perfbench's spelling of switchless at the default
+/// budget; it must run exactly as `fixed(16)` does. The stream is
+/// longer than `CALLS` (2,000 calls, ~4.6M cycles) because the shorter
+/// stream's same-caller runs are too short for lane budgets of 4 or 8
+/// to change the cycle count, so it could not tell them from 16.
+#[test]
+fn adaptive_is_cycle_exact_against_fixed_16() {
+    const LONG_CALLS: u64 = 2_000;
+    let run_with = |switchless| {
+        let config = RuntimeConfig {
+            switchless,
+            ..single_worker(LONG_CALLS)
+        };
+        run(config, None, SEED, LONG_CALLS)
+    };
+    let a = run_with(SwitchlessConfig::adaptive());
+    let b = run_with(SwitchlessConfig::fixed(16));
+    assert!(
+        b.switchless.drain.coalesced_calls > 0,
+        "fixed(16) coalesces"
+    );
+    assert_cycle_exact(&a, &b, "adaptive() vs fixed(16)");
 }

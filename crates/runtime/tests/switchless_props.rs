@@ -35,6 +35,10 @@ use xover_runtime::{
 const SEEDS: [u64; 3] = [0xE9_0A11, 0x5EED_0002, 0xFA11_BACC];
 const CALLS: u64 = 800;
 const FIXED_BUDGET: usize = 8;
+/// Resident budgets the equivalence properties sweep: 2 splits nearly
+/// every same-caller run into several residencies, 16 is the serving
+/// benchmark's budget.
+const BUDGETS: [usize; 3] = [2, FIXED_BUDGET, 16];
 const WORKING_SET_PAGES: u64 = 8;
 
 /// Full save → call → return → restore price of one classic call (and
@@ -186,30 +190,34 @@ fn coalesced_path_is_cycle_exact_against_classic() {
     let pair = transition_pair_cycles() as i128;
     for seed in SEEDS {
         let off = run(SwitchlessConfig::default(), seed, 0);
-        let sw = run(SwitchlessConfig::fixed(FIXED_BUDGET), seed, 0);
-        let coalesced = assert_outcomes_equivalent(&off, &sw);
-        assert!(
-            coalesced > CALLS / 10,
-            "schedule must actually exercise coalescing (got {coalesced} of {CALLS})"
-        );
-        assert_transition_counts(&off, &sw);
+        for budget in BUDGETS {
+            let sw = run(SwitchlessConfig::fixed(budget), seed, 0);
+            let coalesced = assert_outcomes_equivalent(&off, &sw);
+            assert!(
+                coalesced > CALLS / 10,
+                "budget {budget}: schedule must actually exercise coalescing \
+                 (got {coalesced} of {CALLS})"
+            );
+            assert_transition_counts(&off, &sw);
 
-        let drain = &sw.switchless.drain;
-        let lhs = off.smp.total_cycles() as i128 - sw.smp.total_cycles() as i128;
-        let rhs = (drain.coalesced_calls as i128 - drain.transition_pairs as i128) * pair
-            - drain.slot_cycles as i128
-            - drain.spin_cycles as i128;
-        assert_eq!(
-            lhs, rhs,
-            "seed {seed:#x}: cycle delta must equal saved pairs minus channel overhead \
-             (coalesced {}, pairs {}, slot {}, spin {})",
-            drain.coalesced_calls, drain.transition_pairs, drain.slot_cycles, drain.spin_cycles
-        );
-        // The layer must actually win on this schedule, not just match.
-        assert!(
-            lhs > 0,
-            "seed {seed:#x}: coalescing must be a net cycle saving (delta {lhs})"
-        );
+            let drain = &sw.switchless.drain;
+            let lhs = off.smp.total_cycles() as i128 - sw.smp.total_cycles() as i128;
+            let rhs = (drain.coalesced_calls as i128 - drain.transition_pairs as i128) * pair
+                - drain.slot_cycles as i128
+                - drain.spin_cycles as i128;
+            assert_eq!(
+                lhs, rhs,
+                "seed {seed:#x}, budget {budget}: cycle delta must equal saved pairs minus \
+                 channel overhead (coalesced {}, pairs {}, slot {}, spin {})",
+                drain.coalesced_calls, drain.transition_pairs, drain.slot_cycles, drain.spin_cycles
+            );
+            // The layer must actually win on this schedule, not just match.
+            assert!(
+                lhs > 0,
+                "seed {seed:#x}, budget {budget}: coalescing must be a net cycle saving \
+                 (delta {lhs})"
+            );
+        }
     }
 }
 
@@ -223,14 +231,15 @@ fn coalesced_path_is_cycle_exact_against_classic() {
 fn coalesced_path_is_behavior_equivalent_with_memory_touches() {
     for seed in SEEDS {
         let off = run(SwitchlessConfig::default(), seed, 2 * WORKING_SET_PAGES);
-        let sw = run(
-            SwitchlessConfig::fixed(FIXED_BUDGET),
-            seed,
-            2 * WORKING_SET_PAGES,
-        );
-        let coalesced = assert_outcomes_equivalent(&off, &sw);
-        assert!(coalesced > 0, "touching schedule must still coalesce");
-        assert_transition_counts(&off, &sw);
+        for budget in BUDGETS {
+            let sw = run(SwitchlessConfig::fixed(budget), seed, 2 * WORKING_SET_PAGES);
+            let coalesced = assert_outcomes_equivalent(&off, &sw);
+            assert!(
+                coalesced > 0,
+                "budget {budget}: touching schedule must still coalesce"
+            );
+            assert_transition_counts(&off, &sw);
+        }
     }
 }
 

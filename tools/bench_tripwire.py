@@ -41,7 +41,7 @@ SPECS = {
         ("improvement_pct_4_workers", 8.0, True),
     ],
     "BENCH_switchless.json": [
-        ("improvement_pct_skewed_adaptive", 8.0, True),
+        ("improvement_pct_skewed", 8.0, True),
         ("uniform_delta_pct", 8.0, False),
     ],
     "BENCH_faults.json": [
