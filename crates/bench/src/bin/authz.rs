@@ -95,7 +95,7 @@ fn build(workers: usize, authz: AuthzConfig, obs: ObsConfig) -> Harness {
         workers,
         queue_capacity: 8_192,
         batch_max: BATCH_MAX,
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         authz,
         obs,
         ..RuntimeConfig::default()

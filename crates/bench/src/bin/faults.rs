@@ -184,7 +184,7 @@ fn chaos_matrix() -> (Vec<ChaosRow>, Vec<u64>) {
             let report = run(
                 Some(plan),
                 workers,
-                SwitchlessConfig::fixed(8),
+                SwitchlessConfig::on(),
                 CHAOS_CALLS,
                 true,
                 ObsConfig::off(),
@@ -245,7 +245,7 @@ fn trace_run(trace_path: &str) {
     let report = run(
         Some(plan),
         2,
-        SwitchlessConfig::fixed(8),
+        SwitchlessConfig::on(),
         CHAOS_CALLS,
         true,
         ObsConfig::ring(),
@@ -272,7 +272,7 @@ fn main() {
     let bare = run(
         None,
         1,
-        SwitchlessConfig::fixed(8),
+        SwitchlessConfig::on(),
         PARITY_CALLS,
         true,
         ObsConfig::off(),
@@ -280,7 +280,7 @@ fn main() {
     let armed = run(
         Some(FaultPlan::new()),
         1,
-        SwitchlessConfig::fixed(8),
+        SwitchlessConfig::on(),
         PARITY_CALLS,
         true,
         ObsConfig::off(),
@@ -342,7 +342,7 @@ fn main() {
     let engaged = run(
         None,
         1,
-        SwitchlessConfig::fixed(8),
+        SwitchlessConfig::on(),
         DEGRADED_CALLS,
         false,
         ObsConfig::off(),
@@ -373,7 +373,7 @@ fn main() {
     let stormed = run(
         Some(storm),
         1,
-        SwitchlessConfig::fixed(8),
+        SwitchlessConfig::on(),
         DEGRADED_CALLS,
         false,
         ObsConfig::off(),

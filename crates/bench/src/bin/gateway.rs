@@ -131,7 +131,7 @@ fn service_config(calls: usize, switchless: SwitchlessConfig, obs: ObsConfig) ->
 
 /// Runs a trace through the ring-mode gateway.
 fn run_gateway(trace: &[Arrival], tenants: Vec<TenantConfig>, obs: ObsConfig) -> GatewayReport {
-    let (svc, worlds) = build_service(service_config(trace.len(), SwitchlessConfig::fixed(8), obs));
+    let (svc, worlds) = build_service(service_config(trace.len(), SwitchlessConfig::on(), obs));
     let mut gw = Gateway::new(GatewayConfig::rings(tenants));
     let mut rng = SplitMix64::new(SEED ^ 0xFEED);
     for a in trace {

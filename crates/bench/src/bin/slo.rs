@@ -156,7 +156,7 @@ fn run_shift(seed: u64, calls: u64, shift_at: u64) -> (ServiceReport, u64) {
         workers: 1,
         queue_capacity: calls as usize + 16,
         batch_max: 32,
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         obs: ObsConfig::ring_with_capacity(1 << 20),
         ..RuntimeConfig::default()
     });
@@ -225,7 +225,7 @@ fn main() {
             CLEAN_CALLS,
             2,
             None,
-            SwitchlessConfig::fixed(8),
+            SwitchlessConfig::on(),
             ObsConfig::off(),
         );
         let wd = watch(&report);

@@ -1,9 +1,10 @@
 //! Switchless fast-path ablation: emit `BENCH_switchless.json`.
 //!
-//! Sweeps the switchless layer's one knob, the resident budget
-//! (`fixed-4` / `fixed-16` / `fixed-32`: the most calls one residency
-//! may drain), against the PR-2 tuned hot path (lock-free rings +
-//! unified TLB, switchless **off**) on the same seeded request stream.
+//! Sweeps the pop size `batch_max` (4 / 16 / 32), which bounds the
+//! same-caller run one residency drains, and runs switchless off (the
+//! PR-2 tuned hot path: lock-free rings + unified TLB) and on at each
+//! point over the same seeded request stream. Switchless has no knob of
+//! its own, so the headline compares `on-32` against `off-32`.
 //!
 //! Two workloads bound the design from both sides:
 //!
@@ -16,17 +17,16 @@
 //!
 //! The binary asserts the PR's acceptance criteria in-process:
 //!
-//! 1. on the skewed workload, `fixed-16` (the default budget) spends
-//!    ≥ 25% fewer simulated cycles per completed call than the
-//!    tuned-PR2 baseline;
+//! 1. on the skewed workload, `on-32` spends ≥ 25% fewer simulated
+//!    cycles per completed call than `off-32`;
 //! 2. the hottest (caller, callee) pair pays < 1.0 world transitions
-//!    per call under `fixed-16` (the classic path pays exactly 2.0);
-//! 3. on the uniform workload, `fixed-16` does not regress (≤ 5%
-//!    slower at worst) — the layer stays out of the way when same-pair
-//!    runs are rare.
+//!    per call under `on-32` (the classic path pays exactly 2.0);
+//! 3. on the uniform workload, `on-32` does not regress (≤ 5% slower
+//!    at worst) — the layer stays out of the way when same-pair runs
+//!    are rare.
 //!
 //! Usage: `switchless [output-path] [--trace-out PATH]` (default
-//! `BENCH_switchless.json`). With `--trace-out` the fixed-16/skewed
+//! `BENCH_switchless.json`). With `--trace-out` the on-32/skewed
 //! point is re-run with the obs plane recording and its combined
 //! Perfetto/recording JSON written to the given path — the resident
 //! drains show up as `drain wA→wB` slices on the worker tracks.
@@ -46,11 +46,15 @@ const SEED: u64 = 0x5EED_C0A1;
 /// Zipf exponent for the skewed workload's caller/callee draws.
 const ZIPF_S: f64 = 1.3;
 const WORKING_SET_PAGES: u64 = 8;
-/// The asserted configuration: switchless at the default budget.
-const HEADLINE: &str = "fixed-16";
-/// Acceptance 1: fixed-16 vs tuned-PR2 baseline, skewed workload.
+/// The `batch_max` the asserts and the recording run at.
+const HEADLINE_BATCH_MAX: usize = 32;
+/// The asserted configuration: switchless on at the headline pop.
+const HEADLINE: &str = "on-32";
+/// What the headline is measured against: switchless off, same pop.
+const BASELINE: &str = "off-32";
+/// Acceptance 1: on-32 vs off-32, skewed workload.
 const MIN_IMPROVEMENT_PCT: f64 = 25.0;
-/// Acceptance 3: fixed-16 vs baseline, uniform workload, either way.
+/// Acceptance 3: on-32 vs off-32, uniform workload, either way.
 const UNIFORM_BAND_PCT: f64 = 5.0;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -68,27 +72,30 @@ impl Workload {
     }
 }
 
-fn configs() -> Vec<(&'static str, SwitchlessConfig)> {
+/// Sweep points: `(name, batch_max, switchless)`.
+fn configs() -> Vec<(&'static str, usize, SwitchlessConfig)> {
+    let (off, on) = (SwitchlessConfig::default(), SwitchlessConfig::on());
     vec![
-        ("tuned-pr2", SwitchlessConfig::default()), // mode Off
-        ("fixed-4", SwitchlessConfig::fixed(4)),
-        (HEADLINE, SwitchlessConfig::fixed(16)),
-        ("fixed-32", SwitchlessConfig::fixed(32)),
+        ("off-4", 4, off),
+        ("on-4", 4, on),
+        ("off-16", 16, off),
+        ("on-16", 16, on),
+        (BASELINE, HEADLINE_BATCH_MAX, off),
+        (HEADLINE, HEADLINE_BATCH_MAX, on),
     ]
 }
 
 /// Eight guest worlds (4 tenants × user/kernel), working sets and
 /// switchless channels on all of them.
 fn build_service(
+    batch_max: usize,
     switchless: SwitchlessConfig,
     obs: ObsConfig,
 ) -> (WorldCallService, Vec<crossover::world::Wid>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: WORKERS,
         queue_capacity: CALLS_PER_POINT as usize,
-        // Deeper batches give coalescing (and destination batching in
-        // the baseline) the same headroom — identical for every config.
-        batch_max: 32,
+        batch_max,
         switchless,
         obs,
         ..RuntimeConfig::default()
@@ -153,6 +160,7 @@ fn draw_request(
 
 struct Point {
     name: &'static str,
+    batch_max: usize,
     completed: u64,
     cycles_per_call: f64,
     makespan_cycles: u64,
@@ -172,8 +180,13 @@ struct Point {
     saturated_exits: u64,
 }
 
-fn run_point(name: &'static str, switchless: SwitchlessConfig, workload: Workload) -> Point {
-    let (mut svc, worlds) = build_service(switchless, ObsConfig::off());
+fn run_point(
+    name: &'static str,
+    batch_max: usize,
+    switchless: SwitchlessConfig,
+    workload: Workload,
+) -> Point {
+    let (mut svc, worlds) = build_service(batch_max, switchless, ObsConfig::off());
     let zipf = Zipf::new(worlds.len(), ZIPF_S);
     let mut rng = SplitMix64::new(SEED);
     for _ in 0..CALLS_PER_POINT {
@@ -190,6 +203,7 @@ fn run_point(name: &'static str, switchless: SwitchlessConfig, workload: Workloa
     let hot = sw.hottest_pair();
     Point {
         name,
+        batch_max,
         completed: report.completed,
         cycles_per_call: report.smp.total_cycles() as f64 / report.completed as f64,
         makespan_cycles: report.smp.makespan_cycles(),
@@ -211,6 +225,7 @@ fn write_point(out: &mut String, p: &Point) {
         out,
         "      {{\n\
          \x20       \"name\": \"{}\",\n\
+         \x20       \"batch_max\": {},\n\
          \x20       \"completed\": {},\n\
          \x20       \"cycles_per_call\": {:.1},\n\
          \x20       \"makespan_cycles\": {},\n\
@@ -226,6 +241,7 @@ fn write_point(out: &mut String, p: &Point) {
          \x20       \"saturated_exits\": {}\n\
          \x20     }}",
         p.name,
+        p.batch_max,
         p.completed,
         p.cycles_per_call,
         p.makespan_cycles,
@@ -242,10 +258,14 @@ fn write_point(out: &mut String, p: &Point) {
     );
 }
 
-/// Records the fixed-16/skewed point with the obs plane on and writes
+/// Records the on-32/skewed point with the obs plane on and writes
 /// the combined Perfetto/recording document.
 fn trace_run(trace_path: &str) {
-    let (mut svc, worlds) = build_service(SwitchlessConfig::fixed(16), ObsConfig::ring());
+    let (mut svc, worlds) = build_service(
+        HEADLINE_BATCH_MAX,
+        SwitchlessConfig::on(),
+        ObsConfig::ring(),
+    );
     let zipf = Zipf::new(worlds.len(), ZIPF_S);
     let mut rng = SplitMix64::new(SEED);
     for _ in 0..CALLS_PER_POINT {
@@ -254,7 +274,7 @@ fn trace_run(trace_path: &str) {
     }
     svc.start();
     let report = svc.drain();
-    let doc = trace_doc("switchless fixed-16 skewed", &report, FREQUENCY_GHZ)
+    let doc = trace_doc("switchless on-32 skewed", &report, FREQUENCY_GHZ)
         .expect("obs was enabled for the traced run");
     std::fs::write(trace_path, doc.render_json()).expect("write trace json");
     eprintln!("wrote {trace_path} ({} events)", doc.events.len());
@@ -275,8 +295,8 @@ fn main() {
     let mut sweeps: Vec<(Workload, Vec<Point>)> = Vec::new();
     for workload in [Workload::Skewed, Workload::Uniform] {
         let mut points = Vec::new();
-        for (name, cfg) in configs() {
-            let p = run_point(name, cfg, workload);
+        for (name, batch_max, cfg) in configs() {
+            let p = run_point(name, batch_max, cfg, workload);
             eprintln!(
                 "{:>8} {:>10}  {:>6.0} cyc/call  {:.3} trans/call  hot {:.3}  \
                  coalesced {:>5}  dry/sat {:>4}/{:<4}",
@@ -304,17 +324,17 @@ fn main() {
     };
 
     // Acceptance 1: coalescing pays on the workload it is built for.
-    let base_skewed = cpc(Workload::Skewed, "tuned-pr2");
+    let base_skewed = cpc(Workload::Skewed, BASELINE);
     let headline_skewed = cpc(Workload::Skewed, HEADLINE);
     let improvement_pct = (base_skewed - headline_skewed) / base_skewed * 100.0;
     eprintln!(
-        "skewed cycles/call: tuned-pr2 {base_skewed:.0}, {HEADLINE} {headline_skewed:.0} \
+        "skewed cycles/call: {BASELINE} {base_skewed:.0}, {HEADLINE} {headline_skewed:.0} \
          ({improvement_pct:.1}% fewer)"
     );
     assert!(
         improvement_pct >= MIN_IMPROVEMENT_PCT,
-        "{HEADLINE} must spend >= {MIN_IMPROVEMENT_PCT}% fewer cycles/call than the \
-         tuned-PR2 baseline on the skewed workload (got {improvement_pct:.1}%)"
+        "{HEADLINE} must spend >= {MIN_IMPROVEMENT_PCT}% fewer cycles/call than \
+         {BASELINE} on the skewed workload (got {improvement_pct:.1}%)"
     );
 
     // Acceptance 2: the hot pair amortizes below one transition per call
@@ -327,16 +347,16 @@ fn main() {
     );
 
     // Acceptance 3: nothing to coalesce, nothing lost.
-    let base_uniform = cpc(Workload::Uniform, "tuned-pr2");
+    let base_uniform = cpc(Workload::Uniform, BASELINE);
     let headline_uniform = cpc(Workload::Uniform, HEADLINE);
     let uniform_delta_pct = (headline_uniform - base_uniform) / base_uniform * 100.0;
     eprintln!(
-        "uniform cycles/call: tuned-pr2 {base_uniform:.0}, {HEADLINE} {headline_uniform:.0} \
+        "uniform cycles/call: {BASELINE} {base_uniform:.0}, {HEADLINE} {headline_uniform:.0} \
          ({uniform_delta_pct:+.1}%)"
     );
     assert!(
         uniform_delta_pct <= UNIFORM_BAND_PCT,
-        "{HEADLINE} must not regress more than {UNIFORM_BAND_PCT}% vs the baseline \
+        "{HEADLINE} must not regress more than {UNIFORM_BAND_PCT}% vs {BASELINE} \
          on the uniform workload (got {uniform_delta_pct:+.1}%)"
     );
 

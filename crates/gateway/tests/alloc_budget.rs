@@ -68,7 +68,7 @@ fn build_service() -> (WorldCallService, Vec<[crossover::world::Wid; 2]>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
         queue_capacity: CALLS as usize + 16,
-        switchless: SwitchlessConfig::fixed(16),
+        switchless: SwitchlessConfig::on(),
         ..RuntimeConfig::default()
     });
     let mut worlds = Vec::new();

@@ -55,7 +55,7 @@ fn build_service_on(
         workers,
         queue_capacity: CALLS as usize + 16,
         batch_max: 32,
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         obs,
         ..RuntimeConfig::default()
     });

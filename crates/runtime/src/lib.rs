@@ -46,13 +46,13 @@
 //!   shared guest memory) are serviced by *resident dispatchers*: one
 //!   save/`world_call`/return/restore transition pair amortized over a
 //!   coalesced same-(caller, callee) batch, every request/response slot
-//!   access priced through the worker TLB. Every residency drains at
-//!   most the configured [`SwitchlessConfig::batch_budget`] calls: a
-//!   fixed budget beat the adaptive controller that once tuned it on
-//!   every workload measured, with no shared state between workers
-//!   ([`switchless::SwitchlessMode::Off`] keeps PR-2 behavior bit for
-//!   bit). A channel serves every caller the authz plane admitted; it
-//!   makes no admission decision of its own.
+//!   access priced through the worker TLB. Switchless is on or off
+//!   ([`SwitchlessConfig::on`]; the default, off, keeps PR-2 behavior
+//!   bit for bit). A residency serves the whole same-caller run the
+//!   worker popped, so its length follows `batch_max` with no knob of
+//!   its own, and a residency a §3.4 timeout aborts reopens for its
+//!   un-serviced tail. A channel serves every caller the authz plane
+//!   admitted; it makes no admission decision of its own.
 //! * [`authz`] — the callee-side authorization the paper's §3 defers
 //!   to software: capability grants with generation-stamped revocation
 //!   (`delete_world` auto-revokes, so a stale WID never authorizes as
@@ -102,8 +102,7 @@ pub use service::{
 };
 pub use supervisor::{DegradeLevel, HealthState, Supervisor, SupervisorReport, SupervisorSummary};
 pub use switchless::{
-    EpochSnapshot, PairTraffic, SwitchlessConfig, SwitchlessMode, SwitchlessSummary,
-    SwitchlessWorkerStats,
+    EpochSnapshot, PairTraffic, SwitchlessConfig, SwitchlessSummary, SwitchlessWorkerStats,
 };
 pub use watchdog::{
     evaluate, incident_events, incidents_to_json, Contributor, Incident, Objective, WatchdogSummary,

@@ -47,7 +47,7 @@ use crate::worker::{self, WorkerContext, WorkerReport};
 /// A value lives here only when callers outside the tests need it at
 /// two settings; everything else is a constant next to the code that
 /// uses it (the healing policy's in [`crate::supervisor`], the
-/// switchless budget rails in [`crate::switchless`], the SLO
+/// switchless spin and lane constants in [`crate::switchless`], the SLO
 /// watchdog's in [`crate::watchdog`], which reads a drained report and
 /// has no setting at all). Worker WT/IWT caches take
 /// [`crossover::wtc::CacheGeometry::default`] without the §5.1
@@ -1306,7 +1306,7 @@ mod tests {
 
     #[test]
     fn switchless_amortizes_transitions_below_one_per_call() {
-        let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::fixed(16));
+        let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::on());
         for _ in 0..128 {
             svc.submit(CallRequest::new(caller, callee, 500, 100))
                 .unwrap();
@@ -1342,7 +1342,7 @@ mod tests {
             report.smp.total_cycles()
         };
         let classic = run(SwitchlessConfig::default());
-        let coalesced = run(SwitchlessConfig::fixed(16));
+        let coalesced = run(SwitchlessConfig::on());
         assert!(
             coalesced < classic,
             "coalesced {coalesced} must undercut classic {classic}"
@@ -1350,10 +1350,10 @@ mod tests {
     }
 
     #[test]
-    fn timeout_aborts_residency_and_rest_of_chunk_goes_classic() {
-        let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::fixed(16));
+    fn timeout_reopens_a_residency_for_the_tail() {
+        let (mut svc, caller, callee) = switchless_service(1, SwitchlessConfig::on());
         // Two sane calls, one budget-buster, then more sane calls — all
-        // one (caller, callee) pair, so they coalesce into one chunk.
+        // one (caller, callee) pair, so they pop as one 16-call run.
         for i in 0..16u64 {
             let req = CallRequest::new(caller, callee, 400, 40);
             let req = if i == 2 {
@@ -1367,11 +1367,13 @@ mod tests {
         let report = svc.drain();
         assert_eq!(report.timed_out, 1, "only the buster times out");
         assert_eq!(report.completed, 15);
-        assert_eq!(report.switchless.drain.timeout_aborts, 1);
-        assert!(
-            report.switchless.classic_calls > 0,
-            "the aborted residency's leftovers fall back to classic"
+        let sw = &report.switchless;
+        assert_eq!(sw.drain.timeout_aborts, 1);
+        assert_eq!(
+            sw.drain.transition_pairs, 2,
+            "the aborted residency and the one reopened for its tail"
         );
+        assert_eq!(sw.classic_calls, 0, "no call rides the classic path");
         let buster = report
             .outcomes
             .iter()
@@ -1388,14 +1390,16 @@ mod tests {
         // working-set touches, where 3% of calls carry a budget below
         // their body work and the rest a generous one, must cancel
         // exactly the abusive calls whether 1, 2, 4 or 8 workers drain
-        // it.
+        // it, classic or switchless (where many of the timeouts abort a
+        // residency).
         use machine::rng::SplitMix64;
         const CALLS: usize = 2_000;
         const PAGES: u64 = 16;
-        let run = |workers: usize| {
+        let run = |workers: usize, switchless: SwitchlessConfig| {
             let mut svc = WorldCallService::new(RuntimeConfig {
                 workers,
                 queue_capacity: CALLS,
+                switchless,
                 ..RuntimeConfig::default()
             });
             let mut worlds = Vec::new();
@@ -1408,6 +1412,9 @@ mod tests {
                         .unwrap(),
                 ] {
                     svc.attach_working_set(wid, vm, PAGES).unwrap();
+                    if switchless.enabled() {
+                        svc.attach_channel(wid, vm).unwrap();
+                    }
                     worlds.push(wid);
                 }
             }
@@ -1439,13 +1446,25 @@ mod tests {
             svc.start();
             let report = svc.drain();
             assert_eq!(report.completed + report.timed_out, CALLS as u64);
-            (report.timed_out, abusive)
+            (
+                report.timed_out,
+                abusive,
+                report.switchless.drain.timeout_aborts,
+            )
         };
-        let (timed_out, abusive) = run(1);
+        let (timed_out, abusive, _) = run(1, SwitchlessConfig::default());
         assert!(abusive > 0, "the seeded stream carries abusive calls");
         assert_eq!(timed_out, abusive, "every abusive call, and only those");
-        for workers in [2, 4, 8] {
-            assert_eq!(run(workers).0, timed_out, "{workers} workers");
+        for switchless in [SwitchlessConfig::default(), SwitchlessConfig::on()] {
+            for workers in [1, 2, 4, 8] {
+                let (t, _, aborts) = run(workers, switchless);
+                assert_eq!(t, timed_out, "{workers} workers, {switchless:?}");
+                assert_eq!(
+                    aborts > 0,
+                    switchless.enabled(),
+                    "{workers} workers, {switchless:?}: residency aborts"
+                );
+            }
         }
     }
 

@@ -1,43 +1,19 @@
-//! The switchless fast path's policy layer: how long a worker stays
-//! resident in a callee world per transition pair.
+//! The switchless fast path's policy layer: whether a worker may stay
+//! resident in a callee world across a run of calls.
 //!
 //! The substrate — priced shared-memory channel segments — lives in
-//! [`crossover::switchless`]. This module holds the configuration: off
-//! (the classic per-call path) or a fixed resident budget, the number
-//! of same-(caller, callee) calls one residency may drain before it
-//! returns. "SGX Switchless Calls Made Configless" (PAPERS.md) argues
-//! for no knob the deployer must tune, and here a fixed budget needs
-//! none: an adaptive per-callee controller that doubled and halved
-//! budgets from dry/saturated residency exits was measured against
-//! fixed budgets and lost on every workload tried (`serve_hot` 405.2
-//! vs 395.0 cycles/call for a fixed 16, the `switchless` bench's skewed
-//! mix 427 vs 421), while costing every worker a shared,
-//! interleaving-dependent writer. So every residency takes
-//! [`SwitchlessConfig::batch_budget`], clamped into 1..=64.
+//! [`crossover::switchless`]. This module holds the configuration, one
+//! bool: off (the classic per-call path) or on. A residency serves the
+//! whole same-(caller, callee) run the worker popped, so `batch_max`
+//! bounds it and there is no budget to tune, the goal of "SGX
+//! Switchless Calls Made Configless" (PAPERS.md). A budget below the
+//! popped run was measured to only split it into more transition
+//! pairs, and a residency that a §3.4 timeout aborts reopens for its
+//! un-serviced tail, so no cap on classic fallbacks is needed either.
 
 #![deny(missing_docs)]
 
 use crossover::switchless::DrainStats;
-
-/// Whether and how the switchless layer engages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwitchlessMode {
-    /// Classic per-call path only (the PR-2 behavior, bit for bit).
-    #[default]
-    Off,
-    /// Coalesce with a fixed resident budget
-    /// ([`SwitchlessConfig::batch_budget`]).
-    Fixed,
-}
-
-/// Budget floor. At the floor a residency of one call is never opened
-/// — the classic path is used — so the floor doubles as the
-/// fall-back-to-classic threshold.
-pub(crate) const MIN_BUDGET: usize = 1;
-
-/// Budget ceiling (bounds worst-case residency, i.e. how long a caller
-/// can wait behind a busy dispatcher).
-pub(crate) const MAX_BUDGET: usize = 64;
 
 /// Cycles a resident dispatcher spins on a dry ring before blocking
 /// (returning to the caller world) — the spin-then-block knee.
@@ -46,61 +22,33 @@ pub(crate) const SPIN_CYCLES: u64 = 200;
 /// Lanes (pages) per callee channel segment; callers hash onto lanes.
 pub(crate) const SEGMENT_LANES: u64 = 8;
 
-/// Switchless layer configuration. All fields have working defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Switchless layer configuration: off (the default) or on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwitchlessConfig {
-    /// Operating mode.
-    pub mode: SwitchlessMode,
-    /// Resident-dispatcher budget: the number of coalesced calls one
-    /// transition pair may amortize. Clamped into
-    /// `MIN_BUDGET..=MAX_BUDGET` (1..=64).
-    pub batch_budget: usize,
-}
-
-impl Default for SwitchlessConfig {
-    fn default() -> SwitchlessConfig {
-        SwitchlessConfig {
-            mode: SwitchlessMode::default(),
-            batch_budget: 16,
-        }
-    }
+    on: bool,
 }
 
 impl SwitchlessConfig {
-    /// Convenience: `Fixed` mode at the given budget.
-    pub fn fixed(budget: usize) -> SwitchlessConfig {
-        SwitchlessConfig {
-            mode: SwitchlessMode::Fixed,
-            batch_budget: budget,
-        }
+    /// Switchless on: every same-(caller, callee) run of two or more
+    /// calls into a channel-equipped callee is served in one residency.
+    pub fn on() -> SwitchlessConfig {
+        SwitchlessConfig { on: true }
     }
 
-    /// Switchless on at the default budget of 16, the same
-    /// configuration as `fixed(16)`. Outside the tests, perfbench is
-    /// its only caller.
+    /// The same as [`SwitchlessConfig::on`]. Perfbench is its only
+    /// caller.
     pub fn adaptive() -> SwitchlessConfig {
-        SwitchlessConfig::fixed(SwitchlessConfig::default().batch_budget)
+        SwitchlessConfig::on()
     }
 
     /// Whether any coalescing happens at all.
     pub fn enabled(&self) -> bool {
-        self.mode != SwitchlessMode::Off
-    }
-
-    /// Calls one coalesced residency may drain: the configured budget
-    /// clamped into `MIN_BUDGET..=MAX_BUDGET`, or 0 when switchless is
-    /// off.
-    pub(crate) fn resident_budget(&self) -> usize {
-        if self.enabled() {
-            self.batch_budget.clamp(MIN_BUDGET, MAX_BUDGET)
-        } else {
-            0
-        }
+        self.on
     }
 }
 
-/// One epoch's `(lane, budget)` vector. Budgets are fixed, so no epoch
-/// is ever recorded: the type exists only because perfbench reads
+/// One epoch's `(lane, budget)` vector. No budget is configured, so no
+/// epoch is ever recorded: the type exists only because perfbench reads
 /// [`SwitchlessSummary::epochs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochSnapshot {
@@ -158,8 +106,8 @@ pub struct SwitchlessSummary {
     pub world_returns: u64,
     /// Per-callee coalescing traffic, sorted by raw WID.
     pub per_callee: Vec<PairTraffic>,
-    /// Always empty: budgets are fixed, so there is no epoch history.
-    /// Kept only because perfbench still reads it.
+    /// Always empty: no budget is configured, so there is no epoch
+    /// history. Kept only because perfbench still reads it.
     pub epochs: Vec<EpochSnapshot>,
 }
 
@@ -180,19 +128,9 @@ mod tests {
 
     #[test]
     fn defaults_are_off_and_classic_compatible() {
-        let c = SwitchlessConfig::default();
-        assert_eq!(c.mode, SwitchlessMode::Off);
-        assert!(!c.enabled());
-        assert!(SwitchlessConfig::fixed(8).enabled());
-        assert_eq!(SwitchlessConfig::adaptive(), SwitchlessConfig::fixed(16));
-    }
-
-    #[test]
-    fn resident_budget_is_clamped_and_zero_when_off() {
-        assert_eq!(SwitchlessConfig::default().resident_budget(), 0);
-        assert_eq!(SwitchlessConfig::fixed(0).resident_budget(), MIN_BUDGET);
-        assert_eq!(SwitchlessConfig::fixed(8).resident_budget(), 8);
-        assert_eq!(SwitchlessConfig::fixed(1_000).resident_budget(), MAX_BUDGET);
+        assert!(!SwitchlessConfig::default().enabled());
+        assert!(SwitchlessConfig::on().enabled());
+        assert_eq!(SwitchlessConfig::adaptive(), SwitchlessConfig::on());
     }
 
     #[test]

@@ -16,16 +16,17 @@
 //!
 //! * **classic** — one full transition pair per call (save → world_call
 //!   → body → return → restore), exactly the PR-2 behavior;
-//! * **coalesced** — when the callee has an attached
-//!   [`ChannelSegment`], the batch's same-(caller, callee) runs are
-//!   drained *resident*: one save + `world_call` opens the residency,
-//!   then up to the configured budget of requests are serviced back
-//!   to back (each paying priced request-read and response-write slot
+//! * **coalesced** — when switchless is on and the callee has an
+//!   attached [`ChannelSegment`], each of the batch's same-(caller,
+//!   callee) runs is drained *resident*: one save + `world_call` opens
+//!   the residency, then every request of the run is serviced back to
+//!   back (each paying priced request-read and response-write slot
 //!   accesses through the worker TLB), then one return + restore closes
-//!   it. A residency that drains the ring dry spins briefly
-//!   (spin-then-block in virtual time) before returning; the §3.4
-//!   timeout machinery can abort a residency mid-batch, in which case
-//!   the remaining requests fall back to the classic path.
+//!   it. A residency that ends short of a full `batch_max` batch drains
+//!   the ring dry and spins briefly (spin-then-block in virtual time)
+//!   before returning; the §3.4 timeout machinery can abort a residency
+//!   mid-run, in which case the un-serviced tail reopens a residency of
+//!   its own (a single leftover call goes classic).
 //!
 //! Metering is lock-free on the hot path: every charge lands on the
 //! worker's private CPU meter; the service merges the meters into an
@@ -225,7 +226,7 @@ fn touch_working_set(platform: &mut Platform, memory: &WorldMemory, touches: u64
 /// The per-worker execution engine: the platform/unit pair plus the
 /// accumulators both execution paths write. Bundling them keeps the
 /// classic and coalesced paths callable from each other (a residency
-/// aborted by a timeout falls back to classic for its leftovers)
+/// whose channel fails falls back to classic for its leftovers)
 /// without threading a dozen arguments around.
 struct Engine<'a> {
     platform: &'a mut Platform,
@@ -650,23 +651,27 @@ impl Engine<'_> {
     /// Services a same-(caller, callee) chunk through the callee's
     /// channel segment as one resident drain: a single transition pair
     /// amortized over every request in the chunk. `dry` says the home
-    /// ring ran out before the budget was spent (the residency will
+    /// ring ran out before a full batch was popped (the residency will
     /// spin-then-block before returning).
     ///
-    /// Fallback ladder, so no request is ever lost: a failed or
-    /// misdirected `world_call` re-runs the whole chunk classically
-    /// (each request then fails or succeeds exactly as it would have);
-    /// a timeout aborts the residency via the hypervisor and the
-    /// chunk's remaining requests go classic; a caller world deleted
+    /// Returns the un-serviced tail of a residency a timeout aborted,
+    /// for the caller to reopen; every other exit returns an empty
+    /// slice. Fallback ladder, so no request is ever lost: a
+    /// quarantined channel, a missing caller, a failed or misdirected
+    /// `world_call` re-run the whole chunk classically (each request
+    /// then fails or succeeds exactly as it would have); a channel
+    /// fault aborts the residency via the hypervisor and the chunk's
+    /// remaining requests go classic; a timeout aborts it the same way
+    /// and hands the remaining requests back; a caller world deleted
     /// mid-residency gets its return forced by the hypervisor.
-    fn coalesced(
+    fn coalesced<'c>(
         &mut self,
         seg: &ChannelSegment,
         caller: Wid,
         callee: Wid,
-        chunk: &[(Queued, bool)],
+        chunk: &'c [(Queued, bool)],
         dry: bool,
-    ) {
+    ) -> &'c [(Queued, bool)] {
         // A quarantined channel is never used: its traffic rides the
         // classic path until the (virtual-time) window passes and the
         // channel re-opens. One map probe, zero virtual cycles.
@@ -676,7 +681,7 @@ impl Engine<'_> {
             for (queued, was_stolen) in chunk {
                 self.classic(queued, *was_stolen);
             }
-            return;
+            return &[];
         }
         let caller_entry = match self.table.entry_of(caller) {
             Some(e) => e,
@@ -686,7 +691,7 @@ impl Engine<'_> {
                 for (queued, was_stolen) in chunk {
                     self.classic(queued, *was_stolen);
                 }
-                return;
+                return &[];
             }
         };
         schedule_in(self.platform, &caller_entry);
@@ -708,7 +713,7 @@ impl Engine<'_> {
                 for (queued, was_stolen) in chunk {
                     self.classic(queued, *was_stolen);
                 }
-                return;
+                return &[];
             }
             Ok(outcome) if outcome.from != caller => {
                 // Misidentified caller: bounce out, then per-call
@@ -725,7 +730,7 @@ impl Engine<'_> {
                 for (queued, was_stolen) in chunk {
                     self.classic(queued, *was_stolen);
                 }
-                return;
+                return &[];
             }
             Ok(_) => {}
         }
@@ -886,16 +891,14 @@ impl Engine<'_> {
             for (queued, was_stolen) in &chunk[serviced..] {
                 self.classic(queued, *was_stolen);
             }
-            return;
+            return &[];
         }
         if aborted {
             // The hypervisor already put us back in the caller world;
-            // whatever the residency didn't reach goes classic.
+            // whatever the residency didn't reach goes back to the
+            // caller, which reopens a residency for it.
             self.emit(EventKind::DrainClose, callee.raw(), serviced as u64, 2);
-            for (queued, was_stolen) in &chunk[serviced..] {
-                self.classic(queued, *was_stolen);
-            }
-            return;
+            return &chunk[serviced..];
         }
         if dry {
             // Spin-then-block: the resident dispatcher polls the dry
@@ -938,6 +941,7 @@ impl Engine<'_> {
                 self.hypervisor_cancel(&caller_entry, callee, "restore caller state (forced)");
             }
         }
+        &[]
     }
 }
 
@@ -1054,9 +1058,6 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
     // everything before it has already been purged from the WT/IWT
     // caches.
     let mut retire_cursor = 0usize;
-    // Calls one coalesced residency may drain; below 2 every batch rides
-    // the classic path.
-    let budget = ctx.switchless.resident_budget();
     let mut engine = Engine {
         platform: &mut ctx.platform,
         unit: &mut unit,
@@ -1240,7 +1241,7 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
         // degradation ladder once a quiet window has passed.
         engine.health.maybe_recover(engine.now());
         let callee = batch[0].req.callee;
-        let segment = if budget >= 2 && !engine.health.classic_only() {
+        let segment = if ctx.switchless.enabled() && !engine.health.classic_only() {
             ctx.segments.get(&callee.raw())
         } else {
             None
@@ -1256,20 +1257,18 @@ pub(crate) fn run(mut ctx: WorkerContext) -> WorkerReport {
             if group.is_empty() {
                 continue;
             }
-            match segment {
-                Some(seg) if group.len() >= 2 => {
-                    for chunk in group.chunks(budget) {
-                        // The residency ends with the ring (well, run)
-                        // dry unless it used its whole budget.
-                        let dry = chunk.len() < budget;
-                        engine.coalesced(seg, caller, callee, chunk, dry);
-                    }
+            let mut rest = group;
+            if let Some(seg) = segment {
+                // The residency ends with the ring dry unless the worker
+                // popped a full batch. A timeout hands back the
+                // un-serviced tail, which reopens a residency.
+                let dry = group.len() < ctx.batch_max;
+                while rest.len() >= 2 {
+                    rest = engine.coalesced(seg, caller, callee, rest, dry);
                 }
-                _ => {
-                    for (queued, was_stolen) in group {
-                        engine.classic(queued, *was_stolen);
-                    }
-                }
+            }
+            for (queued, was_stolen) in rest {
+                engine.classic(queued, *was_stolen);
             }
         }
     }

@@ -46,7 +46,7 @@ fn conserved(report: &ServiceReport) -> u64 {
 #[test]
 fn ungranted_callers_are_denied_with_paired_events() {
     const CALLS: u64 = 120;
-    for switchless in [SwitchlessConfig::default(), SwitchlessConfig::fixed(8)] {
+    for switchless in [SwitchlessConfig::default(), SwitchlessConfig::on()] {
         let (svc, worlds) = build_service(RuntimeConfig {
             workers: 2,
             queue_capacity: CALLS as usize + 16,
@@ -55,7 +55,7 @@ fn ungranted_callers_are_denied_with_paired_events() {
             obs: ObsConfig::ring(),
             ..RuntimeConfig::default()
         });
-        let label = format!("{:?}", switchless.mode);
+        let label = format!("{switchless:?}");
         let policy = svc.authz().expect("enforcing builds a policy").clone();
         policy.grant_all(worlds[0]); // tenant 1's user world may call anyone
         for tag in 0..CALLS {

@@ -46,7 +46,7 @@ fn every_enqueue_pairs_with_exactly_one_terminal_verdict() {
             workers,
             queue_capacity: CHAOS_CALLS as usize + 16,
             batch_max: 32,
-            switchless: SwitchlessConfig::fixed(8),
+            switchless: SwitchlessConfig::on(),
             obs: ObsConfig::ring_with_capacity(1 << 16),
             ..RuntimeConfig::default()
         };

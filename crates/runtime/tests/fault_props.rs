@@ -65,7 +65,7 @@ fn every_call_resolves_exactly_once_under_seeded_chaos() {
             workers,
             queue_capacity: CHAOS_CALLS as usize + 16,
             batch_max: 32,
-            switchless: SwitchlessConfig::fixed(8),
+            switchless: SwitchlessConfig::on(),
             ..RuntimeConfig::default()
         };
         let (report, fired) =
@@ -132,7 +132,7 @@ fn every_fault_site_has_a_consumer_in_the_pool() {
             FaultSite::WorldLookupRace => FaultKind::Vanish,
         };
         let (mut svc, worlds) = build_service(RuntimeConfig {
-            switchless: SwitchlessConfig::fixed(8),
+            switchless: SwitchlessConfig::on(),
             ..common::single_worker(CALLS)
         });
         let vm = svc
@@ -236,8 +236,8 @@ fn dropped_invalidation_defers_one_batch_then_heals() {
     }
 }
 
-/// The PR's corner case: a switchless channel running *saturated* (batch
-/// budget far below the backlog) whose caller world is deleted in the
+/// The PR's corner case: a switchless channel running *saturated* (a
+/// backlog far above `batch_max`) whose caller world is deleted in the
 /// same epoch. The drain must preserve classic verdict ordering — in
 /// submission order, a prefix of completions then a suffix of failures,
 /// never interleaved — because the purge lands at a batch boundary and
@@ -249,8 +249,9 @@ fn saturated_channel_with_caller_deleted_drains_in_classic_order() {
         workers: 1,
         queue_capacity: 256,
         batch_max: 8,
-        // Budget 4 < batch 8: every residency exits saturated.
-        switchless: SwitchlessConfig::fixed(4),
+        // 24 queued calls fill every pop of 8: every residency exits
+        // saturated.
+        switchless: SwitchlessConfig::on(),
         ..RuntimeConfig::default()
     });
     let caller = worlds[0];

@@ -29,7 +29,7 @@ const CALLS: u64 = 600;
 
 fn run(obs: ObsConfig) -> ServiceReport {
     let config = RuntimeConfig {
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         obs,
         ..single_worker(CALLS)
     };

@@ -8,13 +8,10 @@
 //! only in host-side work; the two runs must agree cycle for cycle
 //! ([`common::assert_cycle_exact`]). Every row runs single-worker (so
 //! the runs are deterministic in virtual time) with switchless off and
-//! with `fixed(8)` coalescing, so both execution paths are covered.
-//! Each run also checks what its own setup promises (`check_setup`):
-//! a recording that has events and no drops, an authz plane that
-//! checked every call and denied none, and zero supervisor activity
-//! under an empty plan. A last check pins
-//! `SwitchlessConfig::adaptive()`, kept only for perfbench, to
-//! `fixed(16)` cycle for cycle.
+//! on, so both execution paths are covered. Each run also checks what
+//! its own setup promises (`check_setup`): a recording that has events
+//! and no drops, an authz plane that checked every call and denied
+//! none, and zero supervisor activity under an empty plan.
 
 mod common;
 
@@ -138,7 +135,7 @@ fn every_plane_is_cycle_exact_against_its_reference() {
     for (name, reference, variant) in rows() {
         for (mode, switchless) in [
             ("switchless off", SwitchlessConfig::default()),
-            ("fixed(8)", SwitchlessConfig::fixed(8)),
+            ("switchless on", SwitchlessConfig::on()),
         ] {
             let label = format!("{name}, {mode}");
             let a = run_setup(reference, switchless);
@@ -148,28 +145,4 @@ fn every_plane_is_cycle_exact_against_its_reference() {
             assert_cycle_exact(&a, &b, &label);
         }
     }
-}
-
-/// `adaptive()` is perfbench's spelling of switchless at the default
-/// budget; it must run exactly as `fixed(16)` does. The stream is
-/// longer than `CALLS` (2,000 calls, ~4.6M cycles) because the shorter
-/// stream's same-caller runs are too short for lane budgets of 4 or 8
-/// to change the cycle count, so it could not tell them from 16.
-#[test]
-fn adaptive_is_cycle_exact_against_fixed_16() {
-    const LONG_CALLS: u64 = 2_000;
-    let run_with = |switchless| {
-        let config = RuntimeConfig {
-            switchless,
-            ..single_worker(LONG_CALLS)
-        };
-        run(config, None, SEED, LONG_CALLS)
-    };
-    let a = run_with(SwitchlessConfig::adaptive());
-    let b = run_with(SwitchlessConfig::fixed(16));
-    assert!(
-        b.switchless.drain.coalesced_calls > 0,
-        "fixed(16) coalesces"
-    );
-    assert_cycle_exact(&a, &b, "adaptive() vs fixed(16)");
 }

@@ -34,11 +34,11 @@ use xover_runtime::{
 
 const SEEDS: [u64; 3] = [0xE9_0A11, 0x5EED_0002, 0xFA11_BACC];
 const CALLS: u64 = 800;
-const FIXED_BUDGET: usize = 8;
-/// Resident budgets the equivalence properties sweep: 2 splits nearly
-/// every same-caller run into several residencies, 16 is the serving
-/// benchmark's budget.
-const BUDGETS: [usize; 3] = [2, FIXED_BUDGET, 16];
+/// Pop sizes the properties sweep; a residency serves the same-caller
+/// run it popped, so `batch_max` bounds it. 2 opens a residency per
+/// pair of calls at most, 16 is the serving benchmark's pop, 32 the
+/// benches'. The classic and switchless runs of a point pop alike.
+const BATCH_MAXES: [usize; 4] = [2, 8, 16, 32];
 const WORKING_SET_PAGES: u64 = 8;
 
 /// Full save → call → return → restore price of one classic call (and
@@ -54,11 +54,14 @@ fn transition_pair_cycles() -> u64 {
 /// Two tenants × (user + kernel) = four guest worlds, all with working
 /// sets and switchless channels attached. The channel attachments are
 /// identical in both runs; whether they are *used* is the only variable.
-fn build_service(switchless: SwitchlessConfig) -> (WorldCallService, Vec<crossover::world::Wid>) {
+fn build_service(
+    switchless: SwitchlessConfig,
+    batch_max: usize,
+) -> (WorldCallService, Vec<crossover::world::Wid>) {
     let mut svc = WorldCallService::new(RuntimeConfig {
         workers: 1,
         queue_capacity: CALLS as usize + 16,
-        batch_max: 32,
+        batch_max,
         switchless,
         ..RuntimeConfig::default()
     });
@@ -129,8 +132,13 @@ fn draw_request(
     req
 }
 
-fn run(switchless: SwitchlessConfig, seed: u64, touches_max: u64) -> ServiceReport {
-    let (mut svc, worlds) = build_service(switchless);
+fn run(
+    switchless: SwitchlessConfig,
+    batch_max: usize,
+    seed: u64,
+    touches_max: u64,
+) -> ServiceReport {
+    let (mut svc, worlds) = build_service(switchless, batch_max);
     for req in warmup(&worlds) {
         svc.submit(req).expect("queue open");
     }
@@ -189,13 +197,13 @@ fn assert_transition_counts(off: &ServiceReport, sw: &ServiceReport) {
 fn coalesced_path_is_cycle_exact_against_classic() {
     let pair = transition_pair_cycles() as i128;
     for seed in SEEDS {
-        let off = run(SwitchlessConfig::default(), seed, 0);
-        for budget in BUDGETS {
-            let sw = run(SwitchlessConfig::fixed(budget), seed, 0);
+        for batch_max in BATCH_MAXES {
+            let off = run(SwitchlessConfig::default(), batch_max, seed, 0);
+            let sw = run(SwitchlessConfig::on(), batch_max, seed, 0);
             let coalesced = assert_outcomes_equivalent(&off, &sw);
             assert!(
                 coalesced > CALLS / 10,
-                "budget {budget}: schedule must actually exercise coalescing \
+                "batch_max {batch_max}: schedule must actually exercise coalescing \
                  (got {coalesced} of {CALLS})"
             );
             assert_transition_counts(&off, &sw);
@@ -207,14 +215,14 @@ fn coalesced_path_is_cycle_exact_against_classic() {
                 - drain.spin_cycles as i128;
             assert_eq!(
                 lhs, rhs,
-                "seed {seed:#x}, budget {budget}: cycle delta must equal saved pairs minus \
+                "seed {seed:#x}, batch_max {batch_max}: cycle delta must equal saved pairs minus \
                  channel overhead (coalesced {}, pairs {}, slot {}, spin {})",
                 drain.coalesced_calls, drain.transition_pairs, drain.slot_cycles, drain.spin_cycles
             );
             // The layer must actually win on this schedule, not just match.
             assert!(
                 lhs > 0,
-                "seed {seed:#x}, budget {budget}: coalescing must be a net cycle saving \
+                "seed {seed:#x}, batch_max {batch_max}: coalescing must be a net cycle saving \
                  (delta {lhs})"
             );
         }
@@ -230,13 +238,14 @@ fn coalesced_path_is_cycle_exact_against_classic() {
 #[test]
 fn coalesced_path_is_behavior_equivalent_with_memory_touches() {
     for seed in SEEDS {
-        let off = run(SwitchlessConfig::default(), seed, 2 * WORKING_SET_PAGES);
-        for budget in BUDGETS {
-            let sw = run(SwitchlessConfig::fixed(budget), seed, 2 * WORKING_SET_PAGES);
+        for batch_max in BATCH_MAXES {
+            let touches = 2 * WORKING_SET_PAGES;
+            let off = run(SwitchlessConfig::default(), batch_max, seed, touches);
+            let sw = run(SwitchlessConfig::on(), batch_max, seed, touches);
             let coalesced = assert_outcomes_equivalent(&off, &sw);
             assert!(
                 coalesced > 0,
-                "budget {budget}: touching schedule must still coalesce"
+                "batch_max {batch_max}: touching schedule must still coalesce"
             );
             assert_transition_counts(&off, &sw);
         }
@@ -250,12 +259,14 @@ fn coalesced_path_is_behavior_equivalent_with_memory_touches() {
 #[test]
 fn timeouts_fire_identically_on_both_paths() {
     for seed in SEEDS {
-        let off = run(SwitchlessConfig::default(), seed, 0);
-        let sw = run(SwitchlessConfig::fixed(FIXED_BUDGET), seed, 0);
-        assert!(off.timed_out > 0, "schedule must include abusive calls");
-        assert_eq!(off.timed_out, sw.timed_out);
-        // Every timeout the coalesced run absorbed into a residency
-        // shows up as an abort, and aborts never exceed timeouts.
-        assert!(sw.switchless.drain.timeout_aborts <= sw.timed_out);
+        for batch_max in BATCH_MAXES {
+            let off = run(SwitchlessConfig::default(), batch_max, seed, 0);
+            let sw = run(SwitchlessConfig::on(), batch_max, seed, 0);
+            assert!(off.timed_out > 0, "schedule must include abusive calls");
+            assert_eq!(off.timed_out, sw.timed_out, "batch_max {batch_max}");
+            // Every timeout the coalesced run absorbed into a residency
+            // shows up as an abort, and aborts never exceed timeouts.
+            assert!(sw.switchless.drain.timeout_aborts <= sw.timed_out);
+        }
     }
 }

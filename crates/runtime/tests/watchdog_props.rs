@@ -44,7 +44,7 @@ const BURST_CALLS: u64 = 1_500;
 
 fn run(obs: ObsConfig, plan: Option<FaultPlan>) -> ServiceReport {
     let config = RuntimeConfig {
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         obs,
         ..single_worker(CALLS)
     };
@@ -149,7 +149,7 @@ fn critical_path_identity_is_cycle_exact() {
 #[test]
 fn finished_at_is_the_recorded_verdict_instant() {
     let config = RuntimeConfig {
-        switchless: SwitchlessConfig::fixed(8),
+        switchless: SwitchlessConfig::on(),
         obs: ObsConfig::ring_with_capacity(1 << 16),
         authz: AuthzConfig::enforcing(),
         ..single_worker(CALLS)
