@@ -11,23 +11,16 @@
 
 use crossover::plan::{HopPlanner, Mechanism, WorldCoord};
 use guestos::syscall::Syscall;
-use hypervisor::sched::SchedModel;
 use machine::cost::Frequency;
 use systems::crossvm::{hypervisor_cross_vm_syscall, vmfunc_cross_vm_syscall};
 use systems::env::CrossVmEnv;
-use systems::proxos::Proxos;
-use workloads::micro::{run_redirected, MicroOp};
+use xover_bench::reports::{redirected_null_under_load, wtc_round_robin};
 
 fn sweep_load() {
     println!("# target-VM load vs redirected NULL syscall latency (us)");
     println!("load,original_us,crossover_us");
     for load in [0u32, 1, 2, 4, 8, 16, 32] {
-        let mut base = Proxos::baseline().expect("proxos");
-        base.env.platform.set_sched(SchedModel::loaded(load));
-        let b = run_redirected(&mut base, MicroOp::NullSyscall).expect("baseline");
-        let mut opt = Proxos::optimized().expect("proxos");
-        opt.env.platform.set_sched(SchedModel::loaded(load));
-        let o = run_redirected(&mut opt, MicroOp::NullSyscall).expect("optimized");
+        let (b, o) = redirected_null_under_load(load);
         println!(
             "{load},{:.3},{:.3}",
             b.micros(Frequency::GHZ_3_4),
@@ -41,44 +34,7 @@ fn sweep_capacity() {
     println!("# world-table-cache capacity vs hit rate (6 caller/callee pairs, round robin)");
     println!("capacity,wt_hit_rate,iwt_hit_rate,wt_evictions");
     for capacity in [1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32] {
-        let mut p = hypervisor::platform::Platform::new_default();
-        let vm1 = p
-            .create_vm(hypervisor::vm::VmConfig::named("a"))
-            .expect("vm");
-        let vm2 = p
-            .create_vm(hypervisor::vm::VmConfig::named("b"))
-            .expect("vm");
-        let mut table = crossover::table::WorldTable::with_quota(64);
-        let mut unit = crossover::call::WorldCallUnit::with_capacity(capacity);
-        let mut pairs = Vec::new();
-        for i in 0..6u64 {
-            let cd = crossover::world::WorldDescriptor::guest_user(&p, vm1, 0x1000 * (i + 1), 0)
-                .expect("desc");
-            let ed = crossover::world::WorldDescriptor::guest_kernel(&p, vm2, 0x1000 * (i + 1), 0)
-                .expect("desc");
-            pairs.push((
-                table.create(cd).expect("create"),
-                table.create(ed).expect("create"),
-                0x1000 * (i + 1),
-            ));
-        }
-        p.vmentry(vm1).expect("vmentry");
-        for round in 0..60 {
-            let (_, callee, cr3) = pairs[round % pairs.len()];
-            p.cpu_mut().force_cr3(cr3);
-            if p.current_vm() != Some(vm1) {
-                p.crossover_switch(
-                    machine::trace::TransitionKind::WorldReturn,
-                    machine::mode::CpuMode::GUEST_USER,
-                    cr3,
-                    p.eptp_of(vm1).expect("eptp"),
-                )
-                .expect("reset");
-            }
-            let _ = unit.world_call(&mut p, &table, callee, crossover::call::Direction::Call);
-        }
-        let wt = unit.wt_stats();
-        let iwt = unit.iwt_stats();
+        let (wt, iwt) = wtc_round_robin(capacity, 60);
         println!(
             "{capacity},{:.3},{:.3},{}",
             wt.hit_rate(),

@@ -4,12 +4,13 @@
 //! tables --all            # everything
 //! tables --table 4        # one table (1, 3, 4, 5, 6, 7)
 //! tables --figure 2       # one figure (1..5)
+//! tables --ablations      # the designs the paper rejects
 //! ```
 
 use xover_bench::reports;
 
 fn usage() -> ! {
-    eprintln!("usage: tables [--all] [--table N]... [--figure N]...");
+    eprintln!("usage: tables [--all] [--table N]... [--figure N]... [--ablations]");
     eprintln!("  tables: 1, 3, 4, 5, 6, 7   figures: 1, 2, 3, 4, 5");
     std::process::exit(2);
 }
@@ -77,6 +78,10 @@ fn main() {
                     .unwrap_or_else(|| usage());
                 print_figure(n);
                 i += 2;
+            }
+            "--ablations" => {
+                println!("{}", reports::ablations());
+                i += 1;
             }
             _ => usage(),
         }

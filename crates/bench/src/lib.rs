@@ -1,7 +1,6 @@
 //! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation as text reports, and hosts the wall-clock benches (run via
-//! the dependency-free [`harness`] module so the workspace builds
-//! offline).
+//! evaluation, and the ablations of the designs it rejects, as text
+//! reports.
 //!
 //! The `tables` binary prints any report:
 //!
@@ -9,11 +8,15 @@
 //! cargo run -p xover-bench --bin tables -- --all
 //! cargo run -p xover-bench --bin tables -- --table 4
 //! cargo run -p xover-bench --bin tables -- --figure 2
+//! cargo run -p xover-bench --bin tables -- --ablations
 //! ```
+//!
+//! `tests/golden.rs` holds `tables --all`, `tables --ablations` and
+//! `sweeps all` to the files under `golden/`, byte for byte.
 
-pub mod harness;
 pub mod reports;
 
 pub use reports::{
-    figure1, figure2, figure3, figure4, figure5, table1, table3, table4, table5, table6, table7,
+    ablations, figure1, figure2, figure3, figure4, figure5, table1, table3, table4, table5, table6,
+    table7,
 };

@@ -1,16 +1,31 @@
-//! Report generators: one function per paper table/figure.
+//! Report generators: one function per paper table/figure, plus the
+//! ablations of the designs the paper rejects.
 //!
-//! Every report prints **paper** and **measured** values side by side so
+//! Every table prints **paper** and **measured** values side by side so
 //! the reproduction is auditable row by row. Measured values come from
 //! executing the simulated systems, never from the paper constants.
 
 use std::fmt::Write as _;
 
-use crossover::manager::WorldManager;
+use crossover::alt::{
+    async_message_call, crossover_call_equivalent, sync_ipi_call, AltCallProfile,
+};
+use crossover::binding::{bound_world_call, BindingTable};
+use crossover::call::{Direction, WorldCallUnit};
+use crossover::manager::{AuthPolicy, WorldManager};
 use crossover::plan::{HopPlanner, Mechanism};
+use crossover::prefetch::prefetch_tradeoff;
+use crossover::table::WorldTable;
 use crossover::world::WorldDescriptor;
+use crossover::wtc::CacheStats;
 use guestos::syscall::Syscall;
+use hypervisor::platform::Platform;
+use hypervisor::sched::SchedModel;
+use hypervisor::vm::VmConfig;
+use machine::account::Delta;
 use machine::cost::Frequency;
+use machine::mode::CpuMode;
+use machine::trace::TransitionKind;
 use systems::crossvm::vmfunc_cross_vm_syscall;
 use systems::env::CrossVmEnv;
 use systems::hypershell::HyperShell;
@@ -440,13 +455,9 @@ pub fn figure2() -> String {
 /// Figure 3: the world-call process — one registered caller calling a
 /// world in another VM and returning.
 pub fn figure3() -> String {
-    let mut p = hypervisor::platform::Platform::new_default();
-    let vm1 = p
-        .create_vm(hypervisor::vm::VmConfig::named("VM-1"))
-        .expect("vm1");
-    let vm2 = p
-        .create_vm(hypervisor::vm::VmConfig::named("VM-2"))
-        .expect("vm2");
+    let mut p = Platform::new_default();
+    let vm1 = p.create_vm(VmConfig::named("VM-1")).expect("vm1");
+    let vm2 = p.create_vm(VmConfig::named("VM-2")).expect("vm2");
     let mut mgr = WorldManager::new();
     let caller_desc = WorldDescriptor::guest_user(&p, vm1, 0x1000, 0x40_0000).expect("caller desc");
     let callee_desc =
@@ -506,6 +517,47 @@ pub fn figure4() -> String {
     out
 }
 
+/// WT- and IWT-cache statistics after `rounds` world calls that
+/// round-robin over 6 caller/callee pairs (12 worlds) on a world-call unit
+/// with `capacity` entries per cache: Figure 5's workload and the
+/// `sweeps capacity` series.
+pub fn wtc_round_robin(capacity: usize, rounds: usize) -> (CacheStats, CacheStats) {
+    let mut p = Platform::new_default();
+    let vm1 = p.create_vm(VmConfig::named("a")).expect("vm");
+    let vm2 = p.create_vm(VmConfig::named("b")).expect("vm");
+    let mut table = WorldTable::with_quota(64);
+    let mut unit = WorldCallUnit::with_capacity(capacity);
+    let mut wids = Vec::new();
+    for i in 0..6u64 {
+        let caller_desc = WorldDescriptor::guest_user(&p, vm1, 0x1000 * (i + 1), 0).expect("desc");
+        let callee_desc =
+            WorldDescriptor::guest_kernel(&p, vm2, 0x1000 * (i + 1), 0).expect("desc");
+        wids.push((
+            table.create(caller_desc).expect("create"),
+            table.create(callee_desc).expect("create"),
+            0x1000 * (i + 1),
+        ));
+    }
+    p.vmentry(vm1).expect("vmentry");
+    for round in 0..rounds {
+        let (_, callee, cr3) = wids[round % wids.len()];
+        p.cpu_mut().force_cr3(cr3);
+        // Ensure we are in the caller's context (vm1 user).
+        if p.current_vm() != Some(vm1) {
+            // Force back via a direct switch (hypervisor-style reset).
+            p.crossover_switch(
+                TransitionKind::WorldReturn,
+                CpuMode::GUEST_USER,
+                cr3,
+                p.eptp_of(vm1).expect("eptp"),
+            )
+            .expect("reset");
+        }
+        let _ = unit.world_call(&mut p, &table, callee, Direction::Call);
+    }
+    (unit.wt_stats(), unit.iwt_stats())
+}
+
 /// Figure 5: the extended-VMFUNC datapath — world-table cache behaviour
 /// under a multi-world workload, including a capacity sweep.
 pub fn figure5() -> String {
@@ -515,47 +567,7 @@ pub fn figure5() -> String {
         "Figure 5: world-table caches (WT keyed by WID, IWT keyed by context)"
     );
     for capacity in [2usize, 4, 8, 16, 32] {
-        let mut p = hypervisor::platform::Platform::new_default();
-        let vm1 = p
-            .create_vm(hypervisor::vm::VmConfig::named("a"))
-            .expect("vm");
-        let vm2 = p
-            .create_vm(hypervisor::vm::VmConfig::named("b"))
-            .expect("vm");
-        let mut table = crossover::table::WorldTable::with_quota(64);
-        let mut unit = crossover::call::WorldCallUnit::with_capacity(capacity);
-        // 12 worlds: 6 caller/callee pairs round-robining.
-        let mut wids = Vec::new();
-        for i in 0..6u64 {
-            let caller_desc =
-                WorldDescriptor::guest_user(&p, vm1, 0x1000 * (i + 1), 0).expect("desc");
-            let callee_desc =
-                WorldDescriptor::guest_kernel(&p, vm2, 0x1000 * (i + 1), 0).expect("desc");
-            wids.push((
-                table.create(caller_desc).expect("create"),
-                table.create(callee_desc).expect("create"),
-                0x1000 * (i + 1),
-            ));
-        }
-        p.vmentry(vm1).expect("vmentry");
-        for round in 0..20 {
-            let (_, callee, cr3) = wids[round % wids.len()];
-            p.cpu_mut().force_cr3(cr3);
-            // Ensure we are in the caller's context (vm1 user).
-            if p.current_vm() != Some(vm1) {
-                // Force back via a direct switch (hypervisor-style reset).
-                p.crossover_switch(
-                    machine::trace::TransitionKind::WorldReturn,
-                    machine::mode::CpuMode::GUEST_USER,
-                    cr3,
-                    p.eptp_of(vm1).expect("eptp"),
-                )
-                .expect("reset");
-            }
-            let _ = unit.world_call(&mut p, &table, callee, crossover::call::Direction::Call);
-        }
-        let wt = unit.wt_stats();
-        let iwt = unit.iwt_stats();
+        let (wt, iwt) = wtc_round_robin(capacity, 20);
         let _ = writeln!(
             out,
             "  capacity {capacity:>2}: WT hit-rate {:>5.1}% ({} fills, {} evictions) | IWT hit-rate {:>5.1}% ({} fills, {} evictions)",
@@ -571,6 +583,204 @@ pub fn figure5() -> String {
         out,
         "  (software-managed fill on miss; a miss costs one exception to the hypervisor)"
     );
+    out
+}
+
+/// A redirected NULL syscall through Proxos, original and optimized, with
+/// the target VM's scheduler at `load` (§7.1.2): the `sweeps load` series
+/// and the ablations' load sweep.
+pub fn redirected_null_under_load(load: u32) -> (Delta, Delta) {
+    let mut base = Proxos::baseline().expect("proxos");
+    base.env.platform.set_sched(SchedModel::loaded(load));
+    let b = run_redirected(&mut base, MicroOp::NullSyscall).expect("baseline");
+    let mut opt = Proxos::optimized().expect("proxos");
+    opt.env.platform.set_sched(SchedModel::loaded(load));
+    let o = run_redirected(&mut opt, MicroOp::NullSyscall).expect("optimized");
+    (b, o)
+}
+
+/// Warm call+return cycles through `WorldManager` with the callee's
+/// software allow-list doing authorization.
+fn software_auth_roundtrip_cycles() -> u64 {
+    let mut platform = Platform::new_default();
+    let vm1 = platform.create_vm(VmConfig::named("a")).expect("vm");
+    let vm2 = platform.create_vm(VmConfig::named("b")).expect("vm");
+    let mut mgr = WorldManager::new();
+    let cd = WorldDescriptor::guest_user(&platform, vm1, 0x1000, 0).expect("desc");
+    let ed = WorldDescriptor::guest_kernel(&platform, vm2, 0x2000, 0).expect("desc");
+    let caller = mgr.register_world(&mut platform, cd).expect("register");
+    let callee = mgr.register_world(&mut platform, ed).expect("register");
+    mgr.set_policy(callee, AuthPolicy::allow([caller]));
+    platform.vmentry(vm1).expect("vmentry");
+    platform.cpu_mut().force_cr3(0x1000);
+    // Warm.
+    let t = mgr.call(&mut platform, caller, callee).expect("call");
+    mgr.ret(&mut platform, t).expect("ret");
+    let before = platform.cpu().meter().cycles();
+    let t = mgr.call(&mut platform, caller, callee).expect("call");
+    mgr.ret(&mut platform, t).expect("ret");
+    platform.cpu().meter().cycles() - before
+}
+
+/// Warm call+return cycles with the §3.4 hardware binding table checking
+/// the pair instead of callee software.
+fn binding_table_roundtrip_cycles() -> u64 {
+    let mut platform = Platform::new_default();
+    let vm1 = platform.create_vm(VmConfig::named("a")).expect("vm");
+    let vm2 = platform.create_vm(VmConfig::named("b")).expect("vm");
+    let mut table = WorldTable::new();
+    let cd = WorldDescriptor::guest_user(&platform, vm1, 0x1000, 0).expect("desc");
+    let ed = WorldDescriptor::guest_kernel(&platform, vm2, 0x2000, 0).expect("desc");
+    let caller = table.create(cd).expect("create");
+    let callee = table.create(ed).expect("create");
+    let mut unit = WorldCallUnit::new();
+    let mut bindings = BindingTable::new();
+    bindings.bind(caller, callee);
+    platform.vmentry(vm1).expect("vmentry");
+    platform.cpu_mut().force_cr3(0x1000);
+    let mut round_trip = |platform: &mut Platform| {
+        bound_world_call(
+            &mut unit,
+            &bindings,
+            platform,
+            &table,
+            caller,
+            callee,
+            Direction::Call,
+        )
+        .expect("call");
+        bound_world_call(
+            &mut unit,
+            &bindings,
+            platform,
+            &table,
+            callee,
+            caller,
+            Direction::Return,
+        )
+        .expect("return");
+    };
+    // Warm the caches.
+    round_trip(&mut platform);
+    let before = platform.cpu().meter().cycles();
+    // Hardware-checked call: no callee-side software auth needed.
+    platform.cpu_mut().charge_work(30, 10, "save state");
+    round_trip(&mut platform);
+    platform.cpu_mut().charge_work(30, 10, "restore state");
+    platform.cpu().meter().cycles() - before
+}
+
+/// (fill-on-miss, prefetch) cycles over `context_switches` switches of a
+/// 32-process machine where only `worlds_registered` address spaces have
+/// world entries. Every switch pays the register's speculative walk;
+/// on-demand filling pays one WTC miss fault per registered world, ever
+/// (§5.1: "prefetching a non-existed world at every context switch will
+/// cause cache miss and useless world table walk").
+fn prefetch_ablation_cycles(worlds_registered: usize, context_switches: u64) -> (u64, u64) {
+    let mut platform = Platform::new_default();
+    let vm = platform.create_vm(VmConfig::named("prefetch")).expect("vm");
+    let mut table = WorldTable::with_quota(64);
+    let registered: Vec<u64> = (0..worlds_registered as u64)
+        .map(|i| 0x1000 + i * 0x1000)
+        .collect();
+    for &cr3 in &registered {
+        table
+            .create(WorldDescriptor::guest_user(&platform, vm, cr3, 0).expect("desc"))
+            .expect("register");
+    }
+    platform.vmentry(vm).expect("vmentry");
+    let unregistered: Vec<u64> = (worlds_registered as u64..32)
+        .map(|i| 0x100_0000 + i * 0x1000)
+        .collect();
+    let (prefetch, on_demand) = prefetch_tradeoff(
+        &mut platform,
+        &table,
+        &registered,
+        &unregistered,
+        context_switches,
+    );
+    (on_demand, prefetch)
+}
+
+/// (shared memory, hypervisor copy) cycles for a stat-sized payload, end
+/// to end on ShadowContext's two implementations (§6).
+fn param_copy_ablation() -> (u64, u64) {
+    let stat = Syscall::Stat {
+        path: "/etc/passwd".into(),
+    };
+    let mut opt = ShadowContext::optimized().expect("shadowcontext");
+    let (_, shared) = opt.measure_syscall(&stat).expect("measure");
+    let mut base = ShadowContext::baseline().expect("shadowcontext");
+    let (_, copied) = base.measure_syscall(&stat).expect("measure");
+    (shared.cycles.0, copied.cycles.0)
+}
+
+/// Ablations of the designs the paper rejects, in modelled cycles: the
+/// §3.4 binding table, the §3.3 async and IPI calls with §7.1.2's
+/// target-load sweep, the §5.1 Current-World-ID register and §6's
+/// parameter copying.
+pub fn ablations() -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "Ablation: binding table (hardware auth) vs software allow-list"
+    );
+    let _ = writeln!(
+        out,
+        "  software-auth warm round trip: {} cycles",
+        software_auth_roundtrip_cycles()
+    );
+    let _ = writeln!(
+        out,
+        "  binding-table warm round trip: {} cycles\n",
+        binding_table_roundtrip_cycles()
+    );
+
+    let _ = writeln!(
+        out,
+        "Ablation: rejected call designs (NULL-class service, 4 KiB working set)"
+    );
+    let profile = AltCallProfile::default();
+    let mut p = Platform::new_default();
+    for load in [0u32, 2, 8] {
+        let asy = async_message_call(&mut p, &SchedModel::loaded(load), profile);
+        let _ = writeln!(out, "  async message-passing, load {load}: {asy} cycles");
+    }
+    let ipi = sync_ipi_call(&mut p, profile).expect("host context");
+    let _ = writeln!(out, "  synchronous IPI:              {ipi} cycles");
+    let xo = crossover_call_equivalent(&mut p, profile);
+    let _ = writeln!(out, "  CrossOver world_call:         {xo} cycles\n");
+
+    let _ = writeln!(
+        out,
+        "Ablation: Current-World-ID prefetch register (§5.1 alternative)"
+    );
+    for (worlds, switches) in [(2usize, 1000u64), (16, 1000)] {
+        let (on_demand, prefetch) = prefetch_ablation_cycles(worlds, switches);
+        let _ = writeln!(
+            out,
+            "  {worlds:>2} worlds, {switches} ctx switches: fill-on-miss {on_demand} cycles vs prefetch {prefetch} cycles"
+        );
+    }
+    let _ = writeln!(out);
+
+    let (shared, copied) = param_copy_ablation();
+    let _ = writeln!(out, "Ablation: parameter passing for a redirected stat");
+    let _ = writeln!(out, "  shared memory (copy once):     {shared} cycles");
+    let _ = writeln!(out, "  hypervisor copies (copy twice): {copied} cycles\n");
+
+    let _ = writeln!(
+        out,
+        "Sweep: target-VM load vs redirected NULL syscall (§7.1.2 claim)"
+    );
+    for load in [0u32, 1, 4, 16] {
+        let (b, o) = redirected_null_under_load(load);
+        let _ = writeln!(
+            out,
+            "  load {load:>2}: original {:>8} cycles, CrossOver {:>6} cycles",
+            b.cycles.0, o.cycles.0
+        );
+    }
     out
 }
 

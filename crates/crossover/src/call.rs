@@ -11,7 +11,6 @@
 use hypervisor::platform::Platform;
 use machine::trace::TransitionKind;
 
-use crate::prefetch::CurrentWidRegister;
 use crate::table::WorldLookup;
 use crate::world::{Wid, WorldContext, WorldEntry};
 use crate::wtc::{CacheStats, IwtCache, WtCache, DEFAULT_WTC_CAPACITY};
@@ -51,8 +50,6 @@ pub struct SwitchOutcome {
 pub struct WorldCallUnit {
     wt: WtCache,
     iwt: IwtCache,
-    /// Optional Current-World-ID register (§5.1 alternative design).
-    prefetch: Option<CurrentWidRegister>,
 }
 
 impl WorldCallUnit {
@@ -70,7 +67,6 @@ impl WorldCallUnit {
         WorldCallUnit {
             wt: WtCache::new(capacity),
             iwt: IwtCache::new(capacity),
-            prefetch: None,
         }
     }
 
@@ -79,28 +75,6 @@ impl WorldCallUnit {
         WorldCallUnit {
             wt: WtCache::with_geometry(geometry),
             iwt: IwtCache::with_geometry(geometry),
-            prefetch: None,
-        }
-    }
-
-    /// Enables the Current-World-ID prefetch register (§5.1 alternative).
-    /// The OS/hypervisor must then call
-    /// [`WorldCallUnit::notify_context_switch`] on every context switch
-    /// for the register to stay useful.
-    pub fn enable_prefetch(&mut self) -> &mut WorldCallUnit {
-        self.prefetch = Some(CurrentWidRegister::new());
-        self
-    }
-
-    /// The prefetch register, if enabled.
-    pub fn prefetch(&self) -> Option<&CurrentWidRegister> {
-        self.prefetch.as_ref()
-    }
-
-    /// Hardware hook fired on context switches when prefetch is enabled.
-    pub fn notify_context_switch<T: WorldLookup>(&mut self, platform: &mut Platform, table: &T) {
-        if let Some(reg) = self.prefetch.as_mut() {
-            reg.on_context_switch(platform, table);
         }
     }
 
@@ -127,13 +101,6 @@ impl WorldCallUnit {
         platform: &mut Platform,
         table: &T,
     ) -> Result<Wid, WorldError> {
-        // The prefetch register answers without even an IWT access when
-        // its speculative walk already latched this context.
-        if let Some(reg) = self.prefetch.as_mut() {
-            if let Some(wid) = reg.caller_wid(platform) {
-                return Ok(wid);
-            }
-        }
         let ctx = WorldContext::capture(platform);
         if let Some(wid) = self.iwt.lookup(&ctx) {
             return Ok(wid);
@@ -431,24 +398,5 @@ mod tests {
         assert_eq!(t.count(TransitionKind::WorldReturn), 1);
         assert_eq!(f.platform.cpu().mode(), CpuMode::GUEST_USER);
         assert_eq!(f.platform.cpu().cr3(), 0x1000);
-    }
-
-    #[test]
-    fn prefetch_register_bypasses_the_iwt() {
-        let mut f = fixture();
-        f.unit.enable_prefetch();
-        // Context switch hook latches the caller's identity.
-        f.unit.notify_context_switch(&mut f.platform, &f.table);
-        let iwt_lookups_before = f.unit.iwt_stats().hits + f.unit.iwt_stats().misses;
-        f.unit
-            .world_call(&mut f.platform, &f.table, f.callee, Direction::Call)
-            .unwrap();
-        // Caller identification came from the register: the IWT saw no
-        // additional lookup (callee resolution still uses the WT cache).
-        assert_eq!(
-            f.unit.iwt_stats().hits + f.unit.iwt_stats().misses,
-            iwt_lookups_before
-        );
-        assert_eq!(f.unit.prefetch().unwrap().stats().register_hits, 1);
     }
 }

@@ -27,6 +27,8 @@
 //!   defence against non-returning callees (§3.4).
 //! * [`binding`] — the §3.4 alternative design: a hardware-checked
 //!   caller/callee binding table (ablation).
+//! * [`prefetch`] — the §5.1 alternative design: a Current-World-ID
+//!   register reloaded at every context switch (ablation).
 //! * [`switchless`] — shared-memory call channels priced as guest-memory
 //!   accesses: the substrate for coalescing many calls into one world
 //!   transition pair (amortized transitions/call < 1 on hot pairs).
@@ -71,7 +73,6 @@ pub mod image;
 pub mod manager;
 pub mod plan;
 pub mod prefetch;
-pub mod service;
 pub mod switchless;
 pub mod table;
 pub mod world;

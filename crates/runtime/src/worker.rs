@@ -404,7 +404,6 @@ impl Engine<'_> {
             Err(verdict) => return (verdict, 0),
         };
         schedule_in(self.platform, &caller_entry);
-        self.unit.notify_context_switch(self.platform, &self.table);
         // Snapshot the monotone cache counters so the deltas over this
         // call can be attributed to it (emission is post-hoc; the call
         // itself is never perturbed).
@@ -695,7 +694,6 @@ impl Engine<'_> {
             }
         };
         schedule_in(self.platform, &caller_entry);
-        self.unit.notify_context_switch(self.platform, &self.table);
         self.platform.cpu_mut().charge_work(
             SAVE_STATE_CYCLES,
             SAVE_STATE_INSTRUCTIONS,
